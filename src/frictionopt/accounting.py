@@ -39,7 +39,9 @@ class AccountingLedger:
 
     liq marks holdings to the unfavourable side (long positions at the bid,
     short positions at the ask); shadow, when present, marks them to a shadow
-    price inside the bid-ask band and therefore dominates liq.
+    price inside the bid-ask band and therefore dominates liq.  A ledger
+    settled against a stack of K models carries a leading model axis on
+    prices, cash, liq and shadow; position is price-free and has none.
     """
 
     cost: CostSpec
@@ -52,34 +54,35 @@ class AccountingLedger:
 
     @property
     def paths(self) -> int:
-        return self.prices.shape[0]
+        return self.prices.shape[-2]
 
     def terminal_liq(self) -> np.ndarray:
-        return self.liq[:, -1]
+        return self.liq[..., -1]
 
 
 def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> AccountingLedger:
-    """Settle a strategy against simulated prices.
+    """Settle a strategy against simulated prices of one model, shape
+    (paths, steps + 1), or of a stack of models, shape (K, paths, steps + 1).
 
     cash_0 = x0 - h0^+ S_0 + h0^- (1 - lambda) S_0 and afterwards each buy
     jump pays S dH_up while each sell jump receives (1 - lambda) S dH_dn.
     The liquidation value closes the running position at the same marks.
     """
     prices = np.asarray(prices, float)
-    if prices.shape != (strategy.paths, strategy.grid.steps + 1):
+    if prices.ndim not in (2, 3) or prices.shape[-2:] != (strategy.paths, strategy.grid.steps + 1):
         raise ConfigError(
-            f"prices must have shape ({strategy.paths}, {strategy.grid.steps + 1}), got {prices.shape}"
+            f"prices must have shape ([K,] {strategy.paths}, {strategy.grid.steps + 1}), got {prices.shape}"
         )
     lam = cost.lam
     h0_buy = max(strategy.h0, 0.0)
     h0_sell = max(-strategy.h0, 0.0)
     cash = np.empty_like(prices)
-    cash[:, 0] = cost.x0 - h0_buy * prices[:, 0] + h0_sell * (1.0 - lam) * prices[:, 0]
-    for i in range(1, prices.shape[1]):
-        cash[:, i] = (
-            cash[:, i - 1]
-            - prices[:, i] * strategy.d_up[:, i]
-            + (1.0 - lam) * prices[:, i] * strategy.d_dn[:, i]
+    cash[..., 0] = cost.x0 - h0_buy * prices[..., 0] + h0_sell * (1.0 - lam) * prices[..., 0]
+    for i in range(1, prices.shape[-1]):
+        cash[..., i] = (
+            cash[..., i - 1]
+            - prices[..., i] * strategy.d_up[:, i]
+            + (1.0 - lam) * prices[..., i] * strategy.d_dn[:, i]
         )
     pos = position_recursion(strategy.h0, strategy.d_up, strategy.d_dn)
     # mark the long leg against the precomputed bid array so that for any

@@ -264,11 +264,10 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         raise ConfigError(f"admissibility must be 'auto', 'rplus' or 'supermartingale', got {admissibility!r}")
 
     opt_spec = doc.get("optimizer", {})
-    _require_keys("optimizer", opt_spec, {"iters", "step0", "fd_step", "tail_fraction", "seed"})
+    _require_keys("optimizer", opt_spec, {"iters", "step0", "tail_fraction", "seed"})
     optimizer = OptimizerSettings(
         iters=_int("optimizer", opt_spec, "iters", 150),
         step0=_num("optimizer", opt_spec, "step0", 0.25),
-        fd_step=_num("optimizer", opt_spec, "fd_step", 1e-6),
         tail_fraction=_num("optimizer", opt_spec, "tail_fraction", 0.5),
         seed=_int("optimizer", opt_spec, "seed", 0),
     )
@@ -326,7 +325,6 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         "optimizer": {
             "iters": optimizer.iters,
             "step0": optimizer.step0,
-            "fd_step": optimizer.fd_step,
             "tail_fraction": optimizer.tail_fraction,
             "seed": optimizer.seed,
         },

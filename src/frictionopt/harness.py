@@ -79,14 +79,17 @@ def _digest(path: Path) -> dict:
     return {"name": path.name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def write_manifest(out_dir: Path, command: str, cfg: RunConfig, summary: dict, started: float) -> None:
-    files = sorted(p for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json")
+def write_manifest(
+    out_dir: Path, command: str, cfg: RunConfig, summary: dict, started: float, outputs: Sequence[str]
+) -> None:
+    """Write manifest.json digesting the named outputs, the files this command
+    wrote; anything else in out_dir (say, an earlier command's) is left out."""
     manifest = {
         "engine": {"name": "frictionopt", "version": __version__},
         "command": command,
         "config": cfg.echo,
         "summary": summary,
-        "outputs": [_digest(p) for p in files],
+        "outputs": [_digest(out_dir / name) for name in sorted(outputs)],
         "wall_time_s": round(time.monotonic() - started, 3),
     }
     write_json(out_dir / "manifest.json", manifest)
@@ -118,7 +121,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
         "thetas": len(cfg.thetas),
         "terminal_means": [float(np.dot(noise.probs, panel.prices[k][:, -1])) for k in range(len(cfg.thetas))],
     }
-    write_manifest(out_dir, "simulate", cfg, summary, started)
+    write_manifest(out_dir, "simulate", cfg, summary, started, ["prices.csv"])
     return 0
 
 
@@ -188,8 +191,11 @@ def cmd_verify_cps(cfg: RunConfig, out: Optional[str] = None) -> int:
             result["verdict"] = "verified" if ok else "verification failed"
             code = 0 if ok else 3
     write_json(out_dir / "verify.json", result)
-    write_manifest(out_dir, "verify-cps", cfg, {"exit": code, "verdict": result["verdict"]}, started)
+    write_manifest(out_dir, "verify-cps", cfg, {"exit": code, "verdict": result["verdict"]}, started, ["verify.json"])
     return code
+
+
+SOLVE_OUTPUTS = ("report.json", "history.csv", "plot_value.csv", "strategy.csv", "ledger_worst.csv")
 
 
 def _write_solve_outputs(out_dir: Path, cfg: RunConfig, problem, report) -> None:
@@ -256,7 +262,7 @@ def cmd_solve(cfg: RunConfig, out: Optional[str] = None) -> int:
         "argmin_theta": report.argmin_theta,
         "h0": report.strategy.h0,
     }
-    write_manifest(out_dir, "solve", cfg, summary, started)
+    write_manifest(out_dir, "solve", cfg, summary, started, SOLVE_OUTPUTS)
     return 0
 
 
@@ -290,7 +296,7 @@ def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
         },
     )
     code = 0 if dual.all_ok else 3
-    write_manifest(out_dir, "duality", cfg, {"exit": code, "all_ok": dual.all_ok}, started)
+    write_manifest(out_dir, "duality", cfg, {"exit": code, "all_ok": dual.all_ok}, started, ["duality.json"])
     return code
 
 
@@ -301,23 +307,22 @@ def cmd_selftest(out: Optional[str] = None) -> int:
     from .scenario import ArctanDrift, TimeGrid, gaussian_panel, simulate
     from .utility import log_utility
 
-    try:
-        grid = TimeGrid(1.0, 10)
-        noise = gaussian_panel(grid, 64, 1, seed=1)
-        prices = simulate(ArctanDrift(), grid, noise)
-        assert prices.min() > 0.75 and prices.max() < 2.25
-        cert = cps_certificate(ArctanDrift(), 0.7)
-        assert cert is not None and cert.exists
-        ps = constant_cps(prices, noise, 0.75)
-        assert verify_band(prices, ps, 2.0 / 3.0).holds
-        u = log_utility()
-        assert abs(conjugate(u, 2.0) - (-np.log(2.0) - 1.0)) < 1e-8
-        strat = Strategy.zero(grid, 64)
-        ledger = run_ledger(strat, prices, CostSpec(0.1, 1.0))
-        assert check_admissible_rplus(ledger).admissible
-        assert float(np.max(np.abs(ledger.liq - 1.0))) == 0.0
-    except AssertionError:
-        print("selftest: FAIL")
+    grid = TimeGrid(1.0, 10)
+    noise = gaussian_panel(grid, 64, 1, seed=1)
+    prices = simulate(ArctanDrift(), grid, noise)
+    cert = cps_certificate(ArctanDrift(), 0.7)
+    ledger = run_ledger(Strategy.zero(grid, 64), prices, CostSpec(0.1, 1.0))
+    checks = {
+        "arctan prices stay in (0.75, 2.25)": prices.min() > 0.75 and prices.max() < 2.25,
+        "a price system exists at lambda 0.7": cert is not None and cert.exists,
+        "the constant shadow lies in the band": verify_band(prices, constant_cps(prices, noise, 0.75), 2.0 / 3.0).holds,
+        "log conjugate at 2": abs(conjugate(log_utility(), 2.0) - (-np.log(2.0) - 1.0)) < 1e-8,
+        "the zero strategy is admissible": check_admissible_rplus(ledger).admissible,
+        "the zero strategy keeps its cash": float(np.max(np.abs(ledger.liq - 1.0))) == 0.0,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        print(f"selftest: FAIL ({'; '.join(failed)})")
         return 3
     print("selftest: PASS")
     return 0

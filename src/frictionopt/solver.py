@@ -4,21 +4,25 @@ The decision variable is a trading policy (time-zero block plus nonnegative
 buy/sell increments, with the final step reserved for forced liquidation, so
 terminal positions are flat by construction).  The objective is the worst
 expected utility of terminal liquidation wealth across the family, evaluated
-on common noise; it is maximized by projected supergradient ascent, where the
-supergradient at the current point is a finite-difference gradient of the
-active (worst) model's objective.
+on common noise; it is maximized by projected supergradient ascent along the
+exact gradient of the active (worst) model's objective.
+
+Terminal liquidation wealth is piecewise linear in the policy, so that
+gradient comes in closed form from the ledger pass that evaluates the iterate
+(see _supergradient).  Where the one-sided slopes differ it takes their mean,
+except at a leg's lower bound 0, where it takes the slope into the feasible
+side.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .accounting import AccountingLedger, CostSpec, check_admissible_rplus, run_ledger, shadow_ledger
+from .accounting import CostSpec, run_ledger, shadow_ledger
 from .cps import (
     PriceSystem,
     constant_cps,
@@ -30,7 +34,7 @@ from .cps import (
     supermartingale_check,
 )
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
-from .fvproc import Strategy
+from .fvproc import Strategy, position_recursion
 from .scenario import (
     ArctanDrift,
     BlackScholes,
@@ -150,30 +154,32 @@ class PolicyCodec:
             ofs += n
         return cols
 
-    def _expand(self, vec: np.ndarray, cols: np.ndarray, step_idx: int) -> np.ndarray:
+    def _expand(self, vecs: np.ndarray, cols: np.ndarray, step_idx: int) -> np.ndarray:
+        """Per-path increments, shape (batch, paths), of one step's block."""
         if cols.size == 0:
-            return np.zeros(self.paths)
-        vals = vec[cols]
-        if vals.size == 1:
-            return np.full(self.paths, vals[0])
-        return np.repeat(vals, self.block_per_step[step_idx])
+            return np.zeros((vecs.shape[0], self.paths))
+        return np.repeat(vecs[:, cols], self.block_per_step[step_idx], axis=1)
 
     def decode(self, vec: np.ndarray) -> Strategy:
-        vec = np.asarray(vec, float)
-        if vec.shape != (self.n_params,):
+        """Strategy of one parameter vector, or of a (batch, n_params) stack of
+        vectors sharing h0: the latter decodes to one strategy over batch
+        stacked copies of the paths, vector-major."""
+        vecs = np.asarray(vec, float)
+        if vecs.ndim not in (1, 2) or vecs.shape[-1] != self.n_params:
             raise ConfigError(f"parameter vector must have shape ({self.n_params},)")
+        vecs = vecs.reshape(-1, self.n_params)
+        h0 = float(vecs[0, 0])
+        if np.any(vecs[:, 0] != h0):
+            raise ConfigError("a batch of parameter vectors must share h0")
         n1 = self.steps + 1
-        d_up = np.zeros((self.paths, n1))
-        d_dn = np.zeros((self.paths, n1))
-        up_cols = self.side_columns("up")
-        dn_cols = self.side_columns("dn")
-        for j, i in enumerate(range(1, self.steps)):
-            d_up[:, i] = self._expand(vec, up_cols[j], j)
-            d_dn[:, i] = self._expand(vec, dn_cols[j], j)
-        h0 = float(vec[0])
-        pos = h0 * np.ones(self.paths)
-        for i in range(1, self.steps):
-            pos = (pos + d_up[:, i]) - d_dn[:, i]
+        d_up = np.zeros((vecs.shape[0], self.paths, n1))
+        d_dn = np.zeros((vecs.shape[0], self.paths, n1))
+        for j, (up, dn) in enumerate(zip(self.side_columns("up"), self.side_columns("dn"))):
+            d_up[:, :, j + 1] = self._expand(vecs, up, j)
+            d_dn[:, :, j + 1] = self._expand(vecs, dn, j)
+        d_up = d_up.reshape(-1, n1)
+        d_dn = d_dn.reshape(-1, n1)
+        pos = position_recursion(h0, d_up, d_dn)[:, -2]
         d_dn[:, self.steps] = np.maximum(pos, 0.0)
         d_up[:, self.steps] = np.maximum(-pos, 0.0)
         tag = "deterministic" if self.problem.policy_class == "deterministic-schedule" else "lattice"
@@ -183,24 +189,17 @@ class PolicyCodec:
 @dataclass(frozen=True)
 class ObjectiveResult:
     """Worst-case expected utility of a parameter vector; infeasible vectors
-    are reported as such rather than mapped to a low value."""
+    are reported as such rather than mapped to a low value.  terminal_wealth
+    (the argmin model's, per path) and pre_liq_position (the holdings before
+    the forced liquidation) are what the supergradient needs."""
 
     feasible: bool
     per_theta: np.ndarray
     robust_value: float
     argmin_theta: int
+    terminal_wealth: np.ndarray
+    pre_liq_position: np.ndarray
     reason: str = "ok"
-
-
-def _theta_value(problem: RobustProblem, strat: Strategy, k: int) -> float:
-    """Expected terminal utility under model k; -inf when the strategy fails
-    the nonnegative-wealth admissibility check for that model."""
-    ledger = run_ledger(strat, problem.panel.prices[k], problem.cost)
-    if problem.admissibility == "rplus" and not check_admissible_rplus(ledger).admissible:
-        return -math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uvals = problem.utility(ledger.terminal_liq())
-    return float(np.dot(problem.noise.probs, uvals))
 
 
 def _argmin_with_ties(per: np.ndarray) -> int:
@@ -208,28 +207,31 @@ def _argmin_with_ties(per: np.ndarray) -> int:
     return int(np.flatnonzero(per <= lo + ARGMIN_TIE_TOL)[0])
 
 
-def objective(problem: RobustProblem, vec: np.ndarray, threads: int = 1) -> ObjectiveResult:
-    """Evaluate min over the family of the expected terminal utility.
+def objective(problem: RobustProblem, vec: np.ndarray) -> ObjectiveResult:
+    """Evaluate min over the family of the expected terminal utility, settling
+    every model in one ledger pass.
 
     A vector is infeasible when any model's admissibility check fails; that is
-    reported distinctly from a finite (or -inf) objective value.
+    reported distinctly from a finite (or -inf) objective value.  Under rplus
+    a model fails when its liquidation value goes negative; decode closes
+    every position exactly, so the flat-terminal half of the rule holds by
+    construction.
     """
-    codec = PolicyCodec(problem)
-    strat = codec.decode(vec)
-    k = problem.n_thetas
-    per = np.empty(k)
-    if threads > 1 and k > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, val in enumerate(pool.map(lambda j: _theta_value(problem, strat, j), range(k))):
-                per[idx] = val
-    else:
-        for j in range(k):
-            per[j] = _theta_value(problem, strat, j)
-    if problem.admissibility == "rplus" and np.any(np.isneginf(per)):
-        bad = int(np.flatnonzero(np.isneginf(per))[0])
-        return ObjectiveResult(False, per, -math.inf, bad, reason=f"inadmissible under theta {bad}")
-    robust = float(np.min(per))
-    return ObjectiveResult(True, per, robust, _argmin_with_ties(per))
+    strat = PolicyCodec(problem).decode(vec)
+    ledger = run_ledger(strat, problem.panel.prices, problem.cost)
+    terminal = ledger.terminal_liq()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per = problem.utility(terminal) @ problem.noise.probs
+    pre_liq = ledger.position[:, -2]
+    if problem.admissibility == "rplus":
+        per[np.any(ledger.liq < 0.0, axis=(1, 2))] = -math.inf
+        if np.any(np.isneginf(per)):
+            bad = int(np.flatnonzero(np.isneginf(per))[0])
+            return ObjectiveResult(
+                False, per, -math.inf, bad, terminal[bad], pre_liq, reason=f"inadmissible under theta {bad}"
+            )
+    k = _argmin_with_ties(per)
+    return ObjectiveResult(True, per, float(np.min(per)), k, terminal[k], pre_liq)
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,6 @@ class OptimizerSettings:
 
     iters: int = 150
     step0: float = 0.25
-    fd_step: float = 1e-6
     max_halvings: int = 40
     tail_fraction: float = 0.5
     seed: int = 0
@@ -266,45 +267,71 @@ class SolveReport:
     diagnostics: Optional[dict] = None
 
 
-def _fd_supergradient(problem: RobustProblem, codec: PolicyCodec, vec: np.ndarray, k: int, h: float) -> np.ndarray:
+def _supergradient(problem: RobustProblem, codec: PolicyCodec, vec: np.ndarray, res: ObjectiveResult) -> np.ndarray:
+    """Exact gradient of the active model's expected utility at vec, from the
+    ledger pass that produced res.
+
+    Terminal wealth is X = cash_{N-1} + c_N pos_{N-1}, where the closing mark
+    c_N is (1 - lambda) S_N for a long and S_N for a short position.  Per path
+    dX/dup_i = -S_i + c_N, dX/ddn_i = (1 - lambda) S_i - c_N and
+    dX/dh0 = -S_0 + c_N (-(1 - lambda) S_0 + c_N when short at time zero), and
+    the gradient is E[U'(X) dX/dtheta] summed over each parameter's block of
+    paths.  At kinks (h0 = 0, pos_{N-1} = 0) the right and left slopes differ:
+    a leg at its lower bound 0 takes the right one, every other parameter the
+    mean of both.
+    """
+    lam = problem.cost.lam
+    prices = problem.panel.prices[res.argmin_theta]
+    s_n = prices[:, -1]
+    pos = res.pre_liq_position
+    # closing marks once pos_{N-1} is nudged up (raising h0 or a buy) or down
+    mark_up = np.where(pos < 0.0, s_n, (1.0 - lam) * s_n)
+    mark_dn = np.where(pos > 0.0, (1.0 - lam) * s_n, s_n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = problem.noise.probs * problem.utility.deriv(res.terminal_wealth)
+        wprices = w[:, None] * prices
+        w_up, w_dn = w * mark_up, w * mark_dn
+
+    def sided(right, left, at_bound):
+        return np.where(at_bound, right, 0.5 * (right + left))
+
     g = np.empty(codec.n_params)
-    for j in range(codec.n_params):
-        vp = codec.project(_bump(vec, j, h))
-        vm = codec.project(_bump(vec, j, -h))
-        den = vp[j] - vm[j]
-        if den == 0.0:
-            g[j] = 0.0
-            continue
-        fp = _theta_value(problem, codec.decode(vp), k)
-        fm = _theta_value(problem, codec.decode(vm), k)
-        g[j] = (fp - fm) / den
+    h0 = vec[0]
+    s0 = wprices[:, 0].sum()
+    g[0] = sided(
+        -(s0 if h0 >= 0.0 else (1.0 - lam) * s0) + w_up.sum(),
+        -(s0 if h0 > 0.0 else (1.0 - lam) * s0) + w_dn.sum(),
+        codec.long_only and h0 <= 0.0,
+    )
+    for j, (up, dn) in enumerate(zip(codec.side_columns("up"), codec.side_columns("dn"))):
+        nodes = codec.nodes_per_step[j]
+        s_i = wprices[:, j + 1].reshape(nodes, -1).sum(axis=1)
+        c_up = w_up.reshape(nodes, -1).sum(axis=1)
+        c_dn = w_dn.reshape(nodes, -1).sum(axis=1)
+        g[up] = sided(c_up - s_i, c_dn - s_i, vec[up] <= 0.0)
+        if dn.size:
+            g[dn] = sided((1.0 - lam) * s_i - c_dn, (1.0 - lam) * s_i - c_up, vec[dn] <= 0.0)
     return np.nan_to_num(g, nan=0.0, posinf=1e6, neginf=-1e6)
-
-
-def _bump(vec: np.ndarray, j: int, h: float) -> np.ndarray:
-    out = vec.copy()
-    out[j] += h
-    return out
 
 
 def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSettings()) -> SolveReport:
     """Maximize the robust objective by projected supergradient ascent.
 
     Deterministic for a fixed problem and settings: the start point is the
-    zero strategy, gradients are finite differences, and no randomness enters
-    the iteration.  Returns the best visited iterate together with the tail
-    average of the trajectory (also evaluated, for diagnostics).
+    zero strategy, gradients are exact (see _supergradient), and no randomness
+    enters the iteration.  Returns the best visited iterate together with the
+    tail average of the trajectory (also evaluated, for diagnostics).
     """
     codec = PolicyCodec(problem)
     cur = codec.zero()
-    cur_res = objective(problem, cur, threads=problem.threads)
+    cur_res = objective(problem, cur)
     if not cur_res.feasible:
         raise NoFeasiblePointError("the zero strategy is already inadmissible")
     best_vec, best_res = cur, cur_res
     iterates = [cur]
     history = [(0, cur_res.robust_value, cur_res.argmin_theta, 0.0)]
     for k in range(1, settings.iters + 1):
-        g = _fd_supergradient(problem, codec, cur, cur_res.argmin_theta, settings.fd_step)
+        g = _supergradient(problem, codec, cur, cur_res)
         norm = float(np.linalg.norm(g))
         if norm < 1e-15:
             history.append((k, cur_res.robust_value, cur_res.argmin_theta, 0.0))
@@ -312,12 +339,12 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
             continue
         step = settings.step0 / math.sqrt(k)
         cand = codec.project(cur + step * g / norm)
-        cand_res = objective(problem, cand, threads=problem.threads)
+        cand_res = objective(problem, cand)
         halvings = 0
         while not cand_res.feasible and halvings < settings.max_halvings:
             step *= 0.5
             cand = codec.project(cur + step * g / norm)
-            cand_res = objective(problem, cand, threads=problem.threads)
+            cand_res = objective(problem, cand)
             halvings += 1
         if not cand_res.feasible:
             cand, cand_res, step = cur, cur_res, 0.0
@@ -329,7 +356,7 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
     start = int(len(iterates) * (1.0 - settings.tail_fraction))
     start = min(max(start, 0), len(iterates) - 1)
     avg_vec = codec.project(np.mean(np.stack(iterates[start:]), axis=0))
-    avg_res = objective(problem, avg_vec, threads=problem.threads)
+    avg_res = objective(problem, avg_vec)
     avg_value = avg_res.robust_value if avg_res.feasible else -math.inf
     return SolveReport(
         best_params=best_vec,
@@ -360,6 +387,7 @@ class BruteForceReport:
 
 
 MAX_BRUTE_COMBOS = 1_000_000
+BRUTE_CHUNK_ROWS = 1 << 16
 
 
 def brute_force(
@@ -399,36 +427,22 @@ def brute_force(
 
     per_theta = np.empty((problem.n_thetas, n_combos))
     feasible = np.ones(n_combos, dtype=bool)
-    up_cols = codec.side_columns("up")
-    dn_cols = codec.side_columns("dn")
-    probs = problem.noise.probs
-    lam = problem.cost.lam
-    for kth in range(problem.n_thetas):
-        prices = problem.panel.prices[kth]
-        m = prices.shape[0]
-        pos = np.repeat(vecs[:, 0:1], m, axis=1)
-        s0 = prices[:, 0][None, :]
-        cash = problem.cost.x0 - np.maximum(pos, 0.0) * s0 + np.maximum(-pos, 0.0) * (1.0 - lam) * s0
-        liq = cash + np.maximum(pos, 0.0) * (1.0 - lam) * s0 - np.maximum(-pos, 0.0) * s0
-        min_liq = liq.min(axis=1)
-        for i in range(1, problem.grid.steps + 1):
-            if i < problem.grid.steps:
-                j = i - 1
-                up_i = _grid_expand(vecs, up_cols[j], codec, j, m)
-                dn_i = _grid_expand(vecs, dn_cols[j], codec, j, m)
-            else:
-                dn_i = np.maximum(pos, 0.0)
-                up_i = np.maximum(-pos, 0.0)
-            s_i = prices[:, i][None, :]
-            cash = cash - s_i * up_i + (1.0 - lam) * s_i * dn_i
-            pos = (pos + up_i) - dn_i
-            liq = cash + np.maximum(pos, 0.0) * (1.0 - lam) * s_i - np.maximum(-pos, 0.0) * s_i
-            min_liq = np.minimum(min_liq, liq.min(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uvals = problem.utility(liq)
-        per_theta[kth] = uvals @ probs
-        if problem.admissibility == "rplus":
-            feasible &= min_liq >= 0.0
+    paths = problem.noise.paths
+    # h0 is the slowest digit, so each h0 value owns a contiguous run of
+    # combinations; runs are settled in chunks of at most BRUTE_CHUNK_ROWS paths
+    run = n_combos // sizes[0]
+    chunk = max(1, min(run, BRUTE_CHUNK_ROWS // paths))
+    tiled = np.tile(problem.panel.prices, (1, chunk, 1))
+    for start in range(0, n_combos, run):
+        for lo in range(start, start + run, chunk):
+            hi = min(lo + chunk, start + run)
+            strat = codec.decode(vecs[lo:hi])
+            ledger = run_ledger(strat, tiled[:, : (hi - lo) * paths], problem.cost)
+            liq = ledger.liq.reshape(problem.n_thetas, hi - lo, paths, -1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                per_theta[:, lo:hi] = problem.utility(liq[..., -1]) @ problem.noise.probs
+            if problem.admissibility == "rplus":
+                feasible[lo:hi] = np.all(liq >= 0.0, axis=(0, 2, 3))
     robust = per_theta.min(axis=0)
     robust[~feasible] = -math.inf
     n_feasible = int(feasible.sum())
@@ -454,15 +468,6 @@ def brute_force(
         n_combos=n_combos,
         n_feasible=n_feasible,
     )
-
-
-def _grid_expand(vecs: np.ndarray, cols: np.ndarray, codec: PolicyCodec, step_idx: int, m: int) -> np.ndarray:
-    if cols.size == 0:
-        return np.zeros((vecs.shape[0], m))
-    vals = vecs[:, cols]
-    if vals.shape[1] == 1:
-        return np.repeat(vals, m, axis=1)
-    return np.repeat(vals, codec.block_per_step[step_idx], axis=1)
 
 
 def default_price_systems(problem: RobustProblem, shrink: Optional[float] = None) -> list[tuple[int, PriceSystem]]:

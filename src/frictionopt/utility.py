@@ -33,15 +33,17 @@ class UtilitySpec:
 
     domain is "positive" for utilities defined on (0, inf) (extended by -inf
     at nonpositive wealth) or "real" for whole-line utilities.  fn must accept
-    numpy arrays.  analytic_conjugate, when available, is used by callers to
-    cross-check the numerical conjugate, never to replace it.
+    numpy arrays, and so must derivative and analytic_conjugate when given:
+    derivative is U' (the solver's supergradient), analytic_conjugate is V in
+    closed form (vector_conjugate's fast route; conjugate() always searches).
     """
 
     name: str
     domain: str
     fn: Callable[[Array], Array]
     params: dict = field(default_factory=dict)
-    analytic_conjugate: Optional[Callable[[float], float]] = None
+    analytic_conjugate: Optional[Callable[[Array], Array]] = None
+    derivative: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self) -> None:
         if self.domain not in ("positive", "real"):
@@ -50,13 +52,25 @@ class UtilitySpec:
     def __call__(self, x: Array) -> Array:
         return self.fn(np.asarray(x, float))
 
+    def deriv(self, x: Array) -> Array:
+        """U'(x): the closed form when the utility carries one, otherwise a
+        central difference of U with a step relative to |x|."""
+        x = np.asarray(x, float)
+        if self.derivative is not None:
+            return self.derivative(x)
+        h = 1e-6 * np.maximum(np.abs(x), 1.0)
+        return (self(x + h) - self(x - h)) / (2.0 * h)
+
 
 def log_utility() -> UtilitySpec:
     def fn(x: Array) -> Array:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
 
-    return UtilitySpec("log", "positive", fn, {}, analytic_conjugate=lambda y: -math.log(y) - 1.0)
+    def deriv(x: Array) -> Array:
+        return np.where(x > 0.0, 1.0 / np.where(x > 0.0, x, 1.0), np.inf)
+
+    return UtilitySpec("log", "positive", fn, {}, analytic_conjugate=lambda y: -np.log(y) - 1.0, derivative=deriv)
 
 
 def power_utility(p: float) -> UtilitySpec:
@@ -68,10 +82,13 @@ def power_utility(p: float) -> UtilitySpec:
         with np.errstate(invalid="ignore"):
             return np.where(x > 0.0, np.power(np.where(x > 0.0, x, 1.0), p) / p, -np.inf)
 
-    def conj(y: float) -> float:
-        return (1.0 / p - 1.0) * y ** (p / (p - 1.0))
+    def deriv(x: Array) -> Array:
+        return np.where(x > 0.0, np.power(np.where(x > 0.0, x, 1.0), p - 1.0), np.inf)
 
-    return UtilitySpec("power", "positive", fn, {"p": p}, analytic_conjugate=conj)
+    def conj(y: Array) -> Array:
+        return (1.0 / p - 1.0) * np.power(y, p / (p - 1.0))
+
+    return UtilitySpec("power", "positive", fn, {"p": p}, analytic_conjugate=conj, derivative=deriv)
 
 
 def exp_utility(a: float = 1.0) -> UtilitySpec:
@@ -83,11 +100,15 @@ def exp_utility(a: float = 1.0) -> UtilitySpec:
         with np.errstate(over="ignore"):
             return 1.0 - np.exp(-a * x)
 
-    def conj(y: float) -> float:
-        # sup_x (1 - e^{-ax} - xy) at x = -ln(y/a)/a
-        return 1.0 - y / a + (y / a) * math.log(y / a)
+    def deriv(x: Array) -> Array:
+        with np.errstate(over="ignore"):
+            return a * np.exp(-a * x)
 
-    return UtilitySpec("exp", "real", fn, {"a": a}, analytic_conjugate=conj)
+    def conj(y: Array) -> Array:
+        # sup_x (1 - e^{-ax} - xy) at x = -ln(y/a)/a
+        return 1.0 - y / a + (y / a) * np.log(y / a)
+
+    return UtilitySpec("exp", "real", fn, {"a": a}, analytic_conjugate=conj, derivative=deriv)
 
 
 def table_utility(xs: Sequence[float], us: Sequence[float]) -> UtilitySpec:
@@ -118,7 +139,19 @@ def table_utility(xs: Sequence[float], us: Sequence[float]) -> UtilitySpec:
             out = np.where(q > 0.0, out, -np.inf)
         return out
 
-    return UtilitySpec("custom-table", domain, fn, {"x": x.tolist(), "u": u.tolist()})
+    # slope on each of the n + 1 pieces (-inf, x0), (x0, x1), ..., (x_{n-1}, inf);
+    # at a knot the mean of the two adjacent slopes
+    piece_slopes = np.concatenate([slopes[:1], slopes, slopes[-1:]])
+
+    def deriv(q: Array) -> Array:
+        left = piece_slopes[np.searchsorted(x, q, side="left")]
+        right = piece_slopes[np.searchsorted(x, q, side="right")]
+        out = 0.5 * (left + right)
+        if domain == "positive":
+            out = np.where(q > 0.0, out, np.inf)
+        return out
+
+    return UtilitySpec("custom-table", domain, fn, {"x": x.tolist(), "u": u.tolist()}, derivative=deriv)
 
 
 _BRACKET_CAP = 1e120
@@ -202,7 +235,7 @@ def vector_conjugate(u: UtilitySpec, points: Array) -> Array:
     if np.any(pts <= 0.0):
         raise ConjugateUnboundedError("vectorized conjugate needs strictly positive points")
     if u.analytic_conjugate is not None:
-        return np.asarray([u.analytic_conjugate(float(t)) for t in pts.ravel()]).reshape(pts.shape)
+        return np.asarray(u.analytic_conjugate(pts), float)
     lo, hi = float(pts.min()), float(pts.max())
     grid = np.geomspace(lo * 0.999, hi * 1.001, 512)
     table = np.asarray([conjugate(u, float(t)) for t in grid])

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,8 @@ class TestParseConfig:
             parse_config(make_doc(cost={"lambda": 0.01, "x0": 1.0, "fee": 2.0}))
         with pytest.raises(ConfigError):
             parse_config(make_doc(optimizer={"iters": 10, "momentum": 0.9}))
+        with pytest.raises(ConfigError):  # the gradient is exact; there is no step to set
+            parse_config(make_doc(optimizer={"iters": 10, "fd_step": 1e-6}))
 
     def test_missing_required_sections(self):
         doc = make_doc()
@@ -149,7 +155,8 @@ class TestWriters:
     def test_manifest_digests_every_output_except_itself(self, tmp_path):
         cfg = parse_config(make_doc())
         (tmp_path / "data.csv").write_text("x\n1\n")
-        write_manifest(tmp_path, "solve", cfg, {"note": 1}, started=0.0)
+        (tmp_path / "stale.csv").write_text("left by an earlier command\n")
+        write_manifest(tmp_path, "solve", cfg, {"note": 1}, started=0.0, outputs=["data.csv"])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         names = [f["name"] for f in manifest["outputs"]]
         assert names == ["data.csv"]
@@ -163,6 +170,19 @@ class TestCli:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         assert "selftest: PASS" in capsys.readouterr().out
+
+    def test_selftest_reports_a_failed_check(self, monkeypatch, capsys):
+        from frictionopt import harness
+
+        monkeypatch.setattr(harness, "conjugate", lambda u, y: 0.0)
+        assert main(["selftest"]) == 3
+        assert "selftest: FAIL" in capsys.readouterr().out
+        # the checks must not be asserts, which python -O strips
+        script = "import sys; from frictionopt import harness; harness.conjugate = lambda u, y: 0.0; " \
+                 "sys.exit(harness.cmd_selftest())"
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 3, run.stdout + run.stderr
 
     def test_simulate_writes_prices(self, tmp_path):
         doc = make_doc(noise={"kind": "mc", "paths": 6}, policy={})
@@ -183,6 +203,16 @@ class TestCli:
         report = json.loads((tmp_path / "a" / "report.json").read_text())
         assert report["policy_class"] == "lattice-policy"
         assert report["best_value"] >= 0.0
+
+    def test_manifest_leaves_out_an_earlier_commands_outputs(self, tmp_path):
+        cfg_path = write_config(tmp_path, make_doc())
+        out = tmp_path / "shared"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = [f["name"] for f in manifest["outputs"]]
+        assert names == sorted(["report.json", "history.csv", "plot_value.csv", "strategy.csv", "ledger_worst.csv"])
+        assert (out / "prices.csv").is_file()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         doc = make_doc()

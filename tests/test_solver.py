@@ -20,10 +20,13 @@ from frictionopt import (
     lattice_panel,
     log_utility,
     objective,
+    power_utility,
     run_ledger,
     solve,
+    table_utility,
 )
 from frictionopt.errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
+from frictionopt.solver import _supergradient
 
 
 def lattice_problem(steps=2, lam=0.01, x0=1.0, mus=(0.1,), sigma=0.2, **kw):
@@ -142,14 +145,78 @@ class TestObjective:
         assert res.robust_value == -math.inf
         assert "theta" in res.reason
 
-    def test_thread_pool_matches_serial(self):
+    def test_batched_models_match_per_model_ledgers(self):
         prob = gaussian_problem(mus=(0.1, 0.0, -0.1))
         codec = PolicyCodec(prob)
         vec = codec.project(np.linspace(0.1, 0.4, codec.n_params))
-        a = objective(prob, vec, threads=1)
-        b = objective(prob, vec, threads=3)
-        np.testing.assert_array_equal(a.per_theta, b.per_theta)
-        assert a.argmin_theta == b.argmin_theta
+        res = objective(prob, vec)
+        strat = codec.decode(vec)
+        ledgers = [run_ledger(strat, prob.panel.prices[k], prob.cost) for k in range(prob.n_thetas)]
+        per = [np.dot(prob.noise.probs, prob.utility(led.terminal_liq())) for led in ledgers]
+        np.testing.assert_allclose(res.per_theta, per, rtol=1e-14, atol=0.0)
+        assert res.argmin_theta == int(np.argmin(per))
+        np.testing.assert_array_equal(res.terminal_wealth, ledgers[res.argmin_theta].terminal_liq())
+        np.testing.assert_array_equal(res.pre_liq_position, ledgers[0].position[:, -2])
+
+
+def fd_supergradient(problem, vec, k, h=1e-6):
+    """Central finite difference of model k's expected utility, the reference
+    for the exact supergradient.  Where the projection clamps a leg at zero the
+    stencil shrinks to the one-sided quotient into the feasible side."""
+    codec = PolicyCodec(problem)
+    g = np.empty(codec.n_params)
+    for j in range(codec.n_params):
+        vp, vm = vec.copy(), vec.copy()
+        vp[j] += h
+        vm[j] -= h
+        vp, vm = codec.project(vp), codec.project(vm)
+        g[j] = (objective(problem, vp).per_theta[k] - objective(problem, vm).per_theta[k]) / (vp[j] - vm[j])
+    return g
+
+
+UTILITIES = {
+    # name: (utility, admissibility, x0); the table's knots avoid x0, so the
+    # zero strategy's wealth sits on a linear piece
+    "log": (log_utility(), "rplus", 1.0),
+    "power": (power_utility(0.5), "rplus", 1.0),
+    "exp": (exp_utility(1.5), "supermartingale", 0.5),
+    "custom-table": (table_utility([0.3, 0.7, 0.95, 1.25, 2.0, 4.0], [-1.5, -0.4, 0.0, 0.3, 0.7, 1.2]), "rplus", 1.1),
+}
+
+
+def adjoint_problem(utility_name, policy):
+    utility, admissibility, x0 = UTILITIES[utility_name]
+    thetas = ThetaGrid((BlackScholes(0.1, 0.2), BlackScholes(-0.05, 0.25)))
+    kw = {"admissibility": admissibility, "long_only": policy == "long-only"}
+    if policy == "lattice":
+        grid = TimeGrid(1.0, 2)
+        return RobustProblem(CostSpec(0.02, x0), thetas, utility, grid, lattice_panel(grid, 1),
+                             policy_class="lattice-policy", **kw)
+    grid = TimeGrid(1.0, 5)
+    return RobustProblem(CostSpec(0.02, x0), thetas, utility, grid, gaussian_panel(grid, 300, 1, seed=4), **kw)
+
+
+@pytest.mark.parametrize("policy", ["deterministic", "long-only", "lattice"])
+@pytest.mark.parametrize("utility_name", sorted(UTILITIES))
+class TestSupergradient:
+    def check(self, prob, vec, rtol):
+        res = objective(prob, vec)
+        assert res.feasible
+        exact = _supergradient(prob, PolicyCodec(prob), vec, res)
+        ref = fd_supergradient(prob, vec, res.argmin_theta)
+        assert np.linalg.norm(exact - ref) <= rtol * np.linalg.norm(ref), (exact, ref)
+
+    def test_matches_finite_differences_at_an_interior_point(self, utility_name, policy):
+        prob = adjoint_problem(utility_name, policy)
+        codec = PolicyCodec(prob)
+        vec = np.random.default_rng(7).uniform(0.02, 0.12, size=codec.n_params)
+        vec[0] = 0.3 if policy == "long-only" else -0.2
+        self.check(prob, vec, 1e-8)
+
+    def test_zero_strategy_takes_the_finite_difference_kink_convention(self, utility_name, policy):
+        # every leg sits at its bound and every pre-liquidation position is 0
+        prob = adjoint_problem(utility_name, policy)
+        self.check(prob, PolicyCodec(prob).zero(), 1e-5)
 
 
 class TestSolve:

@@ -78,10 +78,16 @@ class TestConjugate:
 
 class TestVectorConjugate:
     def test_analytic_route_matches_scalar(self):
-        u = log_utility()
-        pts = np.asarray(YS)
-        got = vector_conjugate(u, pts)
-        np.testing.assert_allclose(got, -np.log(pts) - 1.0, atol=1e-12)
+        pts = np.geomspace(1e-3, 1e3, 60).reshape(6, 10)
+        for u, scalar in (
+            (log_utility(), lambda y: -math.log(y) - 1.0),
+            (power_utility(0.3), lambda y: (1.0 / 0.3 - 1.0) * y ** (0.3 / (0.3 - 1.0))),
+            (exp_utility(2.5), lambda y: 1.0 - y / 2.5 + (y / 2.5) * math.log(y / 2.5)),
+        ):
+            got = vector_conjugate(u, pts)
+            assert got.shape == pts.shape
+            expected = np.asarray([scalar(float(t)) for t in pts.ravel()]).reshape(pts.shape)
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0, err_msg=u.name)
 
     def test_numeric_route_interpolates_the_search(self):
         # same log utility but with the closed form withheld, forcing the
@@ -95,6 +101,38 @@ class TestVectorConjugate:
     def test_rejects_nonpositive_points(self):
         with pytest.raises(ConjugateUnboundedError):
             vector_conjugate(log_utility(), np.asarray([1.0, 0.0]))
+
+
+class TestDeriv:
+    XS = np.asarray([0.05, 0.3, 0.9, 1.0, 1.7, 3.0, 12.0])
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            log_utility(),
+            power_utility(0.4),
+            exp_utility(1.5),
+            table_utility([0.2, 0.6, 1.2, 2.5], [-1.0, 0.0, 0.5, 0.8]),
+            UtilitySpec("log-no-closed-form", "positive", log_utility().fn),
+        ],
+        ids=["log", "power", "exp", "custom-table", "fallback"],
+    )
+    def test_matches_central_difference_of_u(self, u):
+        h = 1e-6 * self.XS
+        fd = (u(self.XS + h) - u(self.XS - h)) / (2.0 * h)
+        np.testing.assert_allclose(u.deriv(self.XS), fd, rtol=1e-7, atol=1e-9)
+
+    def test_closed_forms(self):
+        x = self.XS
+        np.testing.assert_allclose(log_utility().deriv(x), 1.0 / x, rtol=1e-15)
+        np.testing.assert_allclose(power_utility(0.4).deriv(x), x ** -0.6, rtol=1e-15)
+        np.testing.assert_allclose(exp_utility(1.5).deriv(x), 1.5 * np.exp(-1.5 * x), rtol=1e-15)
+
+    def test_table_knot_slopes(self):
+        u = table_utility([-1.0, 0.0, 1.0, 2.0], [-2.0, 0.0, 1.0, 1.5])
+        q = np.asarray([-5.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 9.0])
+        # pieces have slopes 2, 2, 1, 0.5, 0.5; knots take the mean of their neighbours
+        np.testing.assert_array_equal(u.deriv(q), [2.0, 2.0, 2.0, 1.5, 1.0, 0.75, 0.5, 0.5])
 
 
 class TestYoungPair:
