@@ -1,7 +1,8 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 bad configuration, 3 verification failure,
-4 no feasible point.
+Exit codes: 0 success, 2 bad configuration, 3 verification failure or any
+other engine error, 4 no feasible point.  Errors print one ``error:`` line on
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .config import load_config
-from .errors import ConfigError, NoFeasiblePointError
+from .errors import ConfigError, EngineError, NoFeasiblePointError
 from .harness import cmd_duality, cmd_selftest, cmd_simulate, cmd_solve, cmd_verify_cps
 
 EXIT_OK = 0
@@ -63,12 +64,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, args.out)
         return cmd_duality(cfg, args.out)
-    except ConfigError as exc:
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoFeasiblePointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        return EXIT_INFEASIBLE if isinstance(exc, NoFeasiblePointError) else EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -43,11 +43,22 @@ def _require_keys(section: str, d: dict, allowed: set[str], required: set[str] =
         raise ConfigError(f"missing required key(s) in {section}: {sorted(missing)}")
 
 
-def _num(section: str, d: dict, key: str, default: Optional[float] = None) -> float:
-    v = d.get(key, default)
+def _number(where: str, v: Any) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
+        raise ConfigError(f"{where} must be a number, got {v!r}")
     return float(v)
+
+
+def _num(section: str, d: dict, key: str, default: Optional[float] = None) -> float:
+    return _number(f"{section}.{key}", d.get(key, default))
+
+
+def _numbers(where: str, v: Any, length: Optional[int] = None) -> tuple[float, ...]:
+    """A JSON array of numbers, of the given length when one is given."""
+    if not isinstance(v, list) or (length is not None and len(v) != length):
+        size = "" if length is None else f"{length} "
+        raise ConfigError(f"{where} must be an array of {size}numbers, got {v!r}")
+    return tuple(_number(f"{where}[{i}]", x) for i, x in enumerate(v))
 
 
 def _int(section: str, d: dict, key: str, default: Optional[int] = None) -> int:
@@ -93,17 +104,16 @@ def parse_model(spec: Any, idx: int) -> Model:
             "sigma_fn": _coeff_fn(f"{section}.sigma", spec["sigma"]),
             "s0": _num(section, spec, "s0", 1.0),
         }
-        if "mu_bounds" in spec:
-            kwargs["mu_bounds"] = tuple(float(v) for v in spec["mu_bounds"])
-        if "sigma_bounds" in spec:
-            kwargs["sigma_bounds"] = tuple(float(v) for v in spec["sigma_bounds"])
+        for key in ("mu_bounds", "sigma_bounds"):
+            if key in spec:
+                kwargs[key] = _numbers(f"{section}.{key}", spec[key], 2)
         return PathDependentBS(**kwargs)
     if mtype == "factor":
         _require_keys(
             section, spec, {"type", "theta", "sigma", "rho", "m", "g", "s0", "y0"}, {"theta", "sigma", "rho"}
         )
         th = spec["theta"]
-        if (not isinstance(th, list) or len(th) != 2 or any(len(r) != 2 for r in th)):
+        if not isinstance(th, list) or len(th) != 2:
             raise ConfigError(f"{section}.theta must be a 2x2 array")
         m_spec = spec.get("m", {"kind": "affine", "a": 0.0, "b": 0.0})
         g_spec = spec.get("g", {"kind": "affine", "a": 0.0, "b": 0.0})
@@ -116,11 +126,11 @@ def parse_model(spec: Any, idx: int) -> Model:
             return lambda y: a * y + b
 
         return Factor(
-            theta=((float(th[0][0]), float(th[0][1])), (float(th[1][0]), float(th[1][1]))),
+            theta=tuple(_numbers(f"{section}.theta[{r}]", row, 2) for r, row in enumerate(th)),
             m_fn=affine(f"{section}.m", m_spec),
             g_fn=affine(f"{section}.g", g_spec),
             sigma=_num(section, spec, "sigma"),
-            rho=(float(spec["rho"][0]), float(spec["rho"][1])),
+            rho=_numbers(f"{section}.rho", spec["rho"], 2),
             s0=_num(section, spec, "s0", 1.0),
             y0=_num(section, spec, "y0", 0.0),
         )
@@ -142,7 +152,7 @@ def parse_utility(spec: Any) -> UtilitySpec:
         return exp_utility(_num("utility", spec, "a", 1.0))
     if name == "custom-table":
         _require_keys("utility", spec, {"name", "x", "u"}, {"x", "u"})
-        return table_utility(spec["x"], spec["u"])
+        return table_utility(_numbers("utility.x", spec["x"]), _numbers("utility.u", spec["u"]))
     raise ConfigError(f"utility name {name!r} is not known")
 
 
@@ -264,15 +274,16 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         raise ConfigError(f"admissibility must be 'auto', 'rplus' or 'supermartingale', got {admissibility!r}")
 
     opt_spec = doc.get("optimizer", {})
-    _require_keys("optimizer", opt_spec, {"iters", "step0", "tail_fraction", "seed"})
+    _require_keys("optimizer", opt_spec, {"iters", "step0", "tail_fraction"})
     optimizer = OptimizerSettings(
         iters=_int("optimizer", opt_spec, "iters", 150),
         step0=_num("optimizer", opt_spec, "step0", 0.25),
         tail_fraction=_num("optimizer", opt_spec, "tail_fraction", 0.5),
-        seed=_int("optimizer", opt_spec, "seed", 0),
     )
     if optimizer.iters < 1:
         raise ConfigError("optimizer.iters must be at least 1")
+    if not (np.isfinite(optimizer.step0) and optimizer.step0 > 0.0):
+        raise ConfigError(f"optimizer.step0 must be positive and finite, got {optimizer.step0!r}")
     if not (0.0 < optimizer.tail_fraction <= 1.0):
         raise ConfigError("optimizer.tail_fraction must lie in (0, 1]")
 
@@ -326,7 +337,6 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
             "iters": optimizer.iters,
             "step0": optimizer.step0,
             "tail_fraction": optimizer.tail_fraction,
-            "seed": optimizer.seed,
         },
         "verify": verify_resolved,
         "duality": duality_resolved,

@@ -13,7 +13,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -35,20 +35,41 @@ from .solver import default_price_systems, duality_report, solve
 from .utility import conjugate, vector_conjugate
 
 
-def _fmt(v: Any) -> str:
-    """Shortest exact decimal for floats so files are stable across platforms."""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+# rows formatted and written at a time; bounds the per-chunk string arrays
+CSV_CHUNK_ROWS = 1 << 14
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv_cells(column: np.ndarray) -> np.ndarray:
+    """The cells of one column as an object array of strings, formatting each
+    distinct value once: booleans as true/false, integers with str, anything
+    else as a float's shortest exact repr, so files are stable across
+    platforms.  Floats are told apart by bit pattern, which keeps -0.0 apart
+    from 0.0 and formats every NaN payload as nan."""
+    if column.dtype == np.bool_:
+        keys, fmt = column.view(np.uint8), ("false", "true").__getitem__
+    elif column.dtype.kind in "iu":
+        keys, fmt = column, str
+    else:
+        column = column.astype(np.float64)
+        keys, fmt = column.view(np.int64), float.__repr__
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = np.array(list(map(fmt, column[first].tolist())), dtype=object)
+    return distinct.take(inverse)
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> None:
+    """Write equal-length 1-D columns under header, one row per index,
+    streaming CSV_CHUNK_ROWS rows at a time."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(c.ndim != 1 or len(c) != n for c in columns):
+        shapes = [c.shape for c in columns]
+        raise ValueError(f"{len(header)} equal-length 1-D columns expected, got shapes {shapes}")
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            parts = [_csv_cells(c[lo : lo + CSV_CHUNK_ROWS]) for c in columns]
+            f.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
 def _jsonify(obj: Any) -> Any:
@@ -108,13 +129,12 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     noise = cfg.build_noise()
     panel = simulate_panel(cfg.thetas, cfg.grid, noise, threads=cfg.threads)
 
-    def rows():
-        for k in range(len(cfg.thetas)):
-            for m in range(noise.paths):
-                for i in range(cfg.grid.steps + 1):
-                    yield (k, m, i, cfg.grid.times[i], panel.prices[k, m, i])
-
-    write_csv(out_dir / "prices.csv", ["theta_index", "path", "time_index", "time", "price"], rows())
+    theta_index, path, time_index = np.indices(panel.prices.shape).reshape(3, -1)
+    write_csv(
+        out_dir / "prices.csv",
+        ["theta_index", "path", "time_index", "time", "price"],
+        [theta_index, path, time_index, cfg.grid.times[time_index], panel.prices.reshape(-1)],
+    )
     summary = {
         "paths": noise.paths,
         "steps": cfg.grid.steps,
@@ -198,7 +218,7 @@ def cmd_verify_cps(cfg: RunConfig, out: Optional[str] = None) -> int:
 SOLVE_OUTPUTS = ("report.json", "history.csv", "plot_value.csv", "strategy.csv", "ledger_worst.csv")
 
 
-def _write_solve_outputs(out_dir: Path, cfg: RunConfig, problem, report) -> None:
+def _write_solve_outputs(out_dir: Path, problem, report) -> None:
     write_json(
         out_dir / "report.json",
         {
@@ -214,38 +234,25 @@ def _write_solve_outputs(out_dir: Path, cfg: RunConfig, problem, report) -> None
             "h0": report.strategy.h0,
         },
     )
+    iters, values, argmins, steps = zip(*report.history)
     write_csv(
-        out_dir / "history.csv",
-        ["iter", "robust_value", "argmin_theta", "step"],
-        report.history,
+        out_dir / "history.csv", ["iter", "robust_value", "argmin_theta", "step"], [iters, values, argmins, steps]
     )
-    write_csv(
-        out_dir / "plot_value.csv",
-        ["iter", "robust_value"],
-        ((row[0], row[1]) for row in report.history),
-    )
+    write_csv(out_dir / "plot_value.csv", ["iter", "robust_value"], [iters, values])
     strat = report.strategy
+    path, time_index = np.indices(strat.d_up.shape).reshape(2, -1)
     write_csv(
         out_dir / "strategy.csv",
         ["path", "time_index", "d_up", "d_dn"],
-        (
-            (m, i, strat.d_up[m, i], strat.d_dn[m, i])
-            for m in range(strat.paths)
-            for i in range(cfg.grid.steps + 1)
-        ),
+        [path, time_index, strat.d_up.reshape(-1), strat.d_dn.reshape(-1)],
     )
     from .accounting import run_ledger
 
-    worst = report.argmin_theta
-    ledger = run_ledger(strat, problem.panel.prices[worst], problem.cost)
+    ledger = run_ledger(strat, problem.panel.prices[report.argmin_theta], problem.cost)
     write_csv(
         out_dir / "ledger_worst.csv",
         ["path", "time_index", "cash", "position", "liq"],
-        (
-            (m, i, ledger.cash[m, i], ledger.position[m, i], ledger.liq[m, i])
-            for m in range(strat.paths)
-            for i in range(cfg.grid.steps + 1)
-        ),
+        [path, time_index, ledger.cash.reshape(-1), ledger.position.reshape(-1), ledger.liq.reshape(-1)],
     )
 
 
@@ -256,7 +263,7 @@ def cmd_solve(cfg: RunConfig, out: Optional[str] = None) -> int:
     out_dir = _prepare(cfg, out)
     problem = cfg.build_problem()
     report = solve(problem, cfg.optimizer)
-    _write_solve_outputs(out_dir, cfg, problem, report)
+    _write_solve_outputs(out_dir, problem, report)
     summary = {
         "best_value": report.best_value,
         "argmin_theta": report.argmin_theta,

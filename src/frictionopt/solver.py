@@ -248,7 +248,6 @@ class OptimizerSettings:
     step0: float = 0.25
     max_halvings: int = 40
     tail_fraction: float = 0.5
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,6 @@ class SolveReport:
     policy_class: str
     admissibility: str
     strategy: Strategy
-    diagnostics: Optional[dict] = None
 
 
 def _supergradient(problem: RobustProblem, codec: PolicyCodec, vec: np.ndarray, res: ObjectiveResult) -> np.ndarray:

@@ -11,8 +11,8 @@ import pytest
 from frictionopt.cli import main
 from frictionopt.config import load_config, parse_config
 from frictionopt.errors import ConfigError
-from frictionopt.harness import write_csv, write_json, write_manifest
-from frictionopt.scenario import Factor
+from frictionopt.harness import CSV_CHUNK_ROWS, write_csv, write_json, write_manifest
+from frictionopt.scenario import Factor, simulate_panel
 
 BASE_DOC = {
     "grid": {"horizon": 1.0, "steps": 3},
@@ -35,6 +35,25 @@ def write_config(tmp_path, doc, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def reference_csv(header, rows) -> str:
+    """Row-by-row rendering, one repr per cell, that the columnar writer
+    must reproduce byte for byte."""
+
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+PATH_BS = {"type": "path_dependent_bs", "mu": {"kind": "const", "value": 0.1}, "sigma": {"kind": "const", "value": 0.2}}
+FACTOR = {"type": "factor", "theta": [[0.1, 0.0], [0.0, 0.0]], "sigma": 0.2, "rho": [1.0, 0.0]}
 
 
 class TestParseConfig:
@@ -72,6 +91,8 @@ class TestParseConfig:
             parse_config(make_doc(optimizer={"iters": 10, "momentum": 0.9}))
         with pytest.raises(ConfigError):  # the gradient is exact; there is no step to set
             parse_config(make_doc(optimizer={"iters": 10, "fd_step": 1e-6}))
+        with pytest.raises(ConfigError):  # solve draws no random numbers
+            parse_config(make_doc(optimizer={"iters": 10, "seed": 0}))
 
     def test_missing_required_sections(self):
         doc = make_doc()
@@ -138,11 +159,37 @@ class TestParseConfig:
 class TestWriters:
     def test_csv_uses_exact_float_repr(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b", "c"], [(1, 1.0 / 3.0, True), (2, 0.5, False)])
+        write_csv(path, ["a", "b", "c"], [[1, 2], np.asarray([1.0 / 3.0, 0.5]), (True, False)])
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b,c"
         assert lines[1] == f"1,{1.0 / 3.0!r},true"
         assert lines[2] == "2,0.5,false"
+
+    def test_csv_matches_row_by_row_repr_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 2 * CSV_CHUNK_ROWS + 123
+        payload_nan = np.asarray([0x7FF8000000000001, -0x0008000000000000], np.int64).view(np.float64)
+        pool = np.concatenate([[-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 0.1, 1.0], payload_nan])
+        repeats = rng.choice(pool, n)
+        distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        ints = rng.choice(np.asarray([0, -1, 7, 2**63 - 1, -(2**63)], np.int64), n)
+        flags = rng.random(n) < 0.5
+        header = ["repeats", "distinct", "ints", "flags", "counter"]
+        columns = [repeats, distinct, ints, flags, list(range(n))]
+        path = tmp_path / "golden.csv"
+        write_csv(path, header, columns)
+        text = path.read_text()
+        assert text == reference_csv(header, zip(*columns))
+        first_chunk = {line.split(",")[0] for line in text.splitlines()[1 : CSV_CHUNK_ROWS + 1]}
+        assert {"-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+16"} <= first_chunk
+
+    def test_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1.0]])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2]])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a"], [np.zeros((2, 2))])
 
     def test_json_is_sorted_and_numpy_safe(self, tmp_path):
         path = tmp_path / "t.json"
@@ -192,6 +239,26 @@ class TestCli:
         assert lines[0] == "theta_index,path,time_index,time,price"
         assert len(lines) == 1 + 1 * 6 * 4
 
+    def test_simulate_prices_match_row_by_row_rendering(self, tmp_path):
+        thetas = [
+            {"type": "black_scholes", "mu": 0.1, "sigma": 0.2},
+            {"type": "black_scholes", "mu": -0.05, "sigma": 0.25},
+        ]
+        doc = make_doc(thetas=thetas, noise={"kind": "mc", "paths": 2100}, policy={}, seed=4)
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+        cfg = load_config(cfg_path)
+        prices = simulate_panel(cfg.thetas, cfg.grid, cfg.build_noise()).prices
+        assert prices.size > CSV_CHUNK_ROWS
+        rows = (
+            (k, m, i, cfg.grid.times[i], prices[k, m, i])
+            for k in range(prices.shape[0])
+            for m in range(prices.shape[1])
+            for i in range(prices.shape[2])
+        )
+        expected = reference_csv(["theta_index", "path", "time_index", "time", "price"], rows)
+        assert (tmp_path / "o" / "prices.csv").read_bytes() == expected.encode()
+
     def test_solve_outputs_and_reruns_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, make_doc())
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
@@ -220,6 +287,47 @@ class TestCli:
         code = main(["solve", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"thetas": [dict(PATH_BS, mu_bounds=["x", 1])]},
+            {"thetas": [dict(PATH_BS, sigma_bounds=[0.1])]},
+            {"thetas": [dict(FACTOR, theta=[["a", 0], [0, 0]])], "policy": {}},
+            {"thetas": [dict(FACTOR, theta=[1, 2])], "policy": {}},
+            {"thetas": [dict(FACTOR, rho=[1.0, "b"])], "policy": {}},
+            {"utility": {"name": "custom-table", "x": ["a", 1.0], "u": [0.0, 1.0]}},
+            {"optimizer": {"step0": 0}},
+            {"optimizer": {"step0": -1.0}},
+            {"optimizer": {"step0": float("nan")}},
+            {"optimizer": {"step0": float("inf")}},
+            {"optimizer": {"seed": 0}},
+        ],
+        ids=[
+            "mu_bounds-string", "sigma_bounds-short", "theta-string", "theta-flat", "rho-string",
+            "table-knot-string", "step0-zero", "step0-negative", "step0-nan", "step0-inf", "optimizer-seed",
+        ],
+    )
+    def test_bad_values_exit_2_at_parse_time(self, tmp_path, capsys, over):
+        code = main(["solve", "--config", write_config(tmp_path, make_doc(**over)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_engine_error_without_a_code_of_its_own_exits_3(self, tmp_path, capsys):
+        doc = make_doc(
+            thetas=[{"type": "arctan_drift"}],
+            cost={"lambda": 0.3, "x0": 1.0},
+            noise={"kind": "mc", "paths": 50},
+            grid={"horizon": 1.0, "steps": 5},
+            policy={},
+            optimizer={"iters": 2},
+        )
+        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "price system" in err and "Traceback" not in err
 
     def test_engine_threads_env(self, tmp_path, monkeypatch, capsys):
         doc = make_doc(noise={"kind": "mc", "paths": 4}, policy={})
