@@ -123,18 +123,22 @@ def shadow_ledger(ledger: AccountingLedger, shadow_prices: np.ndarray) -> Accoun
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """first_violation is the full index of the first failing entry: (path,
+    time), or (model, path, time) for a negative liq of a stacked ledger."""
+
     admissible: bool
     reason: str
-    first_violation: Optional[tuple[int, int]] = None
+    first_violation: Optional[tuple[int, ...]] = None
 
 
 def check_admissible_rplus(ledger: AccountingLedger) -> AdmissibilityReport:
-    """Nonnegative-wealth admissibility: liq >= 0 at every path and grid time,
-    and the terminal position is exactly zero (everything liquidated)."""
+    """Nonnegative-wealth admissibility: liq >= 0 at every path and grid time
+    (of every model), and the terminal position is exactly zero (everything
+    liquidated)."""
     bad = ledger.liq < 0.0
     if np.any(bad):
-        m, i = np.argwhere(bad)[0]
-        return AdmissibilityReport(False, "liquidation value went negative", (int(m), int(i)))
+        first = tuple(int(j) for j in np.argwhere(bad)[0])
+        return AdmissibilityReport(False, "liquidation value went negative", first)
     open_pos = ledger.position[:, -1] != 0.0
     if np.any(open_pos):
         m = int(np.argmax(open_pos))

@@ -61,6 +61,16 @@ def _numbers(where: str, v: Any, length: Optional[int] = None) -> tuple[float, .
     return tuple(_number(f"{where}[{i}]", x) for i, x in enumerate(v))
 
 
+def _shrink(section: str, d: dict) -> Optional[float]:
+    """An optional band shrink factor: null, or a number in (0, 1)."""
+    if d.get("shrink") is None:
+        return None
+    c = _num(section, d, "shrink")
+    if not 0.0 < c < 1.0:
+        raise ConfigError(f"{section}.shrink must lie in (0, 1) or be null, got {c!r}")
+    return c
+
+
 def _int(section: str, d: dict, key: str, default: Optional[int] = None) -> int:
     v = d.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
@@ -295,32 +305,25 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     construction = verify.get("construction", "auto")
     if construction not in ("auto", "girsanov", "lattice", "constant"):
         raise ConfigError(f"verify.construction {construction!r} is not known")
-    shrink = verify.get("shrink")
-    if shrink is not None and (not isinstance(shrink, (int, float)) or isinstance(shrink, bool)):
-        raise ConfigError("verify.shrink must be a number or null")
+    level = _num("verify", verify, "level", 0.75) if "level" in verify or construction == "constant" else None
+    if level is not None and not (np.isfinite(level) and level > 0.0):
+        raise ConfigError(f"verify.level must be positive and finite, got {level!r}")
     verify_resolved = {
         "theta_index": theta_index,
         "construction": construction,
-        "shrink": None if shrink is None else float(shrink),
-        "level": _num("verify", verify, "level", 0.75) if "level" in verify or construction == "constant" else None,
+        "shrink": _shrink("verify", verify),
+        "level": level,
     }
 
     duality = doc.get("duality", {})
     _require_keys("duality", duality, {"ys", "inada_scales", "shrink"})
-    ys = duality.get("ys", [0.25, 0.5, 1.0, 2.0, 4.0])
-    inada_scales = duality.get("inada_scales", [1.0, 4.0, 16.0])
-    if not isinstance(ys, list) or not all(isinstance(v, (int, float)) and v > 0 for v in ys):
-        raise ConfigError("duality.ys must be a list of positive numbers")
-    if not isinstance(inada_scales, list) or not all(isinstance(v, (int, float)) and v > 0 for v in inada_scales):
-        raise ConfigError("duality.inada_scales must be a list of positive numbers")
-    d_shrink = duality.get("shrink")
-    if d_shrink is not None and (not isinstance(d_shrink, (int, float)) or isinstance(d_shrink, bool)):
-        raise ConfigError("duality.shrink must be a number or null")
-    duality_resolved = {
-        "ys": [float(v) for v in ys],
-        "inada_scales": [float(v) for v in inada_scales],
-        "shrink": None if d_shrink is None else float(d_shrink),
-    }
+    duality_resolved: dict[str, Any] = {}
+    for key, default in (("ys", [0.25, 0.5, 1.0, 2.0, 4.0]), ("inada_scales", [1.0, 4.0, 16.0])):
+        values = _numbers(f"duality.{key}", duality.get(key, default))
+        if not all(np.isfinite(v) and v > 0.0 for v in values):
+            raise ConfigError(f"duality.{key} must be a list of positive finite numbers, got {list(values)}")
+        duality_resolved[key] = list(values)
+    duality_resolved["shrink"] = _shrink("duality", duality)
 
     echo = {
         "seed": seed,

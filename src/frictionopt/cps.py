@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NoCpsConstructibleError
-from .scenario import ArctanDrift, BlackScholes, Model, NoisePanel, TimeGrid, _readonly, simulate
+from .scenario import ArctanDrift, BlackScholes, Model, NoisePanel, TimeGrid, _readonly, lattice_block, simulate
 
 Array = np.ndarray
 
@@ -133,14 +133,6 @@ def constant_cps(prices: Array, noise: NoisePanel, level: float, label: str = "c
     )
 
 
-def _lattice_blocks(noise: NoisePanel, step: int) -> int:
-    """Paths per tree node after `step` steps; valid because lattice paths are
-    ordered most-significant-slot first, so prefix classes are contiguous."""
-    if noise.kind != "lattice":
-        raise ConfigError("tree-node grouping needs a lattice panel")
-    return noise.paths >> (step * noise.drivers)
-
-
 def lattice_cps(prices: Array, noise: NoisePanel, shrink: Optional[float] = None) -> PriceSystem:
     """Exact martingale measure for adapted prices on a binomial lattice.
 
@@ -165,7 +157,7 @@ def lattice_cps(prices: Array, noise: NoisePanel, shrink: Optional[float] = None
     m = noise.paths
     weights = np.ones(m)
     for i in range(n):
-        block = _lattice_blocks(noise, i)
+        block = lattice_block(noise, i)
         half = block // 2
         nodes = m // block
         s_now = shadow[::block, i]
@@ -208,26 +200,9 @@ class MartingaleReport:
     max_z: float
 
 
-def verify_martingale(ps: PriceSystem, noise: NoisePanel, mode: str = "auto", tol: float = 1e-10) -> MartingaleReport:
-    if mode == "auto":
-        mode = "lattice" if noise.kind == "lattice" else "mc"
-    if mode == "lattice":
-        defect = _max_node_defect(ps.shadow, ps, noise)
-        return MartingaleReport(passed=defect <= tol, mode="lattice", max_defect=defect, max_z=0.0)
-    if mode != "mc":
-        raise ConfigError(f"unknown martingale mode {mode!r}")
-    q = ps.q_probs
-    max_z = 0.0
-    for i in range(ps.shadow.shape[1] - 1):
-        inc = ps.weights * (ps.shadow[:, i + 1] - ps.shadow[:, i])
-        mean = float(np.dot(ps.probs, inc))
-        se = _weighted_se(inc, ps.probs)
-        z = abs(mean) / se if se > 0.0 else (0.0 if mean == 0.0 else math.inf)
-        max_z = max(max_z, z)
-    return MartingaleReport(passed=max_z <= 3.0, mode="mc", max_defect=float("nan"), max_z=max_z)
-
-
 def _weighted_se(values: Array, probs: Array) -> float:
+    """Standard error of the probs-weighted mean of values over the
+    n_eff = 1 / sum(probs^2) effective samples; 0 for a single one."""
     mean = float(np.dot(probs, values))
     var = float(np.dot(probs, (values - mean) ** 2))
     n_eff = 1.0 / float(np.sum(probs**2))
@@ -236,21 +211,44 @@ def _weighted_se(values: Array, probs: Array) -> float:
     return math.sqrt(var / (n_eff - 1.0))
 
 
-def _max_node_defect(values: Array, ps: PriceSystem, noise: NoisePanel) -> float:
-    """Largest |E_Q[X_{i+1} | node] - X_i| over all steps and tree nodes."""
-    if noise.kind != "lattice":
-        raise ConfigError("node defects need a lattice panel")
-    qp = ps.q_probs
-    worst = 0.0
-    n = noise.grid.steps
-    for i in range(n):
-        block = _lattice_blocks(noise, i)
-        nodes = noise.paths // block
-        num = (qp * values[:, i + 1]).reshape(nodes, block).sum(axis=1)
-        den = qp.reshape(nodes, block).sum(axis=1)
-        now = values[::block, i]
-        worst = max(worst, float(np.max(np.abs(num / den - now))))
-    return worst
+def _step_drifts(values: Array, ps: PriceSystem, noise: NoisePanel, mode: str) -> tuple[str, list]:
+    """Drift under Q of a value process (paths, steps + 1) over each step, and
+    the mode, "auto" resolved from the panel kind.
+
+    In lattice mode step i gives the exact E_Q[X_{i+1} | node] - X_i per tree
+    node; in mc mode it gives the weighted mean increment E_P[w (X_{i+1} - X_i)]
+    together with its standard error.
+    """
+    mode = noise.kind if mode == "auto" else mode
+    drifts: list = []
+    if mode == "lattice":
+        qp = ps.q_probs
+        for i in range(values.shape[1] - 1):
+            block = lattice_block(noise, i)
+            num = (qp * values[:, i + 1]).reshape(-1, block).sum(axis=1)
+            den = qp.reshape(-1, block).sum(axis=1)
+            drifts.append(num / den - values[::block, i])
+    elif mode == "mc":
+        for i in range(values.shape[1] - 1):
+            inc = ps.weights * (values[:, i + 1] - values[:, i])
+            drifts.append((float(np.dot(ps.probs, inc)), _weighted_se(inc, ps.probs)))
+    else:
+        raise ConfigError(f"unknown mode {mode!r}: expected 'auto', 'lattice' or 'mc'")
+    return mode, drifts
+
+
+def _z(rise: float, se: float) -> float:
+    """Standard errors by which a step's drift rises above zero."""
+    return rise / se if se > 0.0 else (0.0 if rise == 0.0 else math.inf)
+
+
+def verify_martingale(ps: PriceSystem, noise: NoisePanel, mode: str = "auto", tol: float = 1e-10) -> MartingaleReport:
+    mode, drifts = _step_drifts(ps.shadow, ps, noise, mode)
+    if mode == "lattice":
+        defect = max([0.0] + [float(np.max(np.abs(d))) for d in drifts])
+        return MartingaleReport(passed=defect <= tol, mode=mode, max_defect=defect, max_z=0.0)
+    max_z = max([0.0] + [_z(abs(mean), se) for mean, se in drifts])
+    return MartingaleReport(passed=max_z <= 3.0, mode=mode, max_defect=float("nan"), max_z=max_z)
 
 
 @dataclass(frozen=True)
@@ -271,35 +269,17 @@ def supermartingale_check(
     values = np.asarray(values, float)
     if values.shape != ps.shadow.shape:
         raise ConfigError("value process must match the shadow array shape")
-    if mode == "auto":
-        mode = "lattice" if noise.kind == "lattice" else "mc"
+    mode, drifts = _step_drifts(values, ps, noise, mode)
     if mode == "lattice":
-        qp = ps.q_probs
-        worst = -math.inf
-        for i in range(noise.grid.steps):
-            block = _lattice_blocks(noise, i)
-            nodes = noise.paths // block
-            num = (qp * values[:, i + 1]).reshape(nodes, block).sum(axis=1)
-            den = qp.reshape(nodes, block).sum(axis=1)
-            now = values[::block, i]
-            spread = values[:, i].reshape(nodes, block)
+        for i in range(values.shape[1] - 1):
+            spread = values[:, i].reshape(-1, lattice_block(noise, i))
             if float(np.max(spread.max(axis=1) - spread.min(axis=1))) > 1e-9:
                 raise ContractViolation("value process is not adapted to the lattice filtration")
-            worst = max(worst, float(np.max(num / den - now)))
-        return SupermartingaleReport(passed=worst <= tol, mode="lattice", max_rise=worst, max_z=0.0)
-    if mode != "mc":
-        raise ConfigError(f"unknown supermartingale mode {mode!r}")
-    max_z = 0.0
-    worst = -math.inf
-    for i in range(values.shape[1] - 1):
-        inc = ps.weights * (values[:, i + 1] - values[:, i])
-        mean = float(np.dot(ps.probs, inc))
-        se = _weighted_se(inc, ps.probs)
-        worst = max(worst, mean)
-        if mean > 0.0:
-            z = mean / se if se > 0.0 else math.inf
-            max_z = max(max_z, z)
-    return SupermartingaleReport(passed=max_z <= 3.0, mode="mc", max_rise=worst, max_z=max_z)
+        worst = max([-math.inf] + [float(np.max(d)) for d in drifts])
+        return SupermartingaleReport(passed=worst <= tol, mode=mode, max_rise=worst, max_z=0.0)
+    worst = max([-math.inf] + [mean for mean, _ in drifts])
+    max_z = max([0.0] + [_z(max(0.0, mean), se) for mean, se in drifts])
+    return SupermartingaleReport(passed=max_z <= 3.0, mode=mode, max_rise=worst, max_z=max_z)
 
 
 @dataclass(frozen=True)

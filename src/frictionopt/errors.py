@@ -37,10 +37,6 @@ class IndeterminateError(EngineError):
     """A diagnostic could not be evaluated on the supplied data."""
 
 
-class InfeasiblePolicyError(EngineError):
-    """A strategy failed the admissibility check of its problem."""
-
-
 class NoFeasiblePointError(EngineError):
     """The solver could not find any admissible strategy, including the zero strategy."""
 

@@ -275,35 +275,35 @@ def cmd_solve(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
     """Solve, then check duality bounds, polarity and the scaling diagnostic
-    against the registered price systems; exit 3 when any check fails."""
+    against the registered price systems; exit 3 when any check fails or no
+    price system is registered for the family (then nothing is solved)."""
     started = time.monotonic()
     out_dir = _prepare(cfg, out)
     problem = cfg.build_problem()
-    report = solve(problem, cfg.optimizer)
     systems = default_price_systems(problem, cfg.duality["shrink"])
-    if not systems:
-        raise NoCpsConstructibleError("no price system construction is registered for this family")
-    dual = duality_report(
-        problem,
-        report,
-        systems,
-        ys=cfg.duality["ys"],
-        inada_scales=cfg.duality["inada_scales"],
-        settings=cfg.optimizer,
-    )
-    write_json(
-        out_dir / "duality.json",
-        {
+    if systems:
+        report = solve(problem, cfg.optimizer)
+        dual = duality_report(
+            problem,
+            report,
+            systems,
+            ys=cfg.duality["ys"],
+            inada_scales=cfg.duality["inada_scales"],
+            settings=cfg.optimizer,
+        )
+        result = {
             "best_value": report.best_value,
             "rows": dual.rows,
             "polarity": dual.polarity,
             "inada": dual.inada,
             "supermartingale_ok": dual.supermartingale_ok,
             "all_ok": dual.all_ok,
-        },
-    )
-    code = 0 if dual.all_ok else 3
-    write_manifest(out_dir, "duality", cfg, {"exit": code, "all_ok": dual.all_ok}, started, ["duality.json"])
+        }
+    else:
+        result = {"verdict": "no price system construction is registered for this family", "all_ok": False}
+    write_json(out_dir / "duality.json", result)
+    code = 0 if result["all_ok"] else 3
+    write_manifest(out_dir, "duality", cfg, {"exit": code, "all_ok": result["all_ok"]}, started, ["duality.json"])
     return code
 
 

@@ -124,6 +124,14 @@ def lattice_panel(grid: TimeGrid, drivers: int = 1) -> NoisePanel:
     return NoisePanel("lattice", 0, grid, drivers, _readonly(inc), _readonly(probs))
 
 
+def lattice_block(noise: NoisePanel, step: int) -> int:
+    """Paths per tree node after `step` steps of a lattice panel: by the path
+    order of lattice_panel they form contiguous blocks of this length."""
+    if noise.kind != "lattice":
+        raise ConfigError("tree-node grouping needs a lattice panel")
+    return noise.paths >> (step * noise.drivers)
+
+
 class Model:
     """A parametrized risky-asset model consuming the first `drivers` noise columns."""
 

@@ -25,6 +25,7 @@ import numpy as np
 from .accounting import CostSpec, run_ledger, shadow_ledger
 from .cps import (
     PriceSystem,
+    _weighted_se,
     constant_cps,
     cps_certificate,
     entropy_membership,
@@ -42,6 +43,7 @@ from .scenario import (
     ScenarioPanel,
     ThetaGrid,
     TimeGrid,
+    lattice_block,
     simulate_panel,
 )
 from .utility import UtilitySpec, vector_conjugate
@@ -117,12 +119,10 @@ class PolicyCodec:
         self.paths = noise.paths
         self.steps = grid.steps
         if problem.policy_class == "deterministic-schedule":
-            self.nodes_per_step = [1] * max(self.steps - 1, 0)
+            self.block_per_step = [self.paths] * max(self.steps - 1, 0)
         else:
-            self.nodes_per_step = [
-                min(2 ** (i * noise.drivers), self.paths) for i in range(1, self.steps)
-            ]
-        self.block_per_step = [self.paths // n for n in self.nodes_per_step]
+            self.block_per_step = [lattice_block(noise, i) for i in range(1, self.steps)]
+        self.nodes_per_step = [self.paths // b for b in self.block_per_step]
         self.n_side = int(sum(self.nodes_per_step))
         self.long_only = problem.long_only
         self.n_params = 1 + self.n_side + (0 if self.long_only else self.n_side)
@@ -207,24 +207,38 @@ def _argmin_with_ties(per: np.ndarray) -> int:
     return int(np.flatnonzero(per <= lo + ARGMIN_TIE_TOL)[0])
 
 
+def _settle(problem: RobustProblem, strat: Strategy, prices: np.ndarray):
+    """Settle a strategy over batch stacked copies of the paths (see
+    PolicyCodec.decode) against a (K, batch * paths, steps + 1) price stack in
+    one ledger pass.  Returns the ledger, the (K, batch) expected terminal
+    utilities and the (K, batch) admissibility mask: under rplus a settlement
+    fails when its liquidation value goes negative; decode closes every
+    position exactly, so the flat-terminal half of the rule holds by
+    construction."""
+    ledger = run_ledger(strat, prices, problem.cost)
+    k, paths = prices.shape[0], problem.noise.paths
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per = (problem.utility(ledger.terminal_liq().reshape(-1, paths)) @ problem.noise.probs).reshape(k, -1)
+    ok = np.ones(per.shape, dtype=bool)
+    if problem.admissibility == "rplus":
+        ok = ~np.any(ledger.liq.reshape(k, per.shape[1], -1) < 0.0, axis=2)
+    return ledger, per, ok
+
+
 def objective(problem: RobustProblem, vec: np.ndarray) -> ObjectiveResult:
     """Evaluate min over the family of the expected terminal utility, settling
     every model in one ledger pass.
 
     A vector is infeasible when any model's admissibility check fails; that is
-    reported distinctly from a finite (or -inf) objective value.  Under rplus
-    a model fails when its liquidation value goes negative; decode closes
-    every position exactly, so the flat-terminal half of the rule holds by
-    construction.
+    reported distinctly from a finite (or -inf) objective value.
     """
     strat = PolicyCodec(problem).decode(vec)
-    ledger = run_ledger(strat, problem.panel.prices, problem.cost)
+    ledger, per, ok = _settle(problem, strat, problem.panel.prices)
+    per, ok = per[:, 0], ok[:, 0]
     terminal = ledger.terminal_liq()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per = problem.utility(terminal) @ problem.noise.probs
     pre_liq = ledger.position[:, -2]
     if problem.admissibility == "rplus":
-        per[np.any(ledger.liq < 0.0, axis=(1, 2))] = -math.inf
+        per[~ok] = -math.inf
         if np.any(np.isneginf(per)):
             bad = int(np.flatnonzero(np.isneginf(per))[0])
             return ObjectiveResult(
@@ -424,7 +438,7 @@ def brute_force(
     vecs = np.stack([axes[j][digits[j]] for j in range(len(axes))], axis=1)
 
     per_theta = np.empty((problem.n_thetas, n_combos))
-    feasible = np.ones(n_combos, dtype=bool)
+    feasible = np.empty(n_combos, dtype=bool)
     paths = problem.noise.paths
     # h0 is the slowest digit, so each h0 value owns a contiguous run of
     # combinations; runs are settled in chunks of at most BRUTE_CHUNK_ROWS paths
@@ -434,13 +448,8 @@ def brute_force(
     for start in range(0, n_combos, run):
         for lo in range(start, start + run, chunk):
             hi = min(lo + chunk, start + run)
-            strat = codec.decode(vecs[lo:hi])
-            ledger = run_ledger(strat, tiled[:, : (hi - lo) * paths], problem.cost)
-            liq = ledger.liq.reshape(problem.n_thetas, hi - lo, paths, -1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                per_theta[:, lo:hi] = problem.utility(liq[..., -1]) @ problem.noise.probs
-            if problem.admissibility == "rplus":
-                feasible[lo:hi] = np.all(liq >= 0.0, axis=(0, 2, 3))
+            _, per_theta[:, lo:hi], ok = _settle(problem, codec.decode(vecs[lo:hi]), tiled[:, : (hi - lo) * paths])
+            feasible[lo:hi] = ok.all(axis=0)
     robust = per_theta.min(axis=0)
     robust[~feasible] = -math.inf
     n_feasible = int(feasible.sum())
@@ -545,39 +554,24 @@ def duality_report(
     endowments k x0 must exhibit decreasing average utility u/(k x0), the
     finite-sample face of sublinear growth.
     """
-    strat = report.strategy
-    u_se = np.zeros(problem.n_thetas)
-    terminal = {}
-    values_proc = {}
-    for k in range(problem.n_thetas):
-        ledger = run_ledger(strat, problem.panel.prices[k], problem.cost)
-        terminal[k] = ledger.terminal_liq()
-        values_proc[k] = ledger
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uvals = problem.utility(terminal[k])
-        mean = float(np.dot(problem.noise.probs, uvals))
-        var = float(np.dot(problem.noise.probs, (uvals - mean) ** 2))
-        n_eff = 1.0 / float(np.sum(problem.noise.probs ** 2))
-        u_se[k] = math.sqrt(var / max(n_eff - 1.0, 1.0)) if problem.noise.kind == "mc" else 0.0
+    probs = problem.noise.probs
+    mc = problem.noise.kind == "mc"
+    ledger = run_ledger(report.strategy, problem.panel.prices, problem.cost)
+    terminal = ledger.terminal_liq()
     rows = []
     pol = []
     sm_ok = True
     x0 = problem.cost.x0
     for k, ps in price_systems:
-        shadowed = shadow_ledger(values_proc[k], ps.shadow)
-        sm = supermartingale_check(shadowed.shadow, ps, problem.noise)
+        model_ledger = replace(ledger, prices=ledger.prices[k], cash=ledger.cash[k], liq=ledger.liq[k])
+        sm = supermartingale_check(shadow_ledger(model_ledger, ps.shadow).shadow, ps, problem.noise)
         sm_ok = sm_ok and sm.passed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_se = _weighted_se(problem.utility(terminal[k]), probs) if mc else 0.0
         for y in ys:
             vvals = vector_conjugate(problem.utility, y * ps.weights)
-            v_hat = float(np.dot(problem.noise.probs, vvals))
-            if problem.noise.kind == "mc":
-                mean = v_hat
-                var = float(np.dot(problem.noise.probs, (vvals - mean) ** 2))
-                n_eff = 1.0 / float(np.sum(problem.noise.probs ** 2))
-                v_se = math.sqrt(var / max(n_eff - 1.0, 1.0))
-            else:
-                v_se = 0.0
-            se = math.hypot(u_se[k], v_se)
+            v_hat = float(np.dot(probs, vvals))
+            se = math.hypot(u_se, _weighted_se(vvals, probs) if mc else 0.0)
             u_hat = float(report.per_theta[k])
             bound = v_hat + x0 * y
             rows.append(

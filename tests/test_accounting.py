@@ -224,6 +224,21 @@ class TestAdmissibility:
         assert not rep.admissible
         assert rep.first_violation == (0, 0)
 
+    def test_stacked_ledger_reports_the_model_of_the_violation(self):
+        # two models on one strategy: only the second model's price drop at
+        # t_1 takes the liquidation value of H0 = 2 below zero
+        g = TimeGrid(1.0, 2)
+        prices = np.array([np.ones((2, 3)), [[1.0, 1.0, 1.0], [1.0, 0.4, 1.0]]])
+        d_dn = np.zeros((2, 3))
+        d_dn[:, -1] = 2.0
+        strat = Strategy(g, 2.0, np.zeros((2, 3)), d_dn)
+        led = run_ledger(strat, prices, CostSpec(0.5, 1.5))
+        rep = check_admissible_rplus(led)
+        assert not rep.admissible
+        assert rep.reason == "liquidation value went negative"
+        assert rep.first_violation == (1, 1, 1)
+        assert check_admissible_rplus(run_ledger(strat, prices[0], CostSpec(0.5, 1.5))).admissible
+
     def test_open_terminal_position_is_flagged(self):
         g = TimeGrid(1.0, 2)
         prices = np.full((1, 3), 2.0)

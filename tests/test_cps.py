@@ -181,6 +181,37 @@ class TestLatticeCps:
             lattice_cps(prices, noise)
 
 
+class TestMartingaleRejection:
+    """Shadows that are not Q-martingales: drifting prices under the base
+    measure itself (weights identically one)."""
+
+    def test_lattice_mode_rejects_a_drifting_shadow(self):
+        mu, sigma = 0.1, 0.2
+        g, noise, prices = lattice_fixture(steps=4, mu=mu, sigma=sigma)
+        ps = PriceSystem(prices, np.ones(noise.paths), noise.probs, 0.0)
+        rep = verify_martingale(ps, noise, tol=1e-10)
+        assert rep.mode == "lattice"
+        assert not rep.passed
+        # one step from a node at S multiplies by exp((mu - sigma^2/2) dt) and
+        # by e^{+-sigma sqrt(dt)} with probability 1/2 each
+        factor = math.exp((mu - 0.5 * sigma**2) * g.dt) * math.cosh(sigma * math.sqrt(g.dt)) - 1.0
+        assert rep.max_defect == pytest.approx(abs(factor) * prices[:, :-1].max(), rel=1e-9)
+        assert rep.max_defect > 1e-10
+
+    def test_mc_mode_rejects_a_drifting_shadow(self):
+        g = TimeGrid(1.0, 4)
+        noise = gaussian_panel(g, 2000, 1, seed=4)
+        prices = simulate(BlackScholes(2.0, 0.2), g, noise)
+        ps = PriceSystem(prices, np.ones(noise.paths), noise.probs, 0.0)
+        rep = verify_martingale(ps, noise)
+        assert rep.mode == "mc"
+        assert not rep.passed
+        inc = np.diff(prices, axis=1)
+        z = np.abs(inc.mean(axis=0)) * math.sqrt(noise.paths) / inc.std(axis=0, ddof=1)
+        assert rep.max_z == pytest.approx(z.max(), rel=1e-9)
+        assert rep.max_z > 3.0
+
+
 class TestSupermartingale:
     def test_martingale_passes_exactly(self):
         g, noise, prices = lattice_fixture()

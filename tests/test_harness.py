@@ -302,10 +302,27 @@ class TestCli:
             {"optimizer": {"step0": float("nan")}},
             {"optimizer": {"step0": float("inf")}},
             {"optimizer": {"seed": 0}},
+            {"duality": {"ys": [0.5, True]}},
+            {"duality": {"ys": [0.5, float("inf")]}},
+            {"duality": {"ys": 1.0}},
+            {"duality": {"inada_scales": [1.0, True]}},
+            {"duality": {"inada_scales": [1.0, float("inf")]}},
+            {"duality": {"shrink": 1.0}},
+            {"duality": {"shrink": 0.0}},
+            {"duality": {"shrink": True}},
+            {"verify": {"shrink": 1.5}},
+            {"verify": {"shrink": -0.5}},
+            {"verify": {"shrink": float("nan")}},
+            {"verify": {"level": 0.0}},
+            {"verify": {"level": -0.75}},
+            {"verify": {"level": float("inf")}},
         ],
         ids=[
             "mu_bounds-string", "sigma_bounds-short", "theta-string", "theta-flat", "rho-string",
             "table-knot-string", "step0-zero", "step0-negative", "step0-nan", "step0-inf", "optimizer-seed",
+            "ys-true", "ys-inf", "ys-scalar", "inada-true", "inada-inf", "duality-shrink-one",
+            "duality-shrink-zero", "duality-shrink-true", "verify-shrink-above", "verify-shrink-negative",
+            "verify-shrink-nan", "verify-level-zero", "verify-level-negative", "verify-level-inf",
         ],
     )
     def test_bad_values_exit_2_at_parse_time(self, tmp_path, capsys, over):
@@ -316,6 +333,15 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_engine_error_without_a_code_of_its_own_exits_3(self, tmp_path, capsys):
+        # the piecewise-linear utility's conjugate diverges below its end slope
+        doc = make_doc(utility={"name": "custom-table", "x": [0.1, 1.0, 4.0], "u": [-2.0, 0.0, 1.0]},
+                       optimizer={"iters": 2})
+        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "conjugate diverges" in err and "Traceback" not in err
+
+    def test_duality_without_a_price_system_writes_a_verdict(self, tmp_path, capsys):
         doc = make_doc(
             thetas=[{"type": "arctan_drift"}],
             cost={"lambda": 0.3, "x0": 1.0},
@@ -324,10 +350,17 @@ class TestCli:
             policy={},
             optimizer={"iters": 2},
         )
-        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
+        out = tmp_path / "o"
+        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
         assert code == 3
-        assert err.startswith("error:") and "price system" in err and "Traceback" not in err
+        assert capsys.readouterr().err == ""
+        result = json.loads((out / "duality.json").read_text())
+        assert result == {"all_ok": False, "verdict": "no price system construction is registered for this family"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"] == {"exit": 3, "all_ok": False}
+        [entry] = manifest["outputs"]
+        data = (out / "duality.json").read_bytes()
+        assert entry == {"name": "duality.json", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
     def test_engine_threads_env(self, tmp_path, monkeypatch, capsys):
         doc = make_doc(noise={"kind": "mc", "paths": 4}, policy={})
