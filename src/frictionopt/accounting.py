@@ -76,19 +76,23 @@ def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> Accoun
     lam = cost.lam
     h0_buy = max(strategy.h0, 0.0)
     h0_sell = max(-strategy.h0, 0.0)
-    cash = np.empty_like(prices)
-    cash[..., 0] = cost.x0 - h0_buy * prices[..., 0] + h0_sell * (1.0 - lam) * prices[..., 0]
-    for i in range(1, prices.shape[-1]):
-        cash[..., i] = (
-            cash[..., i - 1]
-            - prices[..., i] * strategy.d_up[:, i]
-            + (1.0 - lam) * prices[..., i] * strategy.d_dn[:, i]
-        )
-    pos = position_recursion(strategy.h0, strategy.d_up, strategy.d_dn)
-    # mark the long leg against the precomputed bid array so that for any
-    # shadow price inside the band (including its edges) liq <= cash + pos * sp
-    # holds bitwise, by monotonicity of rounding in the per-entry products
     bid = (1.0 - lam) * prices
+    # cash as one running sum along time over [cash_0, -S_1 up_1, bid_1 dn_1,
+    # -S_2 up_2, ...]: add accumulates strictly left to right and x + (-y) is
+    # x - y, so it is the recursion cash_i = (cash_{i-1} - S_i up_i) + bid_i dn_i
+    # bit for bit.  The flows lie as (-S_i up_i, bid_i dn_i) pairs, flat per
+    # path, with cash_0 in the second slot of the unused step-0 pair.
+    pairs = np.empty(prices.shape + (2,))
+    np.multiply(prices, -strategy.d_up, out=pairs[..., 0])
+    np.multiply(bid, strategy.d_dn, out=pairs[..., 1])
+    pairs[..., 0, 1] = cost.x0 - h0_buy * prices[..., 0] + h0_sell * (1.0 - lam) * prices[..., 0]
+    flows = pairs.reshape(prices.shape[:-1] + (-1,))[..., 1:]
+    np.add.accumulate(flows, axis=-1, out=flows)
+    cash = flows[..., ::2]
+    pos = position_recursion(strategy.h0, strategy.d_up, strategy.d_dn)
+    # mark the long leg against the bid array so that for any shadow price
+    # inside the band (including its edges) liq <= cash + pos * sp holds
+    # bitwise, by monotonicity of rounding in the per-entry products
     liq = cash + np.maximum(pos, 0.0) * bid - np.maximum(-pos, 0.0) * prices
     return AccountingLedger(
         cost=cost, prices=_readonly(prices.copy()), cash=_readonly(cash), position=_readonly(pos), liq=_readonly(liq)

@@ -210,9 +210,9 @@ class Strategy:
             a = np.asarray(arr, float)
             if a.ndim != 2 or a.shape[1] != self.grid.steps + 1:
                 raise ConfigError(f"{name} must have shape (paths, {self.grid.steps + 1})")
-            if np.any(a[:, 0] != 0.0):
+            if a[:, 0].any():
                 raise ConfigError(f"{name} cannot jump at time zero")
-            if np.any(a < 0.0) or not np.all(np.isfinite(a)):
+            if not ((a >= 0.0) & (a < math.inf)).all():
                 raise ConfigError(f"{name} jumps must be finite and nonnegative")
             object.__setattr__(self, name, _readonly(a))
         if self.d_up.shape[0] != self.d_dn.shape[0]:
@@ -243,10 +243,19 @@ class Strategy:
 
 def position_recursion(h0: float, d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:
     """pos_0 = h0, pos_i = (pos_{i-1} + d_up_i) - d_dn_i, kept in this exact
-    association order so a final sell of the running position lands on zero."""
+    association order so a final sell of the running position lands on zero.
+
+    One running sum along time over the interleaved flows
+    [h0, up_1, -dn_1, up_2, -dn_2, ...], keeping every other entry: add
+    accumulates strictly left to right, and x + (-y) is x - y in IEEE
+    arithmetic, so every bit matches the step-by-step recursion."""
     paths, n1 = d_up.shape
-    pos = np.empty((paths, n1))
-    pos[:, 0] = h0
-    for i in range(1, n1):
-        pos[:, i] = (pos[:, i - 1] + d_up[:, i]) - d_dn[:, i]
-    return pos
+    # (up_i, -dn_i) pairs, flat per path; the second slot of the unused
+    # step-0 pair holds h0, where the running sum starts
+    pairs = np.empty((paths, n1, 2))
+    pairs[..., 0] = d_up
+    np.negative(d_dn, out=pairs[..., 1])
+    pairs[:, 0, 1] = h0
+    flows = pairs.reshape(paths, 2 * n1)[:, 1:]
+    np.add.accumulate(flows, axis=1, out=flows)
+    return flows[:, ::2]

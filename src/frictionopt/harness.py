@@ -276,11 +276,16 @@ def cmd_solve(cfg: RunConfig, out: Optional[str] = None) -> int:
 def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
     """Solve, then check duality bounds, polarity and the scaling diagnostic
     against the registered price systems; exit 3 when any check fails or no
-    price system is registered for the family (then nothing is solved)."""
+    price system is registered for the family or can be built on its panel
+    (then nothing is solved)."""
     started = time.monotonic()
     out_dir = _prepare(cfg, out)
     problem = cfg.build_problem()
-    systems = default_price_systems(problem, cfg.duality["shrink"])
+    verdict = "no price system construction is registered for this family"
+    try:
+        systems = default_price_systems(problem, cfg.duality["shrink"])
+    except NoCpsConstructibleError as exc:
+        systems, verdict = [], f"construction failed: {exc}"
     if systems:
         report = solve(problem, cfg.optimizer)
         dual = duality_report(
@@ -300,7 +305,7 @@ def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
             "all_ok": dual.all_ok,
         }
     else:
-        result = {"verdict": "no price system construction is registered for this family", "all_ok": False}
+        result = {"verdict": verdict, "all_ok": False}
     write_json(out_dir / "duality.json", result)
     code = 0 if result["all_ok"] else 3
     write_manifest(out_dir, "duality", cfg, {"exit": code, "all_ok": result["all_ok"]}, started, ["duality.json"])

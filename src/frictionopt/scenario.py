@@ -94,9 +94,15 @@ def gaussian_panel(grid: TimeGrid, paths: int, drivers: int = 1, seed: int = 0) 
         raise ConfigError("seed must be a nonnegative integer")
     inc = np.empty((paths, grid.steps, drivers))
     root_dt = math.sqrt(grid.dt)
+    # one generator, rewound for each path to the state a fresh
+    # Philox(key=(seed, m)) starts from: counter 0 and an empty buffer
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
     for m in range(paths):
-        bits = np.random.Philox(key=np.array([seed, m], dtype=np.uint64))
-        inc[m] = np.random.Generator(bits).standard_normal((grid.steps, drivers))
+        fresh["state"]["key"][1] = m
+        bits.state = fresh
+        inc[m] = gen.standard_normal((grid.steps, drivers))
     inc *= root_dt
     probs = np.full(paths, 1.0 / paths)
     return NoisePanel("mc", seed, grid, drivers, _readonly(inc), _readonly(probs))

@@ -110,55 +110,49 @@ class PolicyCodec:
     position, using the same floating-point recursion the ledger applies, so
     terminal positions are exactly zero.  long_only problems drop the sell
     block and clamp h0 to be nonnegative.
+
+    The layout is compiled once: up_index (and dn_index, None when long-only)
+    holds the parameter column that drives each path's increment at each
+    trading step, shape (paths, N-1), so decode is one gather per side; runs
+    lists (nodes, first step, end step) for each run of consecutive trading
+    steps that share a node count.
     """
 
     def __init__(self, problem: RobustProblem):
         self.problem = problem
-        grid = problem.grid
         noise = problem.noise
         self.paths = noise.paths
-        self.steps = grid.steps
+        self.steps = problem.grid.steps
         if problem.policy_class == "deterministic-schedule":
-            self.block_per_step = [self.paths] * max(self.steps - 1, 0)
+            self.tag = "deterministic"
+            blocks = [self.paths] * max(self.steps - 1, 0)
         else:
-            self.block_per_step = [lattice_block(noise, i) for i in range(1, self.steps)]
-        self.nodes_per_step = [self.paths // b for b in self.block_per_step]
+            self.tag = "lattice"
+            blocks = [lattice_block(noise, i) for i in range(1, self.steps)]
+        self.nodes_per_step = [self.paths // b for b in blocks]
         self.n_side = int(sum(self.nodes_per_step))
         self.long_only = problem.long_only
         self.n_params = 1 + self.n_side + (0 if self.long_only else self.n_side)
+        nodes = np.asarray(self.nodes_per_step, dtype=np.intp)
+        first_column = 1 + np.cumsum(nodes) - nodes
+        self.up_index = first_column + np.arange(self.paths)[:, None] // np.asarray(blocks, dtype=np.intp)
+        self.dn_index = None if self.long_only else self.up_index + self.n_side
+        self.runs: list[tuple[int, int, int]] = []
+        for i, n in enumerate(self.nodes_per_step, start=1):
+            if self.runs and self.runs[-1][0] == n:
+                self.runs[-1] = (n, self.runs[-1][1], i + 1)
+            else:
+                self.runs.append((n, i, i + 1))
 
     def zero(self) -> np.ndarray:
         return np.zeros(self.n_params)
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         out = np.array(vec, float)
-        out[1:] = np.maximum(out[1:], 0.0)
+        np.maximum(out[1:], 0.0, out=out[1:])
         if self.long_only:
             out[0] = max(out[0], 0.0)
         return out
-
-    def side_columns(self, side: str) -> list[np.ndarray]:
-        """Column indices of the parameter block for each step 1..N-1."""
-        if side == "up":
-            start = 1
-        elif side == "dn":
-            if self.long_only:
-                return [np.empty(0, dtype=int)] * len(self.nodes_per_step)
-            start = 1 + self.n_side
-        else:
-            raise ConfigError("side must be 'up' or 'dn'")
-        cols = []
-        ofs = start
-        for n in self.nodes_per_step:
-            cols.append(np.arange(ofs, ofs + n))
-            ofs += n
-        return cols
-
-    def _expand(self, vecs: np.ndarray, cols: np.ndarray, step_idx: int) -> np.ndarray:
-        """Per-path increments, shape (batch, paths), of one step's block."""
-        if cols.size == 0:
-            return np.zeros((vecs.shape[0], self.paths))
-        return np.repeat(vecs[:, cols], self.block_per_step[step_idx], axis=1)
 
     def decode(self, vec: np.ndarray) -> Strategy:
         """Strategy of one parameter vector, or of a (batch, n_params) stack of
@@ -169,21 +163,20 @@ class PolicyCodec:
             raise ConfigError(f"parameter vector must have shape ({self.n_params},)")
         vecs = vecs.reshape(-1, self.n_params)
         h0 = float(vecs[0, 0])
-        if np.any(vecs[:, 0] != h0):
+        if (vecs[:, 0] != h0).any():
             raise ConfigError("a batch of parameter vectors must share h0")
         n1 = self.steps + 1
         d_up = np.zeros((vecs.shape[0], self.paths, n1))
         d_dn = np.zeros((vecs.shape[0], self.paths, n1))
-        for j, (up, dn) in enumerate(zip(self.side_columns("up"), self.side_columns("dn"))):
-            d_up[:, :, j + 1] = self._expand(vecs, up, j)
-            d_dn[:, :, j + 1] = self._expand(vecs, dn, j)
+        d_up[:, :, 1:-1] = vecs[:, self.up_index]
+        if self.dn_index is not None:
+            d_dn[:, :, 1:-1] = vecs[:, self.dn_index]
         d_up = d_up.reshape(-1, n1)
         d_dn = d_dn.reshape(-1, n1)
         pos = position_recursion(h0, d_up, d_dn)[:, -2]
-        d_dn[:, self.steps] = np.maximum(pos, 0.0)
-        d_up[:, self.steps] = np.maximum(-pos, 0.0)
-        tag = "deterministic" if self.problem.policy_class == "deterministic-schedule" else "lattice"
-        return Strategy(self.problem.grid, h0, d_up, d_dn, tag)
+        np.maximum(pos, 0.0, out=d_dn[:, -1])
+        np.maximum(-pos, 0.0, out=d_up[:, -1])
+        return Strategy(self.problem.grid, h0, d_up, d_dn, self.tag)
 
 
 @dataclass(frozen=True)
@@ -202,11 +195,6 @@ class ObjectiveResult:
     reason: str = "ok"
 
 
-def _argmin_with_ties(per: np.ndarray) -> int:
-    lo = float(np.min(per))
-    return int(np.flatnonzero(per <= lo + ARGMIN_TIE_TOL)[0])
-
-
 def _settle(problem: RobustProblem, strat: Strategy, prices: np.ndarray):
     """Settle a strategy over batch stacked copies of the paths (see
     PolicyCodec.decode) against a (K, batch * paths, steps + 1) price stack in
@@ -219,33 +207,39 @@ def _settle(problem: RobustProblem, strat: Strategy, prices: np.ndarray):
     k, paths = prices.shape[0], problem.noise.paths
     with np.errstate(divide="ignore", invalid="ignore"):
         per = (problem.utility(ledger.terminal_liq().reshape(-1, paths)) @ problem.noise.probs).reshape(k, -1)
-    ok = np.ones(per.shape, dtype=bool)
     if problem.admissibility == "rplus":
-        ok = ~np.any(ledger.liq.reshape(k, per.shape[1], -1) < 0.0, axis=2)
+        ok = ~(ledger.liq.reshape(k, per.shape[1], -1) < 0.0).any(axis=2)
+    else:
+        ok = np.ones(per.shape, dtype=bool)
     return ledger, per, ok
 
 
-def objective(problem: RobustProblem, vec: np.ndarray) -> ObjectiveResult:
+def objective(problem: RobustProblem, vec: np.ndarray, codec: Optional[PolicyCodec] = None) -> ObjectiveResult:
     """Evaluate min over the family of the expected terminal utility, settling
-    every model in one ledger pass.
+    every model in one ledger pass; codec, when given, is the problem's
+    compiled PolicyCodec (solve passes its own so the layout is built once).
 
     A vector is infeasible when any model's admissibility check fails; that is
     reported distinctly from a finite (or -inf) objective value.
     """
-    strat = PolicyCodec(problem).decode(vec)
+    strat = (PolicyCodec(problem) if codec is None else codec).decode(vec)
     ledger, per, ok = _settle(problem, strat, problem.panel.prices)
     per, ok = per[:, 0], ok[:, 0]
+    # copies, so that a kept result does not hold the ledger's arrays alive
     terminal = ledger.terminal_liq()
-    pre_liq = ledger.position[:, -2]
+    pre_liq = ledger.position[:, -2].copy()
     if problem.admissibility == "rplus":
         per[~ok] = -math.inf
-        if np.any(np.isneginf(per)):
-            bad = int(np.flatnonzero(np.isneginf(per))[0])
+        bad = (per == -math.inf).nonzero()[0]
+        if bad.size:
+            k = int(bad[0])
             return ObjectiveResult(
-                False, per, -math.inf, bad, terminal[bad], pre_liq, reason=f"inadmissible under theta {bad}"
+                False, per, -math.inf, k, terminal[k].copy(), pre_liq, reason=f"inadmissible under theta {k}"
             )
-    k = _argmin_with_ties(per)
-    return ObjectiveResult(True, per, float(np.min(per)), k, terminal[k], pre_liq)
+    # the active model: the lowest index within ARGMIN_TIE_TOL of the minimum
+    lo = float(per.min())
+    k = int((per <= lo + ARGMIN_TIE_TOL).nonzero()[0][0])
+    return ObjectiveResult(True, per, lo, k, terminal[k].copy(), pre_liq)
 
 
 @dataclass(frozen=True)
@@ -294,36 +288,46 @@ def _supergradient(problem: RobustProblem, codec: PolicyCodec, vec: np.ndarray, 
     """
     lam = problem.cost.lam
     prices = problem.panel.prices[res.argmin_theta]
+    n1 = prices.shape[1]
     s_n = prices[:, -1]
+    bid_n = (1.0 - lam) * s_n
     pos = res.pre_liq_position
-    # closing marks once pos_{N-1} is nudged up (raising h0 or a buy) or down
-    mark_up = np.where(pos < 0.0, s_n, (1.0 - lam) * s_n)
-    mark_dn = np.where(pos > 0.0, (1.0 - lam) * s_n, s_n)
+    # rows w S_0 .. w S_N, then w mark_up and w mark_dn, the closing marks once
+    # pos_{N-1} is nudged up (raising h0 or a buy) or down; every sum below
+    # reduces contiguous blocks of one row of this array
+    wm = np.empty((n1 + 2, prices.shape[0]))
     with np.errstate(invalid="ignore", over="ignore"):
         w = problem.noise.probs * problem.utility.deriv(res.terminal_wealth)
-        wprices = w[:, None] * prices
-        w_up, w_dn = w * mark_up, w * mark_dn
+        np.multiply(prices.T, w, out=wm[:n1])
+        np.multiply(w, np.where(pos < 0.0, s_n, bid_n), out=wm[n1])
+        np.multiply(w, np.where(pos > 0.0, bid_n, s_n), out=wm[n1 + 1])
 
     def sided(right, left, at_bound):
         return np.where(at_bound, right, 0.5 * (right + left))
 
     g = np.empty(codec.n_params)
     h0 = vec[0]
-    s0 = wprices[:, 0].sum()
-    g[0] = sided(
-        -(s0 if h0 >= 0.0 else (1.0 - lam) * s0) + w_up.sum(),
-        -(s0 if h0 > 0.0 else (1.0 - lam) * s0) + w_dn.sum(),
-        codec.long_only and h0 <= 0.0,
-    )
-    for j, (up, dn) in enumerate(zip(codec.side_columns("up"), codec.side_columns("dn"))):
-        nodes = codec.nodes_per_step[j]
-        s_i = wprices[:, j + 1].reshape(nodes, -1).sum(axis=1)
-        c_up = w_up.reshape(nodes, -1).sum(axis=1)
-        c_dn = w_dn.reshape(nodes, -1).sum(axis=1)
-        g[up] = sided(c_up - s_i, c_dn - s_i, vec[up] <= 0.0)
-        if dn.size:
-            g[dn] = sided((1.0 - lam) * s_i - c_dn, (1.0 - lam) * s_i - c_up, vec[dn] <= 0.0)
-    return np.nan_to_num(g, nan=0.0, posinf=1e6, neginf=-1e6)
+    s0, up_total, dn_total = wm[[0, -2, -1]].sum(axis=1)
+    right = -(s0 if h0 >= 0.0 else (1.0 - lam) * s0) + up_total
+    left = -(s0 if h0 > 0.0 else (1.0 - lam) * s0) + dn_total
+    g[0] = right if codec.long_only and h0 <= 0.0 else 0.5 * (right + left)
+    # the steps of a run share one node count, so one reduction gives the
+    # (steps, nodes) sums of w S_i and the node sums of the marks, which do not
+    # depend on the step
+    ofs = 1
+    for nodes, first, end in codec.runs:
+        sums = wm.reshape(n1 + 2, nodes, -1).sum(axis=2)
+        s_i, c_up, c_dn = sums[first:end], sums[-2], sums[-1]
+        up = slice(ofs, ofs + s_i.size)
+        g[up] = sided(c_up - s_i, c_dn - s_i, vec[up].reshape(s_i.shape) <= 0.0).reshape(-1)
+        if not codec.long_only:
+            dn = slice(up.start + codec.n_side, up.stop + codec.n_side)
+            bid_s = (1.0 - lam) * s_i
+            g[dn] = sided(bid_s - c_dn, bid_s - c_up, vec[dn].reshape(s_i.shape) <= 0.0).reshape(-1)
+        ofs = up.stop
+    if not np.isfinite(g).all():
+        np.nan_to_num(g, copy=False, nan=0.0, posinf=1e6, neginf=-1e6)
+    return g
 
 
 def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSettings()) -> SolveReport:
@@ -331,35 +335,48 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
 
     Deterministic for a fixed problem and settings: the start point is the
     zero strategy, gradients are exact (see _supergradient), and no randomness
-    enters the iteration.  Returns the best visited iterate together with the
-    tail average of the trajectory (also evaluated, for diagnostics).
+    enters the iteration.  A candidate that projects back onto the current
+    iterate bit for bit keeps that iterate's evaluation and gradient instead
+    of settling the same point again.  Returns the best visited iterate
+    together with the tail average of the trajectory (also evaluated, for
+    diagnostics).
     """
     codec = PolicyCodec(problem)
     cur = codec.zero()
-    cur_res = objective(problem, cur)
+    cur_res = objective(problem, cur, codec)
     if not cur_res.feasible:
         raise NoFeasiblePointError("the zero strategy is already inadmissible")
+
+    def evaluate(vec: np.ndarray) -> ObjectiveResult:
+        if vec.tobytes() == cur.tobytes():
+            return cur_res
+        return objective(problem, vec, codec)
+
     best_vec, best_res = cur, cur_res
     iterates = [cur]
     history = [(0, cur_res.robust_value, cur_res.argmin_theta, 0.0)]
+    g = None  # the gradient at cur, recomputed only once cur has moved
     for k in range(1, settings.iters + 1):
-        g = _supergradient(problem, codec, cur, cur_res)
-        norm = float(np.linalg.norm(g))
+        if g is None:
+            g = _supergradient(problem, codec, cur, cur_res)
+            norm = math.sqrt(g @ g)
         if norm < 1e-15:
             history.append((k, cur_res.robust_value, cur_res.argmin_theta, 0.0))
             iterates.append(cur)
             continue
         step = settings.step0 / math.sqrt(k)
         cand = codec.project(cur + step * g / norm)
-        cand_res = objective(problem, cand)
+        cand_res = evaluate(cand)
         halvings = 0
         while not cand_res.feasible and halvings < settings.max_halvings:
             step *= 0.5
             cand = codec.project(cur + step * g / norm)
-            cand_res = objective(problem, cand)
+            cand_res = evaluate(cand)
             halvings += 1
         if not cand_res.feasible:
             cand, cand_res, step = cur, cur_res, 0.0
+        if cand_res is not cur_res:
+            g = None
         cur, cur_res = cand, cand_res
         iterates.append(cur)
         history.append((k, cur_res.robust_value, cur_res.argmin_theta, step))
@@ -368,7 +385,7 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
     start = int(len(iterates) * (1.0 - settings.tail_fraction))
     start = min(max(start, 0), len(iterates) - 1)
     avg_vec = codec.project(np.mean(np.stack(iterates[start:]), axis=0))
-    avg_res = objective(problem, avg_vec)
+    avg_res = objective(problem, avg_vec, codec)
     avg_value = avg_res.robust_value if avg_res.feasible else -math.inf
     return SolveReport(
         best_params=best_vec,

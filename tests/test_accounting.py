@@ -35,7 +35,49 @@ def random_strategy(grid, paths, rng, h0_scale=1.0, jump_scale=0.2, flatten=True
     return Strategy(grid, h0, d_up, d_dn)
 
 
+def sequential_ledger(strategy, prices, cost):
+    """Cash, position and liquidation value one step at a time:
+    cash_i = (cash_{i-1} - S_i up_i) + (1 - lambda) S_i dn_i."""
+    lam, h0 = cost.lam, strategy.h0
+    cash = np.empty(prices.shape)
+    cash[..., 0] = cost.x0 - max(h0, 0.0) * prices[..., 0] + max(-h0, 0.0) * (1.0 - lam) * prices[..., 0]
+    pos = np.empty(strategy.d_up.shape)
+    pos[:, 0] = h0
+    for i in range(1, prices.shape[-1]):
+        cash[..., i] = (
+            cash[..., i - 1]
+            - prices[..., i] * strategy.d_up[:, i]
+            + (1.0 - lam) * prices[..., i] * strategy.d_dn[:, i]
+        )
+        pos[:, i] = (pos[:, i - 1] + strategy.d_up[:, i]) - strategy.d_dn[:, i]
+    liq = cash + np.maximum(pos, 0.0) * ((1.0 - lam) * prices) - np.maximum(-pos, 0.0) * prices
+    return cash, pos, liq
+
+
 class TestRunLedger:
+    @pytest.mark.parametrize("models", [None, 3])
+    @pytest.mark.parametrize("h0", [1e16, -0.1, 0.0])
+    def test_matches_sequential_recursion_bitwise(self, models, h0):
+        # jumps mixing 1e16 with 1 and 0.1 steps against prices near 1 and
+        # 1e-3, so the running sums round differently in another order
+        g = TimeGrid(1.0, 11)
+        rng = np.random.default_rng(5)
+        shape = (64, g.steps + 1) if models is None else (models, 64, g.steps + 1)
+        prices = rng.choice([1.0, 0.7, 1.3, 1e-3], size=shape) * rng.uniform(0.9, 1.1, size=shape)
+        jumps = [rng.choice([0.0, 0.1, 1.0, 1e16], size=(64, g.steps + 1)) for _ in range(2)]
+        for j in jumps:
+            j[:, 0] = 0.0
+        strat = Strategy(g, h0, jumps[0], jumps[1])
+        cost = CostSpec(0.03, 1.0)
+        ledger = run_ledger(strat, prices, cost)
+        cash, pos, liq = sequential_ledger(strat, prices, cost)
+        assert ledger.cash.tobytes() == cash.tobytes()
+        assert ledger.position.tobytes() == pos.tobytes()
+        assert ledger.liq.tobytes() == liq.tobytes()
+        # the inputs do tell association orders apart
+        net = (1.0 - cost.lam) * prices[..., 1:] * jumps[1][:, 1:] - prices[..., 1:] * jumps[0][:, 1:]
+        assert not np.array_equal(cash[..., :1] + np.cumsum(net, axis=-1), cash[..., 1:])
+
     def test_zero_strategy_identity(self):
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 50, 1, seed=0)

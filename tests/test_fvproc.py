@@ -11,6 +11,7 @@ from frictionopt import (
     rho,
 )
 from frictionopt.errors import ConfigError, GridMismatchError
+from frictionopt.fvproc import position_recursion
 
 
 def path_from_jumps(grid, jumps):
@@ -188,6 +189,24 @@ class TestConvergenceReport:
         assert rep.pass_fraction >= 0.99
 
 
+def sequential_position(h0, d_up, d_dn):
+    """pos_i = (pos_{i-1} + up_i) - dn_i, one step at a time."""
+    pos = np.empty(d_up.shape)
+    pos[:, 0] = h0
+    for i in range(1, d_up.shape[1]):
+        pos[:, i] = (pos[:, i - 1] + d_up[:, i]) - d_dn[:, i]
+    return pos
+
+
+def mixed_magnitude_jumps(rng, paths, n1):
+    """Jumps mixing 1e16 with 1 and 0.1 steps, where rounding depends on
+    the association order; first column zero."""
+    vals = np.array([0.0, 0.1, 1.0, 0.3, 1e16, 2.5e15])
+    out = rng.choice(vals, size=(paths, n1))
+    out[:, 0] = 0.0
+    return out
+
+
 class TestStrategy:
     def test_validation(self):
         g = TimeGrid(1.0, 2)
@@ -203,6 +222,17 @@ class TestStrategy:
         d_dn = np.array([[0.0, 0.0, 0.5, 1.5]])
         s = Strategy(g, 1.0, d_up, d_dn)
         np.testing.assert_array_equal(s.position(), [[1.0, 2.0, 1.5, 0.0]])
+
+    @pytest.mark.parametrize("h0", [1e16, 0.1, -1e16, -0.0])
+    def test_position_recursion_matches_sequential_loop_bitwise(self, h0):
+        rng = np.random.default_rng(11)
+        d_up = mixed_magnitude_jumps(rng, 64, 12)
+        d_dn = mixed_magnitude_jumps(rng, 64, 12)
+        want = sequential_position(h0, d_up, d_dn)
+        assert position_recursion(h0, d_up, d_dn).tobytes() == want.tobytes()
+        # the inputs do tell association orders apart
+        netted = h0 + np.cumsum(d_up - d_dn, axis=1)
+        assert not np.array_equal(netted, want)
 
     def test_zero_factory(self):
         g = TimeGrid(1.0, 3)

@@ -37,6 +37,24 @@ def write_config(tmp_path, doc, name="run.json"):
     return str(path)
 
 
+def duality_verdict(tmp_path, capsys, doc) -> str:
+    """Run duality on a family with no usable price system: it must exit 3
+    without an error line and write only the verdict, digested in the
+    manifest.  Returns the verdict."""
+    out = tmp_path / "o"
+    code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == ""
+    result = json.loads((out / "duality.json").read_text())
+    assert set(result) == {"all_ok", "verdict"} and result["all_ok"] is False
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["summary"] == {"exit": 3, "all_ok": False}
+    [entry] = manifest["outputs"]
+    data = (out / "duality.json").read_bytes()
+    assert entry == {"name": "duality.json", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    return result["verdict"]
+
+
 def reference_csv(header, rows) -> str:
     """Row-by-row rendering, one repr per cell, that the columnar writer
     must reproduce byte for byte."""
@@ -350,17 +368,19 @@ class TestCli:
             policy={},
             optimizer={"iters": 2},
         )
-        out = tmp_path / "o"
-        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
-        assert code == 3
-        assert capsys.readouterr().err == ""
-        result = json.loads((out / "duality.json").read_text())
-        assert result == {"all_ok": False, "verdict": "no price system construction is registered for this family"}
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["summary"] == {"exit": 3, "all_ok": False}
-        [entry] = manifest["outputs"]
-        data = (out / "duality.json").read_bytes()
-        assert entry == {"name": "duality.json", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        verdict = duality_verdict(tmp_path, capsys, doc)
+        assert verdict == "no price system construction is registered for this family"
+
+    def test_duality_with_an_unbuildable_price_system_writes_a_verdict(self, tmp_path, capsys):
+        # at mu 2, sigma 0.1 both lattice moves rise above the node price, so
+        # the node construction has no martingale weights in (0, 1)
+        doc = make_doc(
+            thetas=[{"type": "black_scholes", "mu": 2.0, "sigma": 0.1}],
+            cost={"lambda": 0.02, "x0": 3.0},
+            grid={"horizon": 1.0, "steps": 2},
+        )
+        verdict = duality_verdict(tmp_path, capsys, doc)
+        assert verdict.startswith("construction failed: martingale weights left (0, 1)")
 
     def test_engine_threads_env(self, tmp_path, monkeypatch, capsys):
         doc = make_doc(noise={"kind": "mc", "paths": 4}, policy={})

@@ -18,6 +18,16 @@ from frictionopt import (
 from frictionopt.errors import ConfigError, InvalidModelError
 
 
+def per_path_generator_panel(grid, paths, drivers, seed):
+    """The panel's definition: path m draws from a fresh Philox generator
+    keyed by (seed, m)."""
+    inc = np.empty((paths, grid.steps, drivers))
+    for m in range(paths):
+        bits = np.random.Philox(key=np.array([seed, m], dtype=np.uint64))
+        inc[m] = np.random.Generator(bits).standard_normal((grid.steps, drivers))
+    return inc * math.sqrt(grid.dt)
+
+
 class TestTimeGrid:
     def test_uniform_grid_endpoints(self):
         g = TimeGrid(2.0, 8)
@@ -57,6 +67,14 @@ class TestGaussianPanel:
         small = gaussian_panel(g, 8, 1, seed=3)
         large = gaussian_panel(g, 64, 1, seed=3)
         assert np.array_equal(small.increments, large.increments[:8])
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_draws_match_one_generator_per_path(self, seed):
+        g = TimeGrid(1.0, 7)
+        for paths in (1, 5, 33):
+            for drivers in (1, 3):
+                got = gaussian_panel(g, paths, drivers, seed=seed).increments
+                assert got.tobytes() == per_path_generator_panel(g, paths, drivers, seed).tobytes()
 
     def test_probs_uniform(self):
         g = TimeGrid(1.0, 3)

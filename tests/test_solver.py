@@ -25,6 +25,7 @@ from frictionopt import (
     solve,
     table_utility,
 )
+from frictionopt import solver as solver_module
 from frictionopt.errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from frictionopt.solver import _supergradient
 
@@ -72,7 +73,56 @@ class TestRobustProblemValidation:
             gaussian_problem(threads=0)
 
 
+def repeat_decode(codec, vecs):
+    """Per-step np.repeat of each node's increment over its block of paths,
+    then the closing trade by the sequential position recursion."""
+    vecs = np.atleast_2d(vecs)
+    n1 = codec.steps + 1
+    d_up = np.zeros((len(vecs), codec.paths, n1))
+    d_dn = np.zeros((len(vecs), codec.paths, n1))
+    ofs = 1
+    for j, nodes in enumerate(codec.nodes_per_step):
+        block = codec.paths // nodes
+        d_up[:, :, j + 1] = np.repeat(vecs[:, ofs : ofs + nodes], block, axis=1)
+        if not codec.long_only:
+            dn = ofs + codec.n_side
+            d_dn[:, :, j + 1] = np.repeat(vecs[:, dn : dn + nodes], block, axis=1)
+        ofs += nodes
+    d_up, d_dn = d_up.reshape(-1, n1), d_dn.reshape(-1, n1)
+    pos = np.full(len(d_up), vecs[0, 0])
+    for i in range(1, codec.steps):
+        pos = (pos + d_up[:, i]) - d_dn[:, i]
+    d_dn[:, -1] = np.maximum(pos, 0.0)
+    d_up[:, -1] = np.maximum(-pos, 0.0)
+    return d_up, d_dn
+
+
 class TestPolicyCodec:
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            gaussian_problem(steps=6, paths=7),
+            gaussian_problem(steps=4, paths=5, long_only=True),
+            lattice_problem(steps=2),
+            lattice_problem(steps=3),
+            lattice_problem(steps=3, long_only=True),
+        ],
+        ids=["deterministic", "deterministic-long-only", "lattice-2", "lattice-3", "lattice-3-long-only"],
+    )
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_gather_decode_matches_repeat_reference(self, prob, batch):
+        codec = PolicyCodec(prob)
+        rng = np.random.default_rng(4)
+        size = codec.n_params if batch is None else (batch, codec.n_params)
+        vecs = rng.choice([0.0, 0.1, 0.7, 1e16], size=size)
+        if batch is not None:
+            vecs[:, 0] = vecs[0, 0]
+        strat = codec.decode(vecs)
+        d_up, d_dn = repeat_decode(codec, vecs)
+        assert strat.h0 == np.atleast_2d(vecs)[0, 0]
+        assert strat.d_up.tobytes() == d_up.tobytes()
+        assert strat.d_dn.tobytes() == d_dn.tobytes()
+
     def test_deterministic_layout(self):
         codec = PolicyCodec(gaussian_problem(steps=4))
         assert codec.nodes_per_step == [1, 1, 1]
@@ -81,7 +131,9 @@ class TestPolicyCodec:
     def test_long_only_drops_sell_block(self):
         codec = PolicyCodec(gaussian_problem(steps=4, long_only=True))
         assert codec.n_params == 1 + 3
-        assert all(c.size == 0 for c in codec.side_columns("dn"))
+        assert codec.dn_index is None
+        strat = codec.decode(np.asarray([0.5, 0.1, 0.2, 0.3]))
+        np.testing.assert_array_equal(strat.d_dn[:, :-1], 0.0)
 
     def test_lattice_layout_counts_tree_nodes(self):
         codec = PolicyCodec(lattice_problem(steps=3))
@@ -106,8 +158,8 @@ class TestPolicyCodec:
         prob = lattice_problem(steps=3)
         codec = PolicyCodec(prob)
         vec = codec.zero()
-        up1 = codec.side_columns("up")[0]
-        vec[up1] = [0.25, 0.75]  # two nodes after the first move
+        np.testing.assert_array_equal(codec.up_index[:, 0], [1, 1, 1, 1, 2, 2, 2, 2])
+        vec[1:3] = [0.25, 0.75]  # two nodes after the first move
         strat = codec.decode(vec)
         np.testing.assert_array_equal(strat.d_up[:4, 1], 0.25)
         np.testing.assert_array_equal(strat.d_up[4:, 1], 0.75)
@@ -259,6 +311,60 @@ class TestSolve:
         assert rep.n_params == PolicyCodec(prob).n_params
         assert math.isfinite(rep.averaged_value)
         assert rep.strategy.grid is prob.grid
+
+
+class TestUnchangedIterateReuse:
+    """On criterion 6's two-model lattice fixture the ascent often projects
+    back onto its current iterate; solve then reuses that evaluation."""
+
+    SETTINGS = OptimizerSettings(iters=300, step0=1.0)
+
+    def spy(self, monkeypatch):
+        """Record projections and objective calls, in order."""
+        events = []
+        real_objective, real_project = solver_module.objective, PolicyCodec.project
+
+        def objective_spy(problem, vec, codec=None):
+            res = real_objective(problem, vec, codec)
+            events.append(("objective", vec.tobytes(), res))
+            return res
+
+        def project_spy(codec, vec):
+            out = real_project(codec, vec)
+            events.append(("project", out.tobytes(), out))
+            return out
+
+        monkeypatch.setattr(solver_module, "objective", objective_spy)
+        monkeypatch.setattr(PolicyCodec, "project", project_spy)
+        return events
+
+    def test_fewer_evaluations_than_iterations(self, monkeypatch):
+        events = self.spy(monkeypatch)
+        solve(lattice_problem(steps=2, mus=(0.1, 0.05)), self.SETTINGS)
+        calls = sum(kind == "objective" for kind, _, _ in events)
+        assert calls < self.SETTINGS.iters + 1
+
+    def test_reused_points_reevaluate_bitwise(self, monkeypatch):
+        prob = lattice_problem(steps=2, mus=(0.1, 0.05))
+        events = self.spy(monkeypatch)
+        report = solve(prob, self.SETTINGS)
+        monkeypatch.undo()
+        evaluated = {key: res for kind, key, res in events if kind == "objective"}
+        projections = [(i, key, out) for i, (kind, key, out) in enumerate(events) if kind == "project"]
+        # no step halvings on this fixture: one projection per iteration, then
+        # the tail average
+        assert len(projections) == self.SETTINGS.iters + 1
+        reused = 0
+        for k, (i, key, vec) in enumerate(projections[:-1], start=1):
+            if events[i + 1][:2] == ("objective", key):
+                continue
+            # the candidate projected back onto the current iterate, whose
+            # evaluation solve kept
+            reused += 1
+            fresh = objective(prob, vec)
+            assert fresh.per_theta.tobytes() == evaluated[key].per_theta.tobytes()
+            assert (fresh.robust_value, fresh.argmin_theta) == report.history[k][1:3]
+        assert reused > 100
 
 
 class TestBruteForce:
