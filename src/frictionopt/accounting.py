@@ -9,7 +9,7 @@ is reflected in the balances from t_i on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -114,15 +114,7 @@ def shadow_ledger(ledger: AccountingLedger, shadow_prices: np.ndarray) -> Accoun
     in_band = np.all(((1.0 - lam) * ledger.prices <= sp) & (sp <= ledger.prices))
     if in_band and np.any(ledger.liq > shadow):
         raise ContractViolation("liquidation value exceeded the shadow value inside the band")
-    return AccountingLedger(
-        cost=ledger.cost,
-        prices=ledger.prices,
-        cash=ledger.cash,
-        position=ledger.position,
-        liq=ledger.liq,
-        shadow_prices=_readonly(sp.copy()),
-        shadow=_readonly(shadow),
-    )
+    return replace(ledger, shadow_prices=_readonly(sp.copy()), shadow=_readonly(shadow))
 
 
 @dataclass(frozen=True)

@@ -191,13 +191,17 @@ class MartingaleReport:
     """Step-by-step martingale verification of the shadow under Q.
 
     In lattice mode every node's conditional expectation must match exactly
-    (within tol); in mc mode each step's weighted mean increment must sit
+    (within LATTICE_TOL); in mc mode each step's weighted mean increment must sit
     within three standard errors of zero."""
 
     passed: bool
     mode: str
     max_defect: float
     max_z: float
+
+
+# largest node drift the exact lattice checks forgive, for rounding
+LATTICE_TOL = 1e-10
 
 
 def _weighted_se(values: Array, probs: Array) -> float:
@@ -211,30 +215,27 @@ def _weighted_se(values: Array, probs: Array) -> float:
     return math.sqrt(var / (n_eff - 1.0))
 
 
-def _step_drifts(values: Array, ps: PriceSystem, noise: NoisePanel, mode: str) -> tuple[str, list]:
-    """Drift under Q of a value process (paths, steps + 1) over each step, and
-    the mode, "auto" resolved from the panel kind.
+def _step_drifts(values: Array, ps: PriceSystem, noise: NoisePanel) -> list:
+    """Drift under Q of a value process (paths, steps + 1) over each step, in
+    the mode of the panel kind.
 
     In lattice mode step i gives the exact E_Q[X_{i+1} | node] - X_i per tree
     node; in mc mode it gives the weighted mean increment E_P[w (X_{i+1} - X_i)]
     together with its standard error.
     """
-    mode = noise.kind if mode == "auto" else mode
     drifts: list = []
-    if mode == "lattice":
+    if noise.kind == "lattice":
         qp = ps.q_probs
         for i in range(values.shape[1] - 1):
             block = lattice_block(noise, i)
             num = (qp * values[:, i + 1]).reshape(-1, block).sum(axis=1)
             den = qp.reshape(-1, block).sum(axis=1)
             drifts.append(num / den - values[::block, i])
-    elif mode == "mc":
+    else:
         for i in range(values.shape[1] - 1):
             inc = ps.weights * (values[:, i + 1] - values[:, i])
             drifts.append((float(np.dot(ps.probs, inc)), _weighted_se(inc, ps.probs)))
-    else:
-        raise ConfigError(f"unknown mode {mode!r}: expected 'auto', 'lattice' or 'mc'")
-    return mode, drifts
+    return drifts
 
 
 def _z(rise: float, se: float) -> float:
@@ -242,13 +243,13 @@ def _z(rise: float, se: float) -> float:
     return rise / se if se > 0.0 else (0.0 if rise == 0.0 else math.inf)
 
 
-def verify_martingale(ps: PriceSystem, noise: NoisePanel, mode: str = "auto", tol: float = 1e-10) -> MartingaleReport:
-    mode, drifts = _step_drifts(ps.shadow, ps, noise, mode)
-    if mode == "lattice":
+def verify_martingale(ps: PriceSystem, noise: NoisePanel) -> MartingaleReport:
+    drifts = _step_drifts(ps.shadow, ps, noise)
+    if noise.kind == "lattice":
         defect = max([0.0] + [float(np.max(np.abs(d))) for d in drifts])
-        return MartingaleReport(passed=defect <= tol, mode=mode, max_defect=defect, max_z=0.0)
+        return MartingaleReport(passed=defect <= LATTICE_TOL, mode=noise.kind, max_defect=defect, max_z=0.0)
     max_z = max([0.0] + [_z(abs(mean), se) for mean, se in drifts])
-    return MartingaleReport(passed=max_z <= 3.0, mode=mode, max_defect=float("nan"), max_z=max_z)
+    return MartingaleReport(passed=max_z <= 3.0, mode=noise.kind, max_defect=float("nan"), max_z=max_z)
 
 
 @dataclass(frozen=True)
@@ -263,23 +264,21 @@ class SupermartingaleReport:
     max_z: float
 
 
-def supermartingale_check(
-    values: Array, ps: PriceSystem, noise: NoisePanel, mode: str = "auto", tol: float = 1e-10
-) -> SupermartingaleReport:
+def supermartingale_check(values: Array, ps: PriceSystem, noise: NoisePanel) -> SupermartingaleReport:
     values = np.asarray(values, float)
     if values.shape != ps.shadow.shape:
         raise ConfigError("value process must match the shadow array shape")
-    mode, drifts = _step_drifts(values, ps, noise, mode)
-    if mode == "lattice":
+    drifts = _step_drifts(values, ps, noise)
+    if noise.kind == "lattice":
         for i in range(values.shape[1] - 1):
             spread = values[:, i].reshape(-1, lattice_block(noise, i))
             if float(np.max(spread.max(axis=1) - spread.min(axis=1))) > 1e-9:
                 raise ContractViolation("value process is not adapted to the lattice filtration")
         worst = max([-math.inf] + [float(np.max(d)) for d in drifts])
-        return SupermartingaleReport(passed=worst <= tol, mode=mode, max_rise=worst, max_z=0.0)
+        return SupermartingaleReport(passed=worst <= LATTICE_TOL, mode=noise.kind, max_rise=worst, max_z=0.0)
     worst = max([-math.inf] + [mean for mean, _ in drifts])
     max_z = max([0.0] + [_z(max(0.0, mean), se) for mean, se in drifts])
-    return SupermartingaleReport(passed=max_z <= 3.0, mode=mode, max_rise=worst, max_z=max_z)
+    return SupermartingaleReport(passed=max_z <= 3.0, mode=noise.kind, max_rise=worst, max_z=max_z)
 
 
 @dataclass(frozen=True)

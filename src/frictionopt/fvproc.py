@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, GridMismatchError
+from .errors import ConfigError, GridMismatchError
 from .scenario import TimeGrid, _readonly
 
 
@@ -125,10 +125,8 @@ class KomlosResult:
     candidate: MonotonePath
 
 
-def komlos_average(seq: Sequence[MonotonePath], scheme: str = "cesaro-tail") -> KomlosResult:
+def komlos_average(seq: Sequence[MonotonePath]) -> KomlosResult:
     """Convex tail averages of a sequence of monotone paths on one grid."""
-    if scheme != "cesaro-tail":
-        raise ConfigError(f"unknown averaging scheme {scheme!r}")
     if len(seq) == 0:
         raise ConfigError("cannot average an empty sequence")
     grid = seq[0].grid

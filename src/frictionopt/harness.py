@@ -18,6 +18,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import __version__
+from .accounting import CostSpec, check_admissible_rplus, run_ledger
 from .config import RunConfig
 from .cps import (
     PriceSystem,
@@ -29,10 +30,11 @@ from .cps import (
     verify_band,
     verify_martingale,
 )
-from .errors import ConfigError, EngineError, NoCpsConstructibleError, NoFeasiblePointError
-from .scenario import BlackScholes, simulate_panel
+from .errors import NoCpsConstructibleError
+from .fvproc import Strategy
+from .scenario import ArctanDrift, BlackScholes, TimeGrid, gaussian_panel, simulate, simulate_panel
 from .solver import default_price_systems, duality_report, solve
-from .utility import conjugate, vector_conjugate
+from .utility import conjugate, log_utility, vector_conjugate
 
 
 # rows formatted and written at a time; bounds the per-chunk string arrays
@@ -246,8 +248,6 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
         ["path", "time_index", "d_up", "d_dn"],
         [path, time_index, strat.d_up.reshape(-1), strat.d_dn.reshape(-1)],
     )
-    from .accounting import run_ledger
-
     ledger = run_ledger(strat, problem.panel.prices[report.argmin_theta], problem.cost)
     write_csv(
         out_dir / "ledger_worst.csv",
@@ -274,7 +274,7 @@ def cmd_solve(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 
 def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
-    """Solve, then check duality bounds, polarity and the scaling diagnostic
+    """Solve, then check duality bounds, polarity and the utility's growth
     against the registered price systems; exit 3 when any check fails or no
     price system is registered for the family or can be built on its panel
     (then nothing is solved)."""
@@ -294,16 +294,8 @@ def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
             systems,
             ys=cfg.duality["ys"],
             inada_scales=cfg.duality["inada_scales"],
-            settings=cfg.optimizer,
         )
-        result = {
-            "best_value": report.best_value,
-            "rows": dual.rows,
-            "polarity": dual.polarity,
-            "inada": dual.inada,
-            "supermartingale_ok": dual.supermartingale_ok,
-            "all_ok": dual.all_ok,
-        }
+        result = {"best_value": report.best_value, **dataclasses.asdict(dual)}
     else:
         result = {"verdict": verdict, "all_ok": False}
     write_json(out_dir / "duality.json", result)
@@ -314,11 +306,6 @@ def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 def cmd_selftest(out: Optional[str] = None) -> int:
     """Small built-in battery touching every module; exit 3 on any failure."""
-    from .accounting import CostSpec, check_admissible_rplus, run_ledger
-    from .fvproc import Strategy
-    from .scenario import ArctanDrift, TimeGrid, gaussian_panel, simulate
-    from .utility import log_utility
-
     grid = TimeGrid(1.0, 10)
     noise = gaussian_panel(grid, 64, 1, seed=1)
     prices = simulate(ArctanDrift(), grid, noise)

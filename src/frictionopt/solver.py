@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .cps import (
     _weighted_se,
     constant_cps,
     cps_certificate,
-    entropy_membership,
     girsanov_cps,
     lattice_cps,
     polarity_gap,
@@ -46,7 +45,7 @@ from .scenario import (
     lattice_block,
     simulate_panel,
 )
-from .utility import UtilitySpec, vector_conjugate
+from .utility import UtilitySpec, growth_ok, scaled_value, vector_conjugate
 
 ARGMIN_TIE_TOL = 1e-12
 
@@ -538,8 +537,8 @@ class PolarityRow:
 class InadaRow:
     scale: float
     x: float
-    value: float
-    ratio: float
+    value: Optional[float]
+    ratio: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -548,6 +547,7 @@ class DualityReport:
     polarity: tuple[PolarityRow, ...]
     inada: tuple[InadaRow, ...]
     supermartingale_ok: bool
+    growth_ok: bool
     all_ok: bool
 
 
@@ -560,16 +560,17 @@ def duality_report(
     price_systems: Sequence[tuple[int, PriceSystem]],
     ys: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     inada_scales: Sequence[float] = (1.0, 4.0, 16.0),
-    settings: OptimizerSettings = OptimizerSettings(),
 ) -> DualityReport:
     """Diagnostics relating the solved primal value to dual quantities.
 
     For each registered price system and dual level y, the primal value per
     model must stay below E[V(y w)] + x0 y within three standard errors (zero
     on lattice panels, where the inequality is exact); the terminal payoff
-    must satisfy the polarity bound E[X y w] <= x0 y; and the value at scaled
-    endowments k x0 must exhibit decreasing average utility u/(k x0), the
-    finite-sample face of sublinear growth.
+    must satisfy the polarity bound E[X y w] <= x0 y; and the utility must
+    grow sublinearly (utility.growth_ok).  For information, the values at
+    scaled endowments k x0 come from the exact identities of
+    utility.scaled_value, with value / (k x0) as ratio: None where the
+    utility has no identity, ratio None at zero wealth.
     """
     probs = problem.noise.probs
     mc = problem.noise.kind == "mc"
@@ -599,18 +600,10 @@ def duality_report(
                 PolarityRow(k, float(y), pg.lhs, pg.bound, pg.se, pg.lhs <= pg.bound + 3.0 * pg.se + FLOAT_SLACK)
             )
     inada_rows = []
-    prev_ratio = math.inf
-    inada_ok = True
     for s in inada_scales:
-        if s == 1.0:
-            val = report.best_value
-        else:
-            scaled = replace(problem, cost=CostSpec(problem.cost.lam, x0 * s))
-            val = solve(scaled, settings).best_value
-        ratio = val / (x0 * s)
+        val = scaled_value(problem.utility, report.best_value, x0, s)
+        ratio = None if val is None or x0 * s == 0.0 else val / (x0 * s)
         inada_rows.append(InadaRow(float(s), x0 * s, val, ratio))
-        if ratio > prev_ratio + 1e-9:
-            inada_ok = False
-        prev_ratio = ratio
-    all_ok = sm_ok and inada_ok and all(r.ok for r in rows) and all(p.ok for p in pol)
-    return DualityReport(tuple(rows), tuple(pol), tuple(inada_rows), sm_ok, all_ok)
+    grows = growth_ok(problem.utility)
+    all_ok = sm_ok and grows and all(r.ok for r in rows) and all(p.ok for p in pol)
+    return DualityReport(tuple(rows), tuple(pol), tuple(inada_rows), sm_ok, grows, all_ok)

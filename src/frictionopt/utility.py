@@ -154,7 +154,56 @@ def table_utility(xs: Sequence[float], us: Sequence[float]) -> UtilitySpec:
     return UtilitySpec("custom-table", domain, fn, {"x": x.tolist(), "u": u.tolist()}, derivative=deriv)
 
 
+def scaled_value(u: UtilitySpec, value: float, x0: float, k: float) -> Optional[float]:
+    """The optimal value at endowment k x0 from the optimal value v at x0.
+    Gains are positively homogeneous in the policy under proportional costs
+    and the nonnegative-wealth set is a cone, so log adds log k and power
+    scales by k^p; exp translates instead: 1 - e^{-a (k - 1) x0} (1 - v).
+    None for a utility without such an identity."""
+    if k == 1.0:
+        return value
+    if u.name == "log":
+        return value + math.log(k)
+    if u.name == "power":
+        return k ** u.params["p"] * value
+    if u.name == "exp":
+        with np.errstate(over="ignore"):
+            return float(1.0 - np.exp(-u.params["a"] * (k - 1.0) * x0) * (1.0 - value))
+    return None
+
+
+def asymptotic_elasticity(u: UtilitySpec) -> float:
+    """lim sup x U'(x) / U(x) as x grows, for positive-axis utilities: 0 for
+    log, p for power; 1 for a table whose last knot slope is positive, 0 for
+    one that ends flat.  nan when unknown."""
+    if u.name == "log":
+        return 0.0
+    if u.name == "power":
+        return u.params["p"]
+    if u.name == "custom-table":
+        return 1.0 if u.params["u"][-1] > u.params["u"][-2] else 0.0
+    return math.nan
+
+
+def growth_ok(u: UtilitySpec) -> bool:
+    """The growth condition under which optimal strategies exist: asymptotic
+    elasticity below 1 on the positive axis (Kramkov & Schachermayer), the
+    structural checks of check_assumptions on the whole line."""
+    return check_assumptions(u).passed if u.domain == "real" else asymptotic_elasticity(u) < 1.0
+
+
 _BRACKET_CAP = 1e120
+
+
+def _bracket(g: Callable[[float], float], x: float, message: str) -> float:
+    """Double x while the concave g still rises from x to 2x and return the
+    first 2x it does not rise to: the maximizer lies on 0's side of it.
+    Doubling past _BRACKET_CAP in size means g has no maximum."""
+    while g(2.0 * x) > g(x):
+        x *= 2.0
+        if abs(x) > _BRACKET_CAP:
+            raise ConjugateUnboundedError(message)
+    return 2.0 * x
 
 
 def _ternary_max(g: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -184,25 +233,14 @@ def conjugate(u: UtilitySpec, y: float, tol: float = 1e-10) -> float:
     def g(x: float) -> float:
         return float(u(np.asarray([x]))[0]) - x * y
 
-    hi = 1.0
-    while g(2.0 * hi) > g(hi):
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise ConjugateUnboundedError(f"conjugate diverges at y = {y}")
-    hi *= 2.0
+    hi = _bracket(g, 1.0, f"conjugate diverges at y = {y}")
     if u.domain == "positive":
-        lo = 1e-300
         probe = min(1.0, hi / 4.0)
         while g(0.5 * probe) > g(probe) and probe > 1e-280:
             probe *= 0.5
-        lo = max(lo, probe * 0.25)
+        lo = probe * 0.25
     else:
-        lo = -1.0
-        while g(2.0 * lo) > g(lo):
-            lo *= 2.0
-            if lo < -_BRACKET_CAP:
-                raise ConjugateUnboundedError(f"conjugate diverges at y = {y}")
-        lo *= 2.0
+        lo = _bracket(g, -1.0, f"conjugate diverges at y = {y}")
     _, best = _ternary_max(g, lo, hi, tol)
     return best
 
@@ -250,13 +288,7 @@ def orlicz_conjugate(phi: Callable[[Array], Array], y: float, tol: float = 1e-10
     def g(x: float) -> float:
         return x * y - float(phi(np.asarray([x]))[0])
 
-    hi = 1.0
-    while g(2.0 * hi) > g(hi):
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise ConjugateUnboundedError(f"Orlicz conjugate diverges at y = {y}")
-    hi *= 2.0
-    _, best = _ternary_max(g, 0.0, hi, tol)
+    _, best = _ternary_max(g, 0.0, _bracket(g, 1.0, f"Orlicz conjugate diverges at y = {y}"), tol)
     return max(best, g(0.0))
 
 
@@ -379,8 +411,6 @@ def luxemburg_norm(sample: Array, phi: Callable[[Array], Array], rel_tol: float 
             return float(np.mean(np.asarray(phi(x / g), float)))
 
     hi = float(np.max(x))
-    if hi <= 0.0:
-        hi = 1.0
     for _ in range(2000):
         if mean_phi(hi) <= 1.0:
             break

@@ -256,7 +256,7 @@ def test_criterion_07_supermartingale_and_polarity():
         for k, ps in default_price_systems(problem):
             ledger = run_ledger(rep.strategy, problem.panel.prices[k], problem.cost)
             sh = shadow_ledger(ledger, ps.shadow)
-            sm = supermartingale_check(sh.shadow, ps, noise, tol=1e-10)
+            sm = supermartingale_check(sh.shadow, ps, noise)
             assert sm.mode == "lattice"
             assert sm.passed, (mus, k, sm.max_rise)
             for y in (0.5, 1.0, 2.0):
@@ -339,9 +339,7 @@ def test_criterion_08_duality_bound_and_inada():
 
     for name, problem, settings in fixtures:
         rep = solve(problem, settings)
-        dual = duality_report(
-            problem, rep, default_price_systems(problem), ys=ys, inada_scales=scales, settings=settings
-        )
+        dual = duality_report(problem, rep, default_price_systems(problem), ys=ys, inada_scales=scales)
         assert all(r.ok for r in dual.rows), name
         assert all(p.ok for p in dual.polarity), name
         assert dual.supermartingale_ok, name

@@ -456,3 +456,68 @@ class TestCli:
         result = json.loads((out / "duality.json").read_text())
         assert result["all_ok"] is True
         assert len(result["rows"]) == 2
+
+    def test_duality_on_the_readme_config_exits_0(self, tmp_path, capsys):
+        # log(k)/k rises on (0, e), so a ratio verdict failed this config at
+        # x0 = 1; growth is judged from the utility instead
+        doc = {
+            "seed": 7,
+            "grid": {"horizon": 1.0, "steps": 50},
+            "noise": {"kind": "mc", "paths": 1000},
+            "cost": {"lambda": 0.01, "x0": 1.0},
+            "thetas": [
+                {"type": "black_scholes", "mu": 0.10, "sigma": 0.2},
+                {"type": "black_scholes", "mu": -0.05, "sigma": 0.25},
+            ],
+            "utility": {"name": "log"},
+            "policy": {"class": "deterministic-schedule", "long_only": False},
+            "optimizer": {"iters": 3, "step0": 0.25},
+            "verify": {"theta_index": 0, "construction": "auto"},
+            "duality": {"ys": [0.25, 0.5, 1.0, 2.0, 4.0]},
+        }
+        out = tmp_path / "d"
+        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        result = json.loads((out / "duality.json").read_text())
+        assert result["growth_ok"] is True and result["all_ok"] is True
+
+    @pytest.mark.parametrize("x0", [0.0, -0.5, -50.0])
+    def test_exp_duality_at_nonpositive_capital_exits_0(self, tmp_path, capsys, x0):
+        doc = make_doc(cost={"lambda": 0.01, "x0": x0}, utility={"name": "exp", "a": 1.0}, optimizer={"iters": 20})
+        out = tmp_path / "d"
+        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        inada = json.loads((out / "duality.json").read_text())["inada"]
+        assert [r["x"] for r in inada] == [x0, 4.0 * x0, 16.0 * x0]
+        assert all((r["ratio"] is None) == (x0 == 0.0) for r in inada)
+
+    def test_duality_solves_once(self, tmp_path, monkeypatch):
+        from frictionopt import harness, solver
+
+        calls, real = [], solver.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", counted)
+        monkeypatch.setattr(solver, "solve", counted)
+        cfg = load_config(write_config(tmp_path, make_doc(cost={"lambda": 0.01, "x0": 3.0})))
+        assert harness.cmd_duality(cfg, str(tmp_path / "d")) == 0
+        assert len(calls) == 1
+
+    def test_duality_with_a_flat_ended_table_has_no_scaled_rows(self, tmp_path, capsys):
+        doc = make_doc(
+            utility={"name": "custom-table", "x": [0.5, 1.0, 2.0, 4.0], "u": [-1.0, 0.0, 0.5, 0.5]},
+            cost={"lambda": 0.01, "x0": 3.0},
+            grid={"horizon": 1.0, "steps": 2},
+            duality={"ys": [1.0]},
+            optimizer={"iters": 5},
+        )
+        out = tmp_path / "d"
+        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        result = json.loads((out / "duality.json").read_text())
+        assert [(r["value"], r["ratio"]) for r in result["inada"][1:]] == [(None, None), (None, None)]
+        assert result["inada"][0]["value"] == result["best_value"]
+        assert result["growth_ok"] is True

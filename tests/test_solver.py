@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from frictionopt import (
 from frictionopt import solver as solver_module
 from frictionopt.errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from frictionopt.solver import _supergradient
+from frictionopt.utility import scaled_value
 
 
 def lattice_problem(steps=2, lam=0.01, x0=1.0, mus=(0.1,), sigma=0.2, **kw):
@@ -432,9 +434,7 @@ class TestDualityReport:
     def test_lattice_bounds_hold_exactly(self):
         prob = lattice_problem(steps=2, x0=3.0)
         rep = solve(prob, OptimizerSettings(iters=40))
-        dual = duality_report(
-            prob, rep, default_price_systems(prob), inada_scales=(1.0, 4.0), settings=OptimizerSettings(iters=40)
-        )
+        dual = duality_report(prob, rep, default_price_systems(prob), inada_scales=(1.0, 4.0))
         assert dual.all_ok
         assert dual.supermartingale_ok
         assert len(dual.rows) == 5
@@ -453,8 +453,81 @@ class TestDualityReport:
             default_price_systems(prob),
             ys=(0.5, 1.0),
             inada_scales=(1.0,),
-            settings=OptimizerSettings(iters=10),
         )
         assert len(dual.rows) == 4
         assert len(dual.polarity) == 4
         assert len(dual.inada) == 1
+
+    def test_scaled_rows_come_from_the_identities(self):
+        prob = lattice_problem(steps=2, x0=3.0)
+        rep = solve(prob, OptimizerSettings(iters=40))
+        dual = duality_report(prob, rep, default_price_systems(prob))
+        v = rep.best_value
+        assert [r.value for r in dual.inada] == [v, v + math.log(4.0), v + math.log(16.0)]
+        assert [r.ratio for r in dual.inada] == [v / 3.0, (v + math.log(4.0)) / 12.0, (v + math.log(16.0)) / 48.0]
+        assert dual.growth_ok
+
+
+SCALING = {
+    # name: (utility, admissibility, x0, whether the policy scales with x0)
+    "log": (log_utility(), "rplus", 1.0, True),
+    "power": (power_utility(0.4), "rplus", 1.0, True),
+    "exp": (exp_utility(1.5), "supermartingale", 0.5, False),
+}
+
+
+@pytest.mark.parametrize("policy", ["deterministic", "long-only", "lattice"])
+@pytest.mark.parametrize("utility_name", sorted(SCALING))
+def test_objective_obeys_the_scaling_identity(utility_name, policy):
+    """The premise of utility.scaled_value: gains are positively homogeneous
+    in the policy, so on random feasible policies the objective at
+    (k x0, k theta) is the identity applied to the objective at (x0, theta);
+    exp translates instead, so it keeps theta."""
+    utility, admissibility, x0, scales = SCALING[utility_name]
+    thetas = ThetaGrid((BlackScholes(0.1, 0.2), BlackScholes(-0.05, 0.25)))
+    kw = {"admissibility": admissibility, "long_only": policy == "long-only"}
+    if policy == "lattice":
+        grid = TimeGrid(1.0, 2)
+        noise = lattice_panel(grid, 1)
+        kw["policy_class"] = "lattice-policy"
+    else:
+        grid = TimeGrid(1.0, 5)
+        noise = gaussian_panel(grid, 300, 1, seed=4)
+    base = RobustProblem(CostSpec(0.02, x0), thetas, utility, grid, noise, **kw)
+    codec = PolicyCodec(base)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        vec = codec.project(rng.uniform(0.0, 0.1, codec.n_params))
+        vec[0] = rng.uniform(0.0 if policy == "long-only" else -0.3, 0.3)
+        res = objective(base, vec)
+        assert res.feasible
+        for k in (0.25, 4.0, 16.0):
+            scaled = objective(replace(base, cost=CostSpec(0.02, k * x0)), k * vec if scales else vec)
+            assert scaled.feasible
+            want = [scaled_value(utility, float(v), x0, k) for v in res.per_theta]
+            np.testing.assert_allclose(scaled.per_theta, want, rtol=1e-12, atol=0.0)
+            assert scaled.robust_value == pytest.approx(scaled_value(utility, res.robust_value, x0, k), rel=1e-12)
+
+
+class TestScaledSolvesAgree:
+    """Where the solver converges, solving again at k x0 lands on the
+    identity; duality_report relies on that instead of solving again."""
+
+    def test_criterion_8_exp_fixture(self):
+        grid = TimeGrid(1.0, 3)
+        base = RobustProblem(
+            CostSpec(0.02, 0.5), ThetaGrid((BlackScholes(0.1, 0.2),)), exp_utility(1.0), grid,
+            lattice_panel(grid, 1), admissibility="supermartingale",
+        )
+        settings = OptimizerSettings(iters=80, step0=0.5)
+        v = solve(base, settings).best_value
+        for k in (4.0, 16.0):
+            solved = solve(replace(base, cost=CostSpec(0.02, 0.5 * k)), settings).best_value
+            assert abs(solved - scaled_value(base.utility, v, 0.5, k)) <= 1e-9, k
+
+    def test_lattice_duality_config_at_four_x0(self):
+        prob = lattice_problem(steps=2, lam=0.02, x0=3.0, mus=(0.1, 0.05))
+        settings = OptimizerSettings(iters=300, step0=1.0)
+        v = solve(prob, settings).best_value
+        solved = solve(replace(prob, cost=CostSpec(0.02, 12.0)), settings).best_value
+        assert abs(solved - (v + math.log(4.0))) <= 1e-9

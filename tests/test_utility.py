@@ -24,6 +24,7 @@ from frictionopt.errors import (
     ConjugateUnboundedError,
     IndeterminateError,
 )
+from frictionopt.utility import asymptotic_elasticity, growth_ok, scaled_value
 
 YS = [0.25, 0.5, 1.0, 2.0, 4.0]
 
@@ -292,3 +293,49 @@ class TestTableUtility:
             table_utility([0.0, 1.0, 2.0], [0.0, 0.1, 0.5])  # convex kink
         with pytest.raises(ConfigError):
             table_utility([0.0, 1.0], [1.0, 0.0])  # decreasing
+
+
+class TestGrowth:
+    def test_asymptotic_elasticity_of_closed_forms(self):
+        assert asymptotic_elasticity(log_utility()) == 0.0
+        assert asymptotic_elasticity(power_utility(0.4)) == 0.4
+
+    def test_table_elasticity_reads_the_last_knot_slope(self):
+        rising = table_utility([0.1, 1.0, 4.0], [-2.0, 0.0, 1.0])
+        flat = table_utility([0.5, 1.0, 2.0, 4.0], [-1.0, 0.0, 0.5, 0.5])
+        assert asymptotic_elasticity(rising) == 1.0
+        assert not growth_ok(rising)
+        assert asymptotic_elasticity(flat) == 0.0
+        assert growth_ok(flat)
+
+    def test_growth_verdicts(self):
+        assert growth_ok(log_utility())
+        assert growth_ok(power_utility(0.9))
+        assert growth_ok(exp_utility(1.0))
+        # whole line: the structural checks decide, and a linear U is unbounded above
+        assert not growth_ok(linear_utility())
+        unknown = UtilitySpec("sqrt", "positive", np.sqrt)
+        assert math.isnan(asymptotic_elasticity(unknown))
+        assert not growth_ok(unknown)
+
+
+class TestScaledValue:
+    @pytest.mark.parametrize(
+        "u", [log_utility(), power_utility(0.4), exp_utility(1.5), table_utility([0.5, 1.0], [0.0, 1.0])],
+        ids=["log", "power", "exp", "table"],
+    )
+    def test_scale_one_is_the_value_bit_for_bit(self, u):
+        for value in (0.1, -0.7, 1.0 / 3.0):
+            assert scaled_value(u, value, 0.5, 1.0) == value
+
+    def test_utilities_without_an_identity_give_none(self):
+        assert scaled_value(table_utility([0.5, 1.0], [0.0, 1.0]), 0.3, 1.0, 4.0) is None
+        assert scaled_value(UtilitySpec("sqrt", "positive", np.sqrt), 0.3, 1.0, 4.0) is None
+
+    def test_exp_is_a_translation(self):
+        # at x0 = 0 every endowment is the same, so the value does not move
+        u = exp_utility(2.0)
+        assert scaled_value(u, 0.25, 0.0, 16.0) == 0.25
+        assert scaled_value(u, 0.25, 0.5, 3.0) == pytest.approx(1.0 - math.exp(-2.0) * 0.75, rel=1e-15)
+        # deep in debt the scaled value overflows to -inf rather than raising
+        assert scaled_value(u, -1.0, -50.0, 16.0) == -math.inf
