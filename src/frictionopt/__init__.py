@@ -16,6 +16,7 @@ from .cps import (
     girsanov_cps,
     lattice_cps,
     polarity_gap,
+    registered_cps,
     supermartingale_check,
     verify_band,
     verify_martingale,

@@ -49,7 +49,6 @@ class AccountingLedger:
     cash: np.ndarray
     position: np.ndarray
     liq: np.ndarray
-    shadow_prices: Optional[np.ndarray] = None
     shadow: Optional[np.ndarray] = None
 
     @property
@@ -114,7 +113,7 @@ def shadow_ledger(ledger: AccountingLedger, shadow_prices: np.ndarray) -> Accoun
     in_band = np.all(((1.0 - lam) * ledger.prices <= sp) & (sp <= ledger.prices))
     if in_band and np.any(ledger.liq > shadow):
         raise ContractViolation("liquidation value exceeded the shadow value inside the band")
-    return replace(ledger, shadow_prices=_readonly(sp.copy()), shadow=_readonly(shadow))
+    return replace(ledger, shadow=_readonly(shadow))
 
 
 @dataclass(frozen=True)

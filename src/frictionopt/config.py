@@ -284,18 +284,15 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         raise ConfigError(f"admissibility must be 'auto', 'rplus' or 'supermartingale', got {admissibility!r}")
 
     opt_spec = doc.get("optimizer", {})
-    _require_keys("optimizer", opt_spec, {"iters", "step0", "tail_fraction"})
+    _require_keys("optimizer", opt_spec, {"iters", "step0"})
     optimizer = OptimizerSettings(
         iters=_int("optimizer", opt_spec, "iters", 150),
         step0=_num("optimizer", opt_spec, "step0", 0.25),
-        tail_fraction=_num("optimizer", opt_spec, "tail_fraction", 0.5),
     )
     if optimizer.iters < 1:
         raise ConfigError("optimizer.iters must be at least 1")
     if not (np.isfinite(optimizer.step0) and optimizer.step0 > 0.0):
         raise ConfigError(f"optimizer.step0 must be positive and finite, got {optimizer.step0!r}")
-    if not (0.0 < optimizer.tail_fraction <= 1.0):
-        raise ConfigError("optimizer.tail_fraction must lie in (0, 1]")
 
     verify = doc.get("verify", {})
     _require_keys("verify", verify, {"theta_index", "construction", "shrink", "level"})
@@ -305,7 +302,9 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     construction = verify.get("construction", "auto")
     if construction not in ("auto", "girsanov", "lattice", "constant"):
         raise ConfigError(f"verify.construction {construction!r} is not known")
-    level = _num("verify", verify, "level", 0.75) if "level" in verify or construction == "constant" else None
+    if "level" in verify and construction != "constant":
+        raise ConfigError(f"verify.level applies to the constant construction only, not {construction!r}")
+    level = _num("verify", verify, "level", 0.75) if construction == "constant" else None
     if level is not None and not (np.isfinite(level) and level > 0.0):
         raise ConfigError(f"verify.level must be positive and finite, got {level!r}")
     verify_resolved = {
@@ -336,11 +335,7 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         "utility": {k: v for k, v in (doc.get("utility") or {}).items()},
         "policy": {"class": policy_class, "long_only": long_only},
         "admissibility": admissibility,
-        "optimizer": {
-            "iters": optimizer.iters,
-            "step0": optimizer.step0,
-            "tail_fraction": optimizer.tail_fraction,
-        },
+        "optimizer": {"iters": optimizer.iters, "step0": optimizer.step0},
         "verify": verify_resolved,
         "duality": duality_resolved,
     }

@@ -4,8 +4,8 @@ with a change of measure under which they are martingales.
 A pair (shadow, Q) is consistent at cost level lambda when
 (1 - lambda) S <= shadow <= S holds pathwise and shadow is a Q-martingale;
 it is strict when the band holds with room to spare on both sides.  The
-measure change is carried as per-path weights dQ/dP against the panel's
-base probabilities.
+measure change is carried as per-path weights dQ/dP against the base
+probabilities of the noise panel the system was built on.
 """
 
 from __future__ import annotations
@@ -17,15 +17,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NoCpsConstructibleError
-from .scenario import ArctanDrift, BlackScholes, Model, NoisePanel, TimeGrid, _readonly, lattice_block, simulate
+from .scenario import ArctanDrift, BlackScholes, Model, NoisePanel, _readonly, lattice_block, simulate
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
 class PriceSystem:
-    """Shadow prices (paths, steps + 1), measure weights (paths,), and the
-    bandwidth margin mu_level in [0, 1) the construction aimed for.
+    """Shadow prices (paths, steps + 1) and measure weights (paths,) on the
+    noise panel they were built on, and the bandwidth margin mu_level in
+    [0, 1) the construction aimed for.
 
     Weights are normalized: their mean under the panel probabilities is 1
     within 1e-12, and every weight is strictly positive (equivalent change
@@ -34,27 +35,26 @@ class PriceSystem:
 
     shadow: Array
     weights: Array
-    probs: Array
+    noise: NoisePanel
     mu_level: float
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.shadow.ndim != 2 or self.weights.ndim != 1 or self.probs.ndim != 1:
-            raise ConfigError("shadow must be 2d, weights and probs 1d")
-        if self.shadow.shape[0] != self.weights.shape[0] or self.weights.shape != self.probs.shape:
-            raise ConfigError("shadow, weights and probs disagree on the number of paths")
+        shape = (self.noise.paths, self.noise.grid.steps + 1)
+        if self.shadow.shape != shape or self.weights.shape != shape[:1]:
+            raise ConfigError(f"shadow and weights must have shapes {shape} and {shape[:1]} on this panel")
         if np.any(self.shadow <= 0.0):
             raise ConfigError("shadow prices must be strictly positive")
         if np.any(self.weights <= 0.0):
             raise ConfigError("measure weights must be strictly positive")
-        if abs(float(np.dot(self.probs, self.weights)) - 1.0) > 1e-12:
+        if abs(float(np.dot(self.noise.probs, self.weights)) - 1.0) > 1e-12:
             raise ConfigError("measure weights must average to 1 under the panel probabilities")
         if not (0.0 <= self.mu_level < 1.0):
             raise ConfigError(f"mu_level must lie in [0, 1), got {self.mu_level}")
 
     @property
     def q_probs(self) -> Array:
-        return self.probs * self.weights
+        return self.noise.probs * self.weights
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,7 @@ def verify_band(prices: Array, ps: PriceSystem, lam: float) -> BandReport:
     return BandReport(holds=raw >= 0.0, strict=raw > 0.0, delta=max(raw, 0.0), worst=(int(m), int(i)))
 
 
-def girsanov_cps(
-    model: BlackScholes,
-    grid: TimeGrid,
-    noise: NoisePanel,
-    shrink: Optional[float] = None,
-) -> PriceSystem:
+def girsanov_cps(model: BlackScholes, noise: NoisePanel, shrink: Optional[float] = None) -> PriceSystem:
     """Price system for a geometric Brownian model by drift removal.
 
     The weights are the terminal density exp(-(mu/sigma) W_T - (mu/sigma)^2 T / 2)
@@ -104,32 +99,31 @@ def girsanov_cps(
         raise ConfigError(f"shrink must lie in (0, 1), got {shrink}")
     a = model.mu / model.sigma
     w_t = noise.increments[:, :, 0].sum(axis=1)
-    raw = np.exp(-a * w_t - 0.5 * a * a * grid.horizon)
+    raw = np.exp(-a * w_t - 0.5 * a * a * noise.grid.horizon)
     weights = raw / float(np.dot(noise.probs, raw))
-    prices = simulate(model, grid, noise)
     c = 1.0 if shrink is None else shrink
-    shadow = prices if shrink is None else c * prices
+    shadow = c * simulate(model, noise.grid, noise)
     return PriceSystem(
-        shadow=_readonly(np.asarray(shadow)),
+        shadow=_readonly(shadow),
         weights=_readonly(weights),
-        probs=noise.probs,
+        noise=noise,
         mu_level=1.0 - c,
         label=f"girsanov(mu={model.mu}, sigma={model.sigma}, shrink={shrink})",
     )
 
 
-def constant_cps(prices: Array, noise: NoisePanel, level: float, label: str = "constant") -> PriceSystem:
-    """Price system with a constant shadow price; any constant is a martingale
-    under the base measure itself (weights identically one)."""
+def constant_cps(noise: NoisePanel, level: float) -> PriceSystem:
+    """Price system with a constant shadow price on every path of the panel;
+    any constant is a martingale under the base measure itself (weights
+    identically one)."""
     if level <= 0.0:
         raise ConfigError("constant shadow level must be positive")
-    shadow = np.full_like(np.asarray(prices, float), level)
     return PriceSystem(
-        shadow=_readonly(shadow),
-        weights=_readonly(np.ones(prices.shape[0])),
-        probs=noise.probs,
+        shadow=_readonly(np.full((noise.paths, noise.grid.steps + 1), float(level))),
+        weights=_readonly(np.ones(noise.paths)),
+        noise=noise,
         mu_level=0.0,
-        label=label,
+        label="constant",
     )
 
 
@@ -152,7 +146,7 @@ def lattice_cps(prices: Array, noise: NoisePanel, shrink: Optional[float] = None
     if shrink is not None and not (0.0 < shrink < 1.0):
         raise ConfigError(f"shrink must lie in (0, 1), got {shrink}")
     c = 1.0 if shrink is None else shrink
-    shadow = prices if shrink is None else c * prices
+    shadow = c * prices
     n = noise.grid.steps
     m = noise.paths
     weights = np.ones(m)
@@ -178,9 +172,9 @@ def lattice_cps(prices: Array, noise: NoisePanel, shrink: Optional[float] = None
         raise ContractViolation("lattice weights failed to normalize")
     weights = weights / total
     return PriceSystem(
-        shadow=_readonly(shadow if shrink is not None else prices.copy()),
+        shadow=_readonly(shadow),
         weights=_readonly(weights),
-        probs=noise.probs,
+        noise=noise,
         mu_level=1.0 - c,
         label=f"lattice(shrink={shrink})",
     )
@@ -191,8 +185,8 @@ class MartingaleReport:
     """Step-by-step martingale verification of the shadow under Q.
 
     In lattice mode every node's conditional expectation must match exactly
-    (within LATTICE_TOL); in mc mode each step's weighted mean increment must sit
-    within three standard errors of zero."""
+    (within TOL); in mc mode each step's weighted mean increment must sit
+    within Z_MAX standard errors of zero."""
 
     passed: bool
     mode: str
@@ -200,22 +194,34 @@ class MartingaleReport:
     max_z: float
 
 
-# largest node drift the exact lattice checks forgive, for rounding
-LATTICE_TOL = 1e-10
+# slack every verdict forgives for rounding
+TOL = 1e-10
+# standard errors by which a Monte Carlo estimate may exceed its bound
+Z_MAX = 3.0
 
 
-def _weighted_se(values: Array, probs: Array) -> float:
-    """Standard error of the probs-weighted mean of values over the
-    n_eff = 1 / sum(probs^2) effective samples; 0 for a single one."""
-    mean = float(np.dot(probs, values))
-    var = float(np.dot(probs, (values - mean) ** 2))
-    n_eff = 1.0 / float(np.sum(probs**2))
+def standard_error(values: Array, noise: NoisePanel) -> float:
+    """Standard error of the panel-weighted mean of values (paths,): 0 on a
+    lattice panel, whose expectations are exact sums; otherwise over the
+    n_eff = 1 / sum(probs^2) samples, 0 for one and inf if a value is not finite."""
+    if noise.kind == "lattice":
+        return 0.0
+    if not np.isfinite(values).all():
+        return math.inf
+    mean = float(np.dot(noise.probs, values))
+    var = float(np.dot(noise.probs, (values - mean) ** 2))
+    n_eff = 1.0 / float(np.sum(noise.probs**2))
     if n_eff <= 1.0:
         return 0.0
     return math.sqrt(var / (n_eff - 1.0))
 
 
-def _step_drifts(values: Array, ps: PriceSystem, noise: NoisePanel) -> list:
+def within(value: float, bound: float, se: float) -> bool:
+    """The verdict value <= bound, forgiving Z_MAX standard errors and TOL."""
+    return value <= bound + Z_MAX * se + TOL
+
+
+def _step_drifts(values: Array, ps: PriceSystem) -> list:
     """Drift under Q of a value process (paths, steps + 1) over each step, in
     the mode of the panel kind.
 
@@ -223,6 +229,7 @@ def _step_drifts(values: Array, ps: PriceSystem, noise: NoisePanel) -> list:
     node; in mc mode it gives the weighted mean increment E_P[w (X_{i+1} - X_i)]
     together with its standard error.
     """
+    noise = ps.noise
     drifts: list = []
     if noise.kind == "lattice":
         qp = ps.q_probs
@@ -234,7 +241,7 @@ def _step_drifts(values: Array, ps: PriceSystem, noise: NoisePanel) -> list:
     else:
         for i in range(values.shape[1] - 1):
             inc = ps.weights * (values[:, i + 1] - values[:, i])
-            drifts.append((float(np.dot(ps.probs, inc)), _weighted_se(inc, ps.probs)))
+            drifts.append((float(np.dot(noise.probs, inc)), standard_error(inc, noise)))
     return drifts
 
 
@@ -243,20 +250,20 @@ def _z(rise: float, se: float) -> float:
     return rise / se if se > 0.0 else (0.0 if rise == 0.0 else math.inf)
 
 
-def verify_martingale(ps: PriceSystem, noise: NoisePanel) -> MartingaleReport:
-    drifts = _step_drifts(ps.shadow, ps, noise)
-    if noise.kind == "lattice":
+def verify_martingale(ps: PriceSystem) -> MartingaleReport:
+    drifts = _step_drifts(ps.shadow, ps)
+    if ps.noise.kind == "lattice":
         defect = max([0.0] + [float(np.max(np.abs(d))) for d in drifts])
-        return MartingaleReport(passed=defect <= LATTICE_TOL, mode=noise.kind, max_defect=defect, max_z=0.0)
+        return MartingaleReport(passed=defect <= TOL, mode=ps.noise.kind, max_defect=defect, max_z=0.0)
     max_z = max([0.0] + [_z(abs(mean), se) for mean, se in drifts])
-    return MartingaleReport(passed=max_z <= 3.0, mode=noise.kind, max_defect=float("nan"), max_z=max_z)
+    return MartingaleReport(passed=max_z <= Z_MAX, mode=ps.noise.kind, max_defect=float("nan"), max_z=max_z)
 
 
 @dataclass(frozen=True)
 class SupermartingaleReport:
     """Supermartingale verification of a value process under Q: conditional
     means may only decrease.  Lattice mode checks every node exactly; mc mode
-    allows each step's increase up to three standard errors."""
+    allows each step's increase up to Z_MAX standard errors."""
 
     passed: bool
     mode: str
@@ -264,28 +271,28 @@ class SupermartingaleReport:
     max_z: float
 
 
-def supermartingale_check(values: Array, ps: PriceSystem, noise: NoisePanel) -> SupermartingaleReport:
+def supermartingale_check(values: Array, ps: PriceSystem) -> SupermartingaleReport:
     values = np.asarray(values, float)
     if values.shape != ps.shadow.shape:
         raise ConfigError("value process must match the shadow array shape")
-    drifts = _step_drifts(values, ps, noise)
-    if noise.kind == "lattice":
+    drifts = _step_drifts(values, ps)
+    if ps.noise.kind == "lattice":
         for i in range(values.shape[1] - 1):
-            spread = values[:, i].reshape(-1, lattice_block(noise, i))
+            spread = values[:, i].reshape(-1, lattice_block(ps.noise, i))
             if float(np.max(spread.max(axis=1) - spread.min(axis=1))) > 1e-9:
                 raise ContractViolation("value process is not adapted to the lattice filtration")
         worst = max([-math.inf] + [float(np.max(d)) for d in drifts])
-        return SupermartingaleReport(passed=worst <= LATTICE_TOL, mode=noise.kind, max_rise=worst, max_z=0.0)
+        return SupermartingaleReport(passed=worst <= TOL, mode=ps.noise.kind, max_rise=worst, max_z=0.0)
     worst = max([-math.inf] + [mean for mean, _ in drifts])
     max_z = max([0.0] + [_z(max(0.0, mean), se) for mean, se in drifts])
-    return SupermartingaleReport(passed=max_z <= 3.0, mode=noise.kind, max_rise=worst, max_z=max_z)
+    return SupermartingaleReport(passed=max_z <= Z_MAX, mode=ps.noise.kind, max_rise=worst, max_z=max_z)
 
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Generalized-entropy membership: estimate of E[V(dQ/dP)] with standard
-    error, plus a finiteness heuristic (no single path carries half the mass
-    of the estimate)."""
+    """Generalized-entropy membership: estimate of E[V(dQ/dP)] with its
+    standard error (see standard_error), plus a finiteness heuristic (no
+    single path carries half the mass of the estimate)."""
 
     estimate: float
     se: float
@@ -295,11 +302,11 @@ class EntropyReport:
 
 def entropy_membership(ps: PriceSystem, vconj: Callable[[Array], Array]) -> EntropyReport:
     vals = np.asarray(vconj(ps.weights), float)
+    se = standard_error(vals, ps.noise)
     if not np.all(np.isfinite(vals)):
-        return EntropyReport(estimate=math.inf, se=math.inf, finite=False, max_share=1.0)
-    est = float(np.dot(ps.probs, vals))
-    se = _weighted_se(vals, ps.probs)
-    mass = ps.probs * np.abs(vals)
+        return EntropyReport(estimate=math.inf, se=se, finite=False, max_share=1.0)
+    est = float(np.dot(ps.noise.probs, vals))
+    mass = ps.noise.probs * np.abs(vals)
     total = float(mass.sum())
     share = float(mass.max() / total) if total > 0.0 else 0.0
     return EntropyReport(estimate=est, se=se, finite=share < 0.5, max_share=share)
@@ -308,7 +315,7 @@ def entropy_membership(ps: PriceSystem, vconj: Callable[[Array], Array]) -> Entr
 @dataclass(frozen=True)
 class PolarityReport:
     """One-sided polarity bound E_P[X y w] <= x0 y for payoffs X reachable
-    from x0 and deflators y w built from a price system."""
+    from x0 and deflators y w built from a price system, judged by within."""
 
     lhs: float
     bound: float
@@ -318,10 +325,10 @@ class PolarityReport:
 
 def polarity_gap(terminal: Array, ps: PriceSystem, x0: float, y: float) -> PolarityReport:
     vals = np.asarray(terminal, float) * ps.weights * y
-    lhs = float(np.dot(ps.probs, vals))
-    se = _weighted_se(vals, ps.probs)
+    lhs = float(np.dot(ps.noise.probs, vals))
+    se = standard_error(vals, ps.noise)
     bound = x0 * y
-    return PolarityReport(lhs=lhs, bound=bound, se=se, satisfied=lhs <= bound + 3.0 * se)
+    return PolarityReport(lhs=lhs, bound=bound, se=se, satisfied=within(lhs, bound, se))
 
 
 @dataclass(frozen=True)
@@ -365,4 +372,20 @@ def cps_certificate(model: Model, lam: float) -> Optional[CpsCertificate]:
                 shadow_level=0.75,
             )
         return None
+    return None
+
+
+def registered_cps(
+    model: Model, prices: Array, noise: NoisePanel, lam: float, shrink: Optional[float] = None
+) -> Optional[PriceSystem]:
+    """A model's registered price system on its panel, or None: the node
+    construction on lattices, drift removal for BlackScholes with sigma > 0,
+    else the constant shadow where cps_certificate says a system exists."""
+    if noise.kind == "lattice":
+        return lattice_cps(prices, noise, shrink)
+    if isinstance(model, BlackScholes) and model.sigma > 0.0:
+        return girsanov_cps(model, noise, shrink)
+    cert = cps_certificate(model, lam)
+    if cert is not None and cert.exists:
+        return constant_cps(noise, cert.shadow_level)
     return None

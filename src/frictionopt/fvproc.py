@@ -190,20 +190,15 @@ class Strategy:
     h0 is the signed block trade at time zero; d_up and d_dn hold the
     nonnegative jumps of the cumulative-buy and cumulative-sell paths, with
     shape (paths, steps + 1) and a zero first column (the time-zero trade is
-    carried by h0 alone).  policy_tag records which policy class produced the
-    strategy ("deterministic" schedules repeat one schedule on every path,
-    "lattice" policies may branch on the noise prefix).
+    carried by h0 alone).
     """
 
     grid: TimeGrid
     h0: float
     d_up: np.ndarray
     d_dn: np.ndarray
-    policy_tag: str = "deterministic"
 
     def __post_init__(self) -> None:
-        if self.policy_tag not in ("deterministic", "lattice"):
-            raise ConfigError(f"unknown policy tag {self.policy_tag!r}")
         for name, arr in (("d_up", self.d_up), ("d_dn", self.d_dn)):
             a = np.asarray(arr, float)
             if a.ndim != 2 or a.shape[1] != self.grid.steps + 1:
@@ -234,9 +229,9 @@ class Strategy:
         return MonotonePath(self.grid, self.d_dn[path])
 
     @classmethod
-    def zero(cls, grid: TimeGrid, paths: int, policy_tag: str = "deterministic") -> "Strategy":
+    def zero(cls, grid: TimeGrid, paths: int) -> "Strategy":
         z = np.zeros((paths, grid.steps + 1))
-        return cls(grid, 0.0, z, z.copy(), policy_tag)
+        return cls(grid, 0.0, z, z.copy())
 
 
 def position_recursion(h0: float, d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:

@@ -27,12 +27,13 @@ from .cps import (
     entropy_membership,
     girsanov_cps,
     lattice_cps,
+    registered_cps,
     verify_band,
     verify_martingale,
 )
 from .errors import NoCpsConstructibleError
 from .fvproc import Strategy
-from .scenario import ArctanDrift, BlackScholes, TimeGrid, gaussian_panel, simulate, simulate_panel
+from .scenario import ArctanDrift, TimeGrid, gaussian_panel, simulate, simulate_panel
 from .solver import default_price_systems, duality_report, solve
 from .utility import conjugate, log_utility, vector_conjugate
 
@@ -148,30 +149,23 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 
 def _build_price_system(cfg: RunConfig, panel, noise) -> PriceSystem:
+    """The configured construction for model verify.theta_index; auto takes
+    the model's registered system (cps.registered_cps), as duality does."""
     k = cfg.verify["theta_index"]
     model = cfg.thetas.models[k]
     prices = panel.prices[k]
     construction = cfg.verify["construction"]
     shrink = cfg.verify["shrink"]
     if construction == "auto":
-        if noise.kind == "lattice":
-            construction = "lattice"
-        elif isinstance(model, BlackScholes):
-            construction = "girsanov"
-        else:
-            cert = cps_certificate(model, cfg.cost.lam)
-            if cert is not None and cert.exists:
-                construction = "constant"
-            else:
-                raise NoCpsConstructibleError(f"no automatic construction for theta {k} on this panel")
+        ps = registered_cps(model, prices, noise, cfg.cost.lam, shrink)
+        if ps is None:
+            raise NoCpsConstructibleError(f"no automatic construction for theta {k} on this panel")
+        return ps
     if construction == "lattice":
         return lattice_cps(prices, noise, shrink)
     if construction == "girsanov":
-        return girsanov_cps(model, cfg.grid, noise, shrink)
-    level = cfg.verify["level"]
-    if level is None:
-        level = 0.75
-    return constant_cps(prices, noise, level)
+        return girsanov_cps(model, noise, shrink)
+    return constant_cps(noise, cfg.verify["level"])
 
 
 def cmd_verify_cps(cfg: RunConfig, out: Optional[str] = None) -> int:
@@ -198,7 +192,7 @@ def cmd_verify_cps(cfg: RunConfig, out: Optional[str] = None) -> int:
             code = 3
         else:
             band = verify_band(panel.prices[k], ps, cfg.cost.lam)
-            mart = verify_martingale(ps, noise)
+            mart = verify_martingale(ps)
             entropy = entropy_membership(ps, lambda w: vector_conjugate(cfg.utility, w))
             result.update(
                 {
@@ -314,7 +308,7 @@ def cmd_selftest(out: Optional[str] = None) -> int:
     checks = {
         "arctan prices stay in (0.75, 2.25)": prices.min() > 0.75 and prices.max() < 2.25,
         "a price system exists at lambda 0.7": cert is not None and cert.exists,
-        "the constant shadow lies in the band": verify_band(prices, constant_cps(prices, noise, 0.75), 2.0 / 3.0).holds,
+        "the constant shadow lies in the band": verify_band(prices, constant_cps(noise, 0.75), 2.0 / 3.0).holds,
         "log conjugate at 2": abs(conjugate(log_utility(), 2.0) - (-np.log(2.0) - 1.0)) < 1e-8,
         "the zero strategy is admissible": check_admissible_rplus(ledger).admissible,
         "the zero strategy keeps its cash": float(np.max(np.abs(ledger.liq - 1.0))) == 0.0,

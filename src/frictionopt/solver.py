@@ -23,21 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accounting import CostSpec, run_ledger, shadow_ledger
-from .cps import (
-    PriceSystem,
-    _weighted_se,
-    constant_cps,
-    cps_certificate,
-    girsanov_cps,
-    lattice_cps,
-    polarity_gap,
-    supermartingale_check,
-)
+from .cps import PriceSystem, polarity_gap, registered_cps, standard_error, supermartingale_check, within
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from .fvproc import Strategy, position_recursion
 from .scenario import (
-    ArctanDrift,
-    BlackScholes,
     NoisePanel,
     ScenarioPanel,
     ThetaGrid,
@@ -48,6 +37,10 @@ from .scenario import (
 from .utility import UtilitySpec, growth_ok, scaled_value, vector_conjugate
 
 ARGMIN_TIE_TOL = 1e-12
+# halvings of a rejected (infeasible) step before the iterate stays put
+MAX_HALVINGS = 40
+# share of the trajectory's last iterates averaged into the smoothed candidate
+TAIL_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -123,10 +116,8 @@ class PolicyCodec:
         self.paths = noise.paths
         self.steps = problem.grid.steps
         if problem.policy_class == "deterministic-schedule":
-            self.tag = "deterministic"
             blocks = [self.paths] * max(self.steps - 1, 0)
         else:
-            self.tag = "lattice"
             blocks = [lattice_block(noise, i) for i in range(1, self.steps)]
         self.nodes_per_step = [self.paths // b for b in blocks]
         self.n_side = int(sum(self.nodes_per_step))
@@ -175,7 +166,7 @@ class PolicyCodec:
         pos = position_recursion(h0, d_up, d_dn)[:, -2]
         np.maximum(pos, 0.0, out=d_dn[:, -1])
         np.maximum(-pos, 0.0, out=d_up[:, -1])
-        return Strategy(self.problem.grid, h0, d_up, d_dn, self.tag)
+        return Strategy(self.problem.grid, h0, d_up, d_dn)
 
 
 @dataclass(frozen=True)
@@ -246,15 +237,13 @@ class OptimizerSettings:
     """Projected supergradient ascent controls.
 
     Steps follow step0 / sqrt(k) along the normalized supergradient; rejected
-    (infeasible) steps are halved up to max_halvings times before the iterate
-    stays put.  The tail fraction of iterates is averaged into a smoothed
+    (infeasible) steps are halved up to MAX_HALVINGS times before the iterate
+    stays put.  The last TAIL_FRACTION of iterates is averaged into a smoothed
     candidate, mirroring the convex-combination convergence device.
     """
 
     iters: int = 150
     step0: float = 0.25
-    max_halvings: int = 40
-    tail_fraction: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -367,7 +356,7 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
         cand = codec.project(cur + step * g / norm)
         cand_res = evaluate(cand)
         halvings = 0
-        while not cand_res.feasible and halvings < settings.max_halvings:
+        while not cand_res.feasible and halvings < MAX_HALVINGS:
             step *= 0.5
             cand = codec.project(cur + step * g / norm)
             cand_res = evaluate(cand)
@@ -381,7 +370,7 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
         history.append((k, cur_res.robust_value, cur_res.argmin_theta, step))
         if cur_res.robust_value > best_res.robust_value:
             best_vec, best_res = cur, cur_res
-    start = int(len(iterates) * (1.0 - settings.tail_fraction))
+    start = int(len(iterates) * (1.0 - TAIL_FRACTION))
     start = min(max(start, 0), len(iterates) - 1)
     avg_vec = codec.project(np.mean(np.stack(iterates[start:]), axis=0))
     avg_res = objective(problem, avg_vec, codec)
@@ -494,22 +483,13 @@ def brute_force(
 
 
 def default_price_systems(problem: RobustProblem, shrink: Optional[float] = None) -> list[tuple[int, PriceSystem]]:
-    """One registered price system per model where a construction is known:
-    the exact node construction on lattice panels, drift removal for geometric
-    Brownian models on Gaussian panels, the constant shadow for the arctan
-    family at high cost levels."""
-    out: list[tuple[int, PriceSystem]] = []
-    for k, model in enumerate(problem.thetas.models):
-        prices = problem.panel.prices[k]
-        if problem.noise.kind == "lattice":
-            out.append((k, lattice_cps(prices, problem.noise, shrink)))
-        elif isinstance(model, BlackScholes) and model.sigma > 0.0:
-            out.append((k, girsanov_cps(model, problem.grid, problem.noise, shrink)))
-        elif isinstance(model, ArctanDrift):
-            cert = cps_certificate(model, problem.cost.lam)
-            if cert is not None and cert.exists:
-                out.append((k, constant_cps(prices, problem.noise, cert.shadow_level)))
-    return out
+    """(model index, price system) for every model of the family that has a
+    registered system on the problem's panel (cps.registered_cps)."""
+    systems = (
+        registered_cps(model, problem.panel.prices[k], problem.noise, problem.cost.lam, shrink)
+        for k, model in enumerate(problem.thetas.models)
+    )
+    return [(k, ps) for k, ps in enumerate(systems) if ps is not None]
 
 
 @dataclass(frozen=True)
@@ -551,9 +531,6 @@ class DualityReport:
     all_ok: bool
 
 
-FLOAT_SLACK = 1e-10
-
-
 def duality_report(
     problem: RobustProblem,
     report: SolveReport,
@@ -564,16 +541,16 @@ def duality_report(
     """Diagnostics relating the solved primal value to dual quantities.
 
     For each registered price system and dual level y, the primal value per
-    model must stay below E[V(y w)] + x0 y within three standard errors (zero
-    on lattice panels, where the inequality is exact); the terminal payoff
-    must satisfy the polarity bound E[X y w] <= x0 y; and the utility must
-    grow sublinearly (utility.growth_ok).  For information, the values at
+    model must stay below E[V(y w)] + x0 y and the terminal payoff must
+    satisfy the polarity bound E[X y w] <= x0 y, both judged by cps.within
+    (exact on lattice panels; a row where V is infinite has an infinite
+    bound and holds); and the utility must grow sublinearly
+    (utility.growth_ok).  For information, the values at
     scaled endowments k x0 come from the exact identities of
     utility.scaled_value, with value / (k x0) as ratio: None where the
     utility has no identity, ratio None at zero wealth.
     """
-    probs = problem.noise.probs
-    mc = problem.noise.kind == "mc"
+    noise = problem.noise
     ledger = run_ledger(report.strategy, problem.panel.prices, problem.cost)
     terminal = ledger.terminal_liq()
     rows = []
@@ -582,23 +559,19 @@ def duality_report(
     x0 = problem.cost.x0
     for k, ps in price_systems:
         model_ledger = replace(ledger, prices=ledger.prices[k], cash=ledger.cash[k], liq=ledger.liq[k])
-        sm = supermartingale_check(shadow_ledger(model_ledger, ps.shadow).shadow, ps, problem.noise)
+        sm = supermartingale_check(shadow_ledger(model_ledger, ps.shadow).shadow, ps)
         sm_ok = sm_ok and sm.passed
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_se = _weighted_se(problem.utility(terminal[k]), probs) if mc else 0.0
+            u_se = standard_error(problem.utility(terminal[k]), noise)
+        u_hat = float(report.per_theta[k])
         for y in ys:
             vvals = vector_conjugate(problem.utility, y * ps.weights)
-            v_hat = float(np.dot(probs, vvals))
-            se = math.hypot(u_se, _weighted_se(vvals, probs) if mc else 0.0)
-            u_hat = float(report.per_theta[k])
+            v_hat = float(np.dot(noise.probs, vvals))
+            se = math.hypot(u_se, standard_error(vvals, noise))
             bound = v_hat + x0 * y
-            rows.append(
-                DualityRow(k, float(y), u_hat, v_hat, bound, se, u_hat <= bound + 3.0 * se + FLOAT_SLACK)
-            )
+            rows.append(DualityRow(k, float(y), u_hat, v_hat, bound, se, within(u_hat, bound, se)))
             pg = polarity_gap(terminal[k], ps, x0, float(y))
-            pol.append(
-                PolarityRow(k, float(y), pg.lhs, pg.bound, pg.se, pg.lhs <= pg.bound + 3.0 * pg.se + FLOAT_SLACK)
-            )
+            pol.append(PolarityRow(k, float(y), pg.lhs, pg.bound, pg.se, pg.satisfied))
     inada_rows = []
     for s in inada_scales:
         val = scaled_value(problem.utility, report.best_value, x0, s)

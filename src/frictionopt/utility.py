@@ -116,6 +116,9 @@ def table_utility(xs: Sequence[float], us: Sequence[float]) -> UtilitySpec:
 
     Knots must be strictly increasing in x with concave nondecreasing values.
     The domain is "real" when the knots cross zero, otherwise "positive".
+    The conjugate is exact: V(y) = max_j (u_j - x_j y), on the positive axis
+    also over the x -> 0+ end value u_0 - s_0 x_0 (a knot at 0); it is +inf
+    for y below the last slope and, on the whole line, above the first.
     """
     x = np.asarray(xs, float)
     u = np.asarray(us, float)
@@ -151,7 +154,19 @@ def table_utility(xs: Sequence[float], us: Sequence[float]) -> UtilitySpec:
             out = np.where(q > 0.0, out, np.inf)
         return out
 
-    return UtilitySpec("custom-table", domain, fn, {"x": x.tolist(), "u": u.tolist()}, derivative=deriv)
+    heights, abscissae = u, x
+    if domain == "positive":
+        heights, abscissae = np.append(u, u[0] - slopes[0] * x[0]), np.append(x, 0.0)
+
+    def conj(y: Array) -> Array:
+        out = np.max(heights - abscissae * y[..., None], axis=-1)
+        unbounded = y < slopes[-1]
+        if domain == "real":
+            unbounded |= y > slopes[0]
+        return np.where(unbounded, np.inf, out)
+
+    params = {"x": x.tolist(), "u": u.tolist()}
+    return UtilitySpec("custom-table", domain, fn, params, analytic_conjugate=conj, derivative=deriv)
 
 
 def scaled_value(u: UtilitySpec, value: float, x0: float, k: float) -> Optional[float]:
@@ -268,16 +283,13 @@ def build_conjugate_table(u: UtilitySpec, ys: Sequence[float], tol: float = 1e-1
 
 def vector_conjugate(u: UtilitySpec, points: Array) -> Array:
     """V on an array of points: closed form when the utility carries one,
-    otherwise a dense interpolated table of the numerical conjugate."""
+    otherwise the scalar search at each point."""
     pts = np.asarray(points, float)
     if np.any(pts <= 0.0):
         raise ConjugateUnboundedError("vectorized conjugate needs strictly positive points")
     if u.analytic_conjugate is not None:
         return np.asarray(u.analytic_conjugate(pts), float)
-    lo, hi = float(pts.min()), float(pts.max())
-    grid = np.geomspace(lo * 0.999, hi * 1.001, 512)
-    table = np.asarray([conjugate(u, float(t)) for t in grid])
-    return np.interp(np.log(pts), np.log(grid), table)
+    return np.asarray([conjugate(u, float(t)) for t in pts.ravel()]).reshape(pts.shape)
 
 
 def orlicz_conjugate(phi: Callable[[Array], Array], y: float, tol: float = 1e-10) -> float:
@@ -328,7 +340,7 @@ def _left_derivative_at_zero(u: UtilitySpec, tol: float = 1e-9) -> float:
     return prev
 
 
-def young_pair(u: UtilitySpec, conj_tol: float = 1e-10) -> YoungPair:
+def young_pair(u: UtilitySpec) -> YoungPair:
     """Build the complementary Young pair of a whole-line utility."""
     report = check_assumptions(u)
     if not report.passed:
@@ -336,14 +348,14 @@ def young_pair(u: UtilitySpec, conj_tol: float = 1e-10) -> YoungPair:
     beta = _left_derivative_at_zero(u)
     if not (beta > 0.0 and math.isfinite(beta)):
         raise AssumptionViolationError(f"left derivative at zero must be positive, got {beta}")
-    v_beta = conjugate(u, beta, conj_tol)
+    v_beta = conjugate(u, beta)
 
     def phi(y: Array) -> Array:
         y = np.asarray(y, float)
         out = np.zeros_like(y)
         above = y > beta
         if np.any(above):
-            vals = np.asarray([conjugate(u, float(t), conj_tol) - v_beta for t in y[above]])
+            vals = np.asarray([conjugate(u, float(t)) - v_beta for t in y[above]])
             out[above] = np.maximum(vals, 0.0)
         return out
 
@@ -392,11 +404,11 @@ def delta2_ratio(phi: Callable[[Array], Array], grid: Optional[np.ndarray] = Non
     return Delta2Report(ratio_estimate=top_max, finite=finite, grid_max=float(x[-1]))
 
 
-def luxemburg_norm(sample: Array, phi: Callable[[Array], Array], rel_tol: float = 1e-12) -> float:
+def luxemburg_norm(sample: Array, phi: Callable[[Array], Array]) -> float:
     """Luxemburg gauge inf{g > 0 : mean phi(|X| / g) <= 1} of an empirical sample.
 
-    Brackets by doubling and bisects to the requested relative width; the
-    all-zero sample has norm zero by convention.
+    Brackets by doubling and bisects to relative width 1e-12; the all-zero
+    sample has norm zero by convention.
     """
     x = np.abs(np.asarray(sample, float))
     if x.size == 0:
@@ -428,7 +440,7 @@ def luxemburg_norm(sample: Array, phi: Callable[[Array], Array], rel_tol: float 
         return 0.0
     # invariant: mean_phi(lo) <= 1 < mean_phi(lo / 2)
     a, b = lo / 2.0, lo
-    while (b - a) > rel_tol * b:
+    while (b - a) > 1e-12 * b:
         mid = 0.5 * (a + b)
         if mean_phi(mid) <= 1.0:
             b = mid

@@ -74,7 +74,7 @@ def test_criterion_01_arctan_cps_thresholds():
     prices = simulate(ArctanDrift(), grid, noise)
 
     lam_high = 2.0 / 3.0
-    ps = constant_cps(prices, noise, 0.75)
+    ps = constant_cps(noise, 0.75)
     band = verify_band(prices, ps, lam_high)
     assert band.holds
     assert band.delta >= 0.0
@@ -256,7 +256,7 @@ def test_criterion_07_supermartingale_and_polarity():
         for k, ps in default_price_systems(problem):
             ledger = run_ledger(rep.strategy, problem.panel.prices[k], problem.cost)
             sh = shadow_ledger(ledger, ps.shadow)
-            sm = supermartingale_check(sh.shadow, ps, noise)
+            sm = supermartingale_check(sh.shadow, ps)
             assert sm.mode == "lattice"
             assert sm.passed, (mus, k, sm.max_rise)
             for y in (0.5, 1.0, 2.0):
@@ -274,9 +274,9 @@ def test_criterion_07_supermartingale_and_polarity():
     mc = RobustProblem(CostSpec(0.01, 1.0), ThetaGrid((model,)), log_utility(), grid, mc_noise)
     strat = PolicyCodec(mc).decode(rep.best_params)
     ledger = run_ledger(strat, mc.panel.prices[0], mc.cost)
-    ps = girsanov_cps(model, grid, mc_noise)
+    ps = girsanov_cps(model, mc_noise)
     sh = shadow_ledger(ledger, ps.shadow)
-    sm = supermartingale_check(sh.shadow, ps, mc_noise)
+    sm = supermartingale_check(sh.shadow, ps)
     assert sm.mode == "mc"
     assert sm.passed, sm.max_z
     pg = polarity_gap(ledger.terminal_liq(), ps, mc.cost.x0, 1.0)

@@ -38,35 +38,46 @@ def lattice_fixture(steps=6, mu=0.1, sigma=0.2):
     return g, noise, prices
 
 
+def two_path_panel():
+    """Two equally weighted paths over two steps."""
+    return gaussian_panel(TimeGrid(1.0, 2), 2, 1, seed=0)
+
+
 class TestPriceSystem:
     def test_q_probs(self):
-        probs = np.asarray([0.5, 0.5])
-        ps = PriceSystem(np.ones((2, 3)), np.asarray([0.5, 1.5]), probs, 0.0)
+        ps = PriceSystem(np.ones((2, 3)), np.asarray([0.5, 1.5]), two_path_panel(), 0.0)
         np.testing.assert_array_equal(ps.q_probs, [0.25, 0.75])
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ConfigError):
-            PriceSystem(np.ones((2, 3)), np.asarray([0.0, 2.0]), np.asarray([0.5, 0.5]), 0.0)
+            PriceSystem(np.ones((2, 3)), np.asarray([0.0, 2.0]), two_path_panel(), 0.0)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ConfigError):
-            PriceSystem(np.ones((2, 3)), np.asarray([1.0, 1.5]), np.asarray([0.5, 0.5]), 0.0)
+            PriceSystem(np.ones((2, 3)), np.asarray([1.0, 1.5]), two_path_panel(), 0.0)
 
     def test_rejects_nonpositive_shadow(self):
         shadow = np.ones((2, 3))
         shadow[1, 2] = 0.0
         with pytest.raises(ConfigError):
-            PriceSystem(shadow, np.ones(2), np.asarray([0.5, 0.5]), 0.0)
+            PriceSystem(shadow, np.ones(2), two_path_panel(), 0.0)
 
     def test_rejects_bad_mu_level(self):
         with pytest.raises(ConfigError):
-            PriceSystem(np.ones((2, 3)), np.ones(2), np.asarray([0.5, 0.5]), 1.0)
+            PriceSystem(np.ones((2, 3)), np.ones(2), two_path_panel(), 1.0)
+
+    def test_rejects_a_panel_with_another_path_count(self):
+        g = TimeGrid(1.0, 2)
+        with pytest.raises(ConfigError, match="on this panel"):
+            PriceSystem(np.ones((2, 3)), np.ones(2), gaussian_panel(g, 3, 1, seed=0), 0.0)
+        with pytest.raises(ConfigError, match="on this panel"):
+            PriceSystem(np.ones((4, 3)), np.ones(4), lattice_panel(TimeGrid(1.0, 3), 1), 0.0)
 
 
 class TestVerifyBand:
     def test_constant_shadow_inside_arctan_band(self):
         g, noise, prices = arctan_fixture()
-        ps = constant_cps(prices, noise, 0.75)
+        ps = constant_cps(noise, 0.75)
         rep = verify_band(prices, ps, 2.0 / 3.0)
         assert rep.holds
         assert rep.strict
@@ -85,7 +96,7 @@ class TestVerifyBand:
         noise = gaussian_panel(g, 4, 1, seed=0)
         prices = np.ones((4, 3))
         prices[2, 1] = 0.25  # shadow 1 sits far above this ask
-        ps = constant_cps(prices, noise, 1.0)
+        ps = constant_cps(noise, 1.0)
         rep = verify_band(prices, ps, 0.5)
         assert not rep.holds
         assert rep.worst == (2, 1)
@@ -114,21 +125,21 @@ class TestGirsanovCps:
     def test_weights_are_renormalized_exactly(self):
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 500, 1, seed=3)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), g, noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise)
         assert float(np.dot(noise.probs, ps.weights)) == pytest.approx(1.0, abs=1e-14)
 
     def test_shadow_is_martingale_in_mc_mode(self):
         g = TimeGrid(1.0, 8)
         noise = gaussian_panel(g, 4000, 1, seed=5)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), g, noise)
-        rep = verify_martingale(ps, noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise)
+        rep = verify_martingale(ps)
         assert rep.mode == "mc"
         assert rep.passed
 
     def test_shrink_buys_strict_band_slack(self):
         g = TimeGrid(1.0, 6)
         noise = gaussian_panel(g, 100, 1, seed=1)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), g, noise, shrink=0.95)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise, shrink=0.95)
         assert ps.mu_level == pytest.approx(0.05)
         prices = simulate(BlackScholes(0.1, 0.2), g, noise)
         rep = verify_band(prices, ps, 0.1)
@@ -138,18 +149,18 @@ class TestGirsanovCps:
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 10, 1, seed=0)
         with pytest.raises(NoCpsConstructibleError):
-            girsanov_cps(BlackScholes(0.1, 0.0), g, noise)
+            girsanov_cps(BlackScholes(0.1, 0.0), noise)
         with pytest.raises(NoCpsConstructibleError):
-            girsanov_cps(ArctanDrift(), g, noise)
+            girsanov_cps(ArctanDrift(), noise)
         with pytest.raises(ConfigError):
-            girsanov_cps(BlackScholes(0.1, 0.2), g, noise, shrink=1.5)
+            girsanov_cps(BlackScholes(0.1, 0.2), noise, shrink=1.5)
 
 
 class TestLatticeCps:
     def test_exact_martingale_node_by_node(self):
         g, noise, prices = lattice_fixture()
         ps = lattice_cps(prices, noise)
-        rep = verify_martingale(ps, noise)
+        rep = verify_martingale(ps)
         assert rep.mode == "lattice"
         assert rep.passed
         assert rep.max_defect <= 1e-12
@@ -159,7 +170,7 @@ class TestLatticeCps:
         ps = lattice_cps(prices, noise, shrink=0.97)
         assert ps.mu_level == pytest.approx(0.03)
         np.testing.assert_array_equal(ps.shadow, 0.97 * prices)
-        assert verify_martingale(ps, noise).max_defect <= 1e-12
+        assert verify_martingale(ps).max_defect <= 1e-12
 
     def test_weights_form_a_probability(self):
         g, noise, prices = lattice_fixture()
@@ -188,8 +199,8 @@ class TestMartingaleRejection:
     def test_lattice_mode_rejects_a_drifting_shadow(self):
         mu, sigma = 0.1, 0.2
         g, noise, prices = lattice_fixture(steps=4, mu=mu, sigma=sigma)
-        ps = PriceSystem(prices, np.ones(noise.paths), noise.probs, 0.0)
-        rep = verify_martingale(ps, noise)
+        ps = PriceSystem(prices, np.ones(noise.paths), noise, 0.0)
+        rep = verify_martingale(ps)
         assert rep.mode == "lattice"
         assert not rep.passed
         # one step from a node at S multiplies by exp((mu - sigma^2/2) dt) and
@@ -202,8 +213,8 @@ class TestMartingaleRejection:
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 2000, 1, seed=4)
         prices = simulate(BlackScholes(2.0, 0.2), g, noise)
-        ps = PriceSystem(prices, np.ones(noise.paths), noise.probs, 0.0)
-        rep = verify_martingale(ps, noise)
+        ps = PriceSystem(prices, np.ones(noise.paths), noise, 0.0)
+        rep = verify_martingale(ps)
         assert rep.mode == "mc"
         assert not rep.passed
         inc = np.diff(prices, axis=1)
@@ -216,7 +227,7 @@ class TestSupermartingale:
     def test_martingale_passes_exactly(self):
         g, noise, prices = lattice_fixture()
         ps = lattice_cps(prices, noise)
-        rep = supermartingale_check(ps.shadow, ps, noise)
+        rep = supermartingale_check(ps.shadow, ps)
         assert rep.passed
         assert abs(rep.max_rise) <= 1e-12
 
@@ -224,7 +235,7 @@ class TestSupermartingale:
         g, noise, prices = lattice_fixture(steps=3)
         ps = lattice_cps(prices, noise)
         values = np.tile(-noise.grid.times, (noise.paths, 1))
-        rep = supermartingale_check(values, ps, noise)
+        rep = supermartingale_check(values, ps)
         assert rep.passed
         assert rep.max_rise == pytest.approx(-g.dt)
 
@@ -232,7 +243,7 @@ class TestSupermartingale:
         g, noise, prices = lattice_fixture(steps=3)
         ps = lattice_cps(prices, noise)
         values = np.tile(noise.grid.times, (noise.paths, 1))
-        rep = supermartingale_check(values, ps, noise)
+        rep = supermartingale_check(values, ps)
         assert not rep.passed
         assert rep.max_rise == pytest.approx(g.dt)
 
@@ -242,15 +253,15 @@ class TestSupermartingale:
         values = np.zeros_like(prices)
         values[:, 0] = np.arange(noise.paths)  # varies inside the root node
         with pytest.raises(ContractViolation):
-            supermartingale_check(values, ps, noise)
+            supermartingale_check(values, ps)
 
     def test_mc_mode_flags_deterministic_drift_up(self):
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 50, 1, seed=2)
         prices = simulate(BlackScholes(0.1, 0.2), g, noise)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), g, noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise)
         values = np.tile(noise.grid.times, (noise.paths, 1))
-        rep = supermartingale_check(values, ps, noise)
+        rep = supermartingale_check(values, ps)
         assert rep.mode == "mc"
         assert not rep.passed
 
@@ -260,7 +271,7 @@ class TestEntropy:
         # E[-ln Z - 1] = (mu/sigma)^2 T / 2 - 1 for the drift-removal density
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 20000, 1, seed=11)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), g, noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise)
         rep = entropy_membership(ps, lambda w: -np.log(w) - 1.0)
         assert rep.finite
         assert abs(rep.estimate - (-0.875)) <= 3.0 * rep.se
@@ -271,6 +282,13 @@ class TestEntropy:
         rep = entropy_membership(ps, lambda w: np.full_like(w, np.inf))
         assert not rep.finite
         assert rep.estimate == math.inf
+
+    def test_lattice_estimate_is_exact(self):
+        g, noise, prices = lattice_fixture(steps=3)
+        ps = lattice_cps(prices, noise)
+        rep = entropy_membership(ps, lambda w: -np.log(w) - 1.0)
+        assert rep.se == 0.0
+        assert rep.estimate == pytest.approx(float(np.dot(noise.probs, -np.log(ps.weights) - 1.0)), rel=1e-15)
 
 
 class TestPolarity:
@@ -283,11 +301,22 @@ class TestPolarity:
         assert rep.satisfied
         assert rep.lhs == pytest.approx(rep.bound, rel=1e-12)
 
+    def test_lattice_payoff_five_percent_above_the_bound_is_flagged(self):
+        # the lattice expectation is exact, so no standard error forgives a
+        # payoff worth 5% more than x0 under Q
+        g, noise, prices = lattice_fixture(steps=4)
+        ps = lattice_cps(prices, noise)
+        x0, y = 2.0, 1.5
+        rep = polarity_gap(np.full(noise.paths, 1.05 * x0), ps, x0, y)
+        assert rep.se == 0.0
+        assert rep.lhs == pytest.approx(1.05 * rep.bound, rel=1e-12)
+        assert not rep.satisfied
+
     def test_unreachable_payoff_is_flagged(self):
         g = TimeGrid(1.0, 2)
         noise = gaussian_panel(g, 16, 1, seed=0)
         prices = np.ones((16, 3))
-        ps = constant_cps(prices, noise, 1.0)
+        ps = constant_cps(noise, 1.0)
         rep = polarity_gap(np.full(16, 3.0), ps, x0=2.0, y=1.0)
         assert not rep.satisfied
         assert rep.lhs > rep.bound
@@ -322,6 +351,6 @@ class TestCertificate:
         g, noise, prices = arctan_fixture(paths=300, steps=25, seed=9)
         lam = 2.0 / 3.0
         cert = cps_certificate(ArctanDrift(), lam)
-        ps = constant_cps(prices, noise, cert.shadow_level)
+        ps = constant_cps(noise, cert.shadow_level)
         assert verify_band(prices, ps, lam).holds
-        assert verify_martingale(ps, noise).passed
+        assert verify_martingale(ps).passed

@@ -320,6 +320,7 @@ class TestCli:
             {"optimizer": {"step0": float("nan")}},
             {"optimizer": {"step0": float("inf")}},
             {"optimizer": {"seed": 0}},
+            {"optimizer": {"tail_fraction": 0.5}},
             {"duality": {"ys": [0.5, True]}},
             {"duality": {"ys": [0.5, float("inf")]}},
             {"duality": {"ys": 1.0}},
@@ -331,16 +332,20 @@ class TestCli:
             {"verify": {"shrink": 1.5}},
             {"verify": {"shrink": -0.5}},
             {"verify": {"shrink": float("nan")}},
-            {"verify": {"level": 0.0}},
-            {"verify": {"level": -0.75}},
-            {"verify": {"level": float("inf")}},
+            {"verify": {"construction": "constant", "level": 0.0}},
+            {"verify": {"construction": "constant", "level": -0.75}},
+            {"verify": {"construction": "constant", "level": float("inf")}},
+            {"verify": {"level": 0.75}},
+            {"verify": {"construction": "lattice", "level": 0.75}},
         ],
         ids=[
             "mu_bounds-string", "sigma_bounds-short", "theta-string", "theta-flat", "rho-string",
             "table-knot-string", "step0-zero", "step0-negative", "step0-nan", "step0-inf", "optimizer-seed",
+            "optimizer-tail-fraction",
             "ys-true", "ys-inf", "ys-scalar", "inada-true", "inada-inf", "duality-shrink-one",
             "duality-shrink-zero", "duality-shrink-true", "verify-shrink-above", "verify-shrink-negative",
             "verify-shrink-nan", "verify-level-zero", "verify-level-negative", "verify-level-inf",
+            "verify-level-with-auto", "verify-level-with-lattice",
         ],
     )
     def test_bad_values_exit_2_at_parse_time(self, tmp_path, capsys, over):
@@ -350,14 +355,42 @@ class TestCli:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_engine_error_without_a_code_of_its_own_exits_3(self, tmp_path, capsys):
-        # the piecewise-linear utility's conjugate diverges below its end slope
-        doc = make_doc(utility={"name": "custom-table", "x": [0.1, 1.0, 4.0], "u": [-2.0, 0.0, 1.0]},
-                       optimizer={"iters": 2})
-        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+    def test_engine_error_without_a_code_of_its_own_exits_3(self, tmp_path, monkeypatch, capsys):
+        from frictionopt import cli
+        from frictionopt.errors import ContractViolation
+
+        def boom(cfg, out=None):
+            raise ContractViolation("an invariant broke")
+
+        monkeypatch.setattr(cli, "cmd_duality", boom)
+        code = main(["duality", "--config", write_config(tmp_path, make_doc()), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error:") and "conjugate diverges" in err and "Traceback" not in err
+        assert err == "error: an invariant broke\n"
+
+    def test_duality_with_a_rising_table_fails_growth_with_infinite_rows(self, tmp_path, capsys):
+        # the table's conjugate is +inf below its last slope 1/3: those rows
+        # hold trivially, and asymptotic elasticity 1 fails the growth verdict
+        doc = make_doc(utility={"name": "custom-table", "x": [0.1, 1.0, 4.0], "u": [-2.0, 0.0, 1.0]},
+                       optimizer={"iters": 2})
+        out = tmp_path / "o"
+        code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (3, "")
+        text = (out / "duality.json").read_text()
+        assert "nan" not in text
+        result = json.loads(text)
+        assert result["growth_ok"] is False and result["all_ok"] is False
+        infinite = [r for r in result["rows"] if r["y"] < 1.0 / 3.0]
+        assert infinite and all(r["bound"] == "inf" and r["ok"] is True for r in infinite)
+        assert all(r["ok"] for r in result["rows"]) and all(p["ok"] for p in result["polarity"])
+
+    def test_verify_cps_with_a_rising_table_reports_infinite_entropy(self, tmp_path):
+        # last slope 1: V(w) is +inf on the paths whose weight w is below 1
+        doc = make_doc(utility={"name": "custom-table", "x": [0.1, 1.0, 2.0], "u": [-2.0, 0.0, 1.0]})
+        out = tmp_path / "v"
+        assert main(["verify-cps", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        entropy = json.loads((out / "verify.json").read_text())["entropy"]
+        assert entropy["finite"] is False and entropy["estimate"] == "inf"
 
     def test_duality_without_a_price_system_writes_a_verdict(self, tmp_path, capsys):
         doc = make_doc(
@@ -435,6 +468,30 @@ class TestCli:
         assert result["verdict"] == "verified"
         assert result["band"]["holds"] is True
         assert result["martingale"]["passed"] is True
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {},
+            {"thetas": [{"type": "black_scholes", "mu": 0.1, "sigma": 0.2}]},
+            {"thetas": [{"type": "black_scholes", "mu": 0.1, "sigma": 0.0}]},
+            {"thetas": [{"type": "arctan_drift"}], "cost": {"lambda": 0.7, "x0": 1.0}},
+            {"thetas": [{"type": "arctan_drift"}], "cost": {"lambda": 0.3, "x0": 1.0}},
+            {"thetas": [FACTOR]},
+        ],
+        ids=["lattice", "bs", "bs-sigma-0", "arctan-0.7", "arctan-0.3", "factor"],
+    )
+    def test_verify_cps_auto_picks_the_duality_system(self, tmp_path, over):
+        from frictionopt.solver import default_price_systems
+
+        if over:
+            over = dict(over, noise={"kind": "mc", "paths": 50}, grid={"horizon": 1.0, "steps": 5}, policy={})
+        cfg_path = write_config(tmp_path, make_doc(**over))
+        out = tmp_path / "v"
+        main(["verify-cps", "--config", cfg_path, "--out", str(out)])
+        label = json.loads((out / "verify.json").read_text()).get("label")
+        systems = dict(default_price_systems(load_config(cfg_path).build_problem()))
+        assert label == (systems[0].label if 0 in systems else None)
 
     def test_verify_cps_exact_on_lattice(self, tmp_path):
         out = tmp_path / "v"

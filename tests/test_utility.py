@@ -90,9 +90,9 @@ class TestVectorConjugate:
             expected = np.asarray([scalar(float(t)) for t in pts.ravel()]).reshape(pts.shape)
             np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0, err_msg=u.name)
 
-    def test_numeric_route_interpolates_the_search(self):
+    def test_numeric_route_maps_the_search(self):
         # same log utility but with the closed form withheld, forcing the
-        # tabulated search; V is linear in ln y so the interpolation is clean
+        # scalar search at each point
         base = log_utility()
         u = UtilitySpec("log-numeric", "positive", base.fn)
         pts = np.linspace(0.5, 2.0, 9)
@@ -102,6 +102,48 @@ class TestVectorConjugate:
     def test_rejects_nonpositive_points(self):
         with pytest.raises(ConjugateUnboundedError):
             vector_conjugate(log_utility(), np.asarray([1.0, 0.0]))
+
+
+TABLES = {
+    # name: (knots x, values u); the first three on the positive axis
+    "flat-ended": ([0.5, 1.0, 2.0, 4.0], [-1.0, 0.0, 0.5, 0.5]),
+    "rising": ([0.1, 1.0, 4.0], [-2.0, 0.0, 1.0]),
+    "from-zero": ([0.0, 1.0, 3.0], [0.0, 1.0, 1.5]),
+    "whole-line": ([-2.0, 0.0, 1.0, 5.0], [-6.0, 0.0, 1.0, 1.2]),
+    "whole-line-flat": ([-1.0, 0.0, 2.0], [-3.0, 0.0, 0.0]),
+}
+
+
+class TestTableConjugate:
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_closed_form_matches_the_search(self, name):
+        u = table_utility(*TABLES[name])
+        slopes = np.diff(TABLES[name][1]) / np.diff(TABLES[name][0])
+        hi = slopes[0] if u.domain == "real" else 2.0 * slopes[0] + 1.0
+        ys = np.linspace(max(slopes[-1], 1e-3), hi, 23)
+        got = vector_conjugate(u, ys)
+        want = [conjugate(u, float(y)) for y in ys]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_infinite_outside_the_end_slopes(self, name):
+        u = table_utility(*TABLES[name])
+        slopes = np.diff(TABLES[name][1]) / np.diff(TABLES[name][0])
+        below = [0.5 * slopes[-1], 0.999 * slopes[-1]] if slopes[-1] > 0.0 else []
+        above = [1.001 * slopes[0], 3.0 * slopes[0]]
+        if below:
+            assert np.all(vector_conjugate(u, np.asarray(below)) == np.inf)
+            with pytest.raises(ConjugateUnboundedError):
+                conjugate(u, below[0])
+        got = vector_conjugate(u, np.asarray(above))
+        if u.domain == "real":
+            assert np.all(got == np.inf)
+            with pytest.raises(ConjugateUnboundedError):
+                conjugate(u, above[-1])
+        else:
+            # past the first slope the sup is the x -> 0+ end value
+            x, v = TABLES[name]
+            np.testing.assert_array_equal(got, v[0] - slopes[0] * x[0])
 
 
 class TestDeriv:
