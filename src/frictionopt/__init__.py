@@ -59,10 +59,8 @@ from .solver import (
     solve,
 )
 from .utility import (
-    ConjugateTable,
     UtilitySpec,
     YoungPair,
-    build_conjugate_table,
     check_assumptions,
     conjugate,
     delta2_ratio,

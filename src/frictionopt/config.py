@@ -335,7 +335,10 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         "utility": {k: v for k, v in (doc.get("utility") or {}).items()},
         "policy": {"class": policy_class, "long_only": long_only},
         "admissibility": admissibility,
-        "optimizer": {"iters": optimizer.iters, "step0": optimizer.step0},
+        "optimizer": {
+            "iters": optimizer.iters,
+            "step0": optimizer.step0,
+        },
         "verify": verify_resolved,
         "duality": duality_resolved,
     }

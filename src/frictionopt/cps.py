@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NoCpsConstructibleError
-from .scenario import ArctanDrift, BlackScholes, Model, NoisePanel, _readonly, lattice_block, simulate
+from .scenario import ArctanDrift, BlackScholes, Model, NoisePanel, _readonly, lattice_block
 
 Array = np.ndarray
 
@@ -43,10 +43,10 @@ class PriceSystem:
         shape = (self.noise.paths, self.noise.grid.steps + 1)
         if self.shadow.shape != shape or self.weights.shape != shape[:1]:
             raise ConfigError(f"shadow and weights must have shapes {shape} and {shape[:1]} on this panel")
-        if np.any(self.shadow <= 0.0):
-            raise ConfigError("shadow prices must be strictly positive")
-        if np.any(self.weights <= 0.0):
-            raise ConfigError("measure weights must be strictly positive")
+        if not (np.isfinite(self.shadow).all() and np.all(self.shadow > 0.0)):
+            raise ConfigError("shadow prices must be finite and strictly positive")
+        if not (np.isfinite(self.weights).all() and np.all(self.weights > 0.0)):
+            raise ConfigError("measure weights must be finite and strictly positive")
         if abs(float(np.dot(self.noise.probs, self.weights)) - 1.0) > 1e-12:
             raise ConfigError("measure weights must average to 1 under the panel probabilities")
         if not (0.0 <= self.mu_level < 1.0):
@@ -82,12 +82,18 @@ def verify_band(prices: Array, ps: PriceSystem, lam: float) -> BandReport:
     return BandReport(holds=raw >= 0.0, strict=raw > 0.0, delta=max(raw, 0.0), worst=(int(m), int(i)))
 
 
-def girsanov_cps(model: BlackScholes, noise: NoisePanel, shrink: Optional[float] = None) -> PriceSystem:
+def girsanov_cps(
+    model: BlackScholes,
+    prices: Array,
+    noise: NoisePanel,
+    shrink: Optional[float] = None,
+) -> PriceSystem:
     """Price system for a geometric Brownian model by drift removal.
 
     The weights are the terminal density exp(-(mu/sigma) W_T - (mu/sigma)^2 T / 2)
     evaluated on the panel (then renormalized to empirical mean one), under
-    which the exactly-stepped log-Euler prices are a martingale.  shrink, when
+    which the model's exactly-stepped log-Euler prices on the panel, prices,
+    are a martingale.  shrink, when
     given, scales the shadow to c * S with c in (0, 1), buying strict band
     slack on the upper side; mu_level records 1 - c.
     """
@@ -100,9 +106,12 @@ def girsanov_cps(model: BlackScholes, noise: NoisePanel, shrink: Optional[float]
     a = model.mu / model.sigma
     w_t = noise.increments[:, :, 0].sum(axis=1)
     raw = np.exp(-a * w_t - 0.5 * a * a * noise.grid.horizon)
-    weights = raw / float(np.dot(noise.probs, raw))
+    total = float(np.dot(noise.probs, raw))
+    if not (0.0 < total < math.inf):
+        raise NoCpsConstructibleError(f"drift-removal density under- or overflows on this panel (mu/sigma = {a:g})")
+    weights = raw / total
     c = 1.0 if shrink is None else shrink
-    shadow = c * simulate(model, noise.grid, noise)
+    shadow = prices if shrink is None else c * prices
     return PriceSystem(
         shadow=_readonly(shadow),
         weights=_readonly(weights),
@@ -246,8 +255,11 @@ def _step_drifts(values: Array, ps: PriceSystem) -> list:
 
 
 def _z(rise: float, se: float) -> float:
-    """Standard errors by which a step's drift rises above zero."""
-    return rise / se if se > 0.0 else (0.0 if rise == 0.0 else math.inf)
+    """Standard errors by which a step's drift rises above zero; inf for a
+    nan drift, or a rise without a finite positive standard error."""
+    if rise <= 0.0:
+        return 0.0
+    return rise / se if 0.0 < se < math.inf and rise < math.inf else math.inf
 
 
 def verify_martingale(ps: PriceSystem) -> MartingaleReport:
@@ -284,7 +296,7 @@ def supermartingale_check(values: Array, ps: PriceSystem) -> SupermartingaleRepo
         worst = max([-math.inf] + [float(np.max(d)) for d in drifts])
         return SupermartingaleReport(passed=worst <= TOL, mode=ps.noise.kind, max_rise=worst, max_z=0.0)
     worst = max([-math.inf] + [mean for mean, _ in drifts])
-    max_z = max([0.0] + [_z(max(0.0, mean), se) for mean, se in drifts])
+    max_z = max([0.0] + [_z(mean, se) for mean, se in drifts])
     return SupermartingaleReport(passed=max_z <= Z_MAX, mode=ps.noise.kind, max_rise=worst, max_z=max_z)
 
 
@@ -384,7 +396,7 @@ def registered_cps(
     if noise.kind == "lattice":
         return lattice_cps(prices, noise, shrink)
     if isinstance(model, BlackScholes) and model.sigma > 0.0:
-        return girsanov_cps(model, noise, shrink)
+        return girsanov_cps(model, prices, noise, shrink)
     cert = cps_certificate(model, lam)
     if cert is not None and cert.exists:
         return constant_cps(noise, cert.shadow_level)

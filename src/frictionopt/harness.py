@@ -164,7 +164,7 @@ def _build_price_system(cfg: RunConfig, panel, noise) -> PriceSystem:
     if construction == "lattice":
         return lattice_cps(prices, noise, shrink)
     if construction == "girsanov":
-        return girsanov_cps(model, noise, shrink)
+        return girsanov_cps(model, prices, noise, shrink)
     return constant_cps(noise, cfg.verify["level"])
 
 

@@ -23,7 +23,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accounting import CostSpec, run_ledger, shadow_ledger
-from .cps import PriceSystem, polarity_gap, registered_cps, standard_error, supermartingale_check, within
+from .cps import (
+    PriceSystem,
+    polarity_gap,
+    registered_cps,
+    standard_error,
+    supermartingale_check,
+    within,
+)
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from .fvproc import Strategy, position_recursion
 from .scenario import (

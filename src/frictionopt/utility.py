@@ -260,27 +260,6 @@ def conjugate(u: UtilitySpec, y: float, tol: float = 1e-10) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class ConjugateTable:
-    """Numerical conjugate sampled on a y grid."""
-
-    utility_name: str
-    ys: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.ys.shape != self.values.shape or self.ys.ndim != 1:
-            raise ConfigError("conjugate table needs matching 1d arrays")
-        if np.any(np.diff(self.ys) <= 0.0) or np.any(self.ys <= 0.0):
-            raise ConfigError("conjugate grid must be positive and strictly increasing")
-
-
-def build_conjugate_table(u: UtilitySpec, ys: Sequence[float], tol: float = 1e-10) -> ConjugateTable:
-    grid = np.asarray(ys, float)
-    vals = np.asarray([conjugate(u, float(y), tol) for y in grid])
-    return ConjugateTable(u.name, grid, vals)
-
-
 def vector_conjugate(u: UtilitySpec, points: Array) -> Array:
     """V on an array of points: closed form when the utility carries one,
     otherwise the scalar search at each point."""

@@ -274,7 +274,7 @@ def test_criterion_07_supermartingale_and_polarity():
     mc = RobustProblem(CostSpec(0.01, 1.0), ThetaGrid((model,)), log_utility(), grid, mc_noise)
     strat = PolicyCodec(mc).decode(rep.best_params)
     ledger = run_ledger(strat, mc.panel.prices[0], mc.cost)
-    ps = girsanov_cps(model, mc_noise)
+    ps = girsanov_cps(model, mc.panel.prices[0], mc_noise)
     sh = shadow_ledger(ledger, ps.shadow)
     sm = supermartingale_check(sh.shadow, ps)
     assert sm.mode == "mc"

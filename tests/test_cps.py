@@ -62,6 +62,14 @@ class TestPriceSystem:
         with pytest.raises(ConfigError):
             PriceSystem(shadow, np.ones(2), two_path_panel(), 0.0)
 
+    def test_rejects_non_finite_shadow_and_weights(self):
+        shadow = np.ones((2, 3))
+        shadow[0, 1] = np.inf
+        with pytest.raises(ConfigError):
+            PriceSystem(shadow, np.ones(2), two_path_panel(), 0.0)
+        with pytest.raises(ConfigError):
+            PriceSystem(np.ones((2, 3)), np.full(2, np.nan), two_path_panel(), 0.0)
+
     def test_rejects_bad_mu_level(self):
         with pytest.raises(ConfigError):
             PriceSystem(np.ones((2, 3)), np.ones(2), two_path_panel(), 1.0)
@@ -125,13 +133,13 @@ class TestGirsanovCps:
     def test_weights_are_renormalized_exactly(self):
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 500, 1, seed=3)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), g, noise), noise)
         assert float(np.dot(noise.probs, ps.weights)) == pytest.approx(1.0, abs=1e-14)
 
     def test_shadow_is_martingale_in_mc_mode(self):
         g = TimeGrid(1.0, 8)
         noise = gaussian_panel(g, 4000, 1, seed=5)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), g, noise), noise)
         rep = verify_martingale(ps)
         assert rep.mode == "mc"
         assert rep.passed
@@ -139,21 +147,30 @@ class TestGirsanovCps:
     def test_shrink_buys_strict_band_slack(self):
         g = TimeGrid(1.0, 6)
         noise = gaussian_panel(g, 100, 1, seed=1)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise, shrink=0.95)
-        assert ps.mu_level == pytest.approx(0.05)
         prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), prices, noise, shrink=0.95)
+        assert ps.mu_level == pytest.approx(0.05)
         rep = verify_band(prices, ps, 0.1)
         assert rep.strict
 
     def test_rejects_degenerate_and_foreign_models(self):
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 10, 1, seed=0)
+        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
         with pytest.raises(NoCpsConstructibleError):
-            girsanov_cps(BlackScholes(0.1, 0.0), noise)
+            girsanov_cps(BlackScholes(0.1, 0.0), prices, noise)
         with pytest.raises(NoCpsConstructibleError):
-            girsanov_cps(ArctanDrift(), noise)
+            girsanov_cps(ArctanDrift(), prices, noise)
         with pytest.raises(ConfigError):
-            girsanov_cps(BlackScholes(0.1, 0.2), noise, shrink=1.5)
+            girsanov_cps(BlackScholes(0.1, 0.2), prices, noise, shrink=1.5)
+
+    def test_density_underflow_is_no_construction(self):
+        # mu/sigma = 50: exp(-a W_T - a^2 T / 2) underflows to 0 on every path
+        g = TimeGrid(1.0, 4)
+        noise = gaussian_panel(g, 200, 1, seed=0)
+        model = BlackScholes(0.1, 0.002)
+        with pytest.raises(NoCpsConstructibleError):
+            girsanov_cps(model, simulate(model, g, noise), noise)
 
 
 class TestLatticeCps:
@@ -259,10 +276,21 @@ class TestSupermartingale:
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 50, 1, seed=2)
         prices = simulate(BlackScholes(0.1, 0.2), g, noise)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), prices, noise)
         values = np.tile(noise.grid.times, (noise.paths, 1))
         rep = supermartingale_check(values, ps)
         assert rep.mode == "mc"
+        assert not rep.passed
+
+
+    def test_mc_mode_fails_an_undefined_drift(self):
+        g = TimeGrid(1.0, 4)
+        noise = gaussian_panel(g, 50, 1, seed=2)
+        ps = constant_cps(noise, 1.0)
+        values = np.zeros((noise.paths, g.steps + 1))
+        values[3, 2] = np.nan
+        rep = supermartingale_check(values, ps)
+        assert rep.max_z == math.inf
         assert not rep.passed
 
 
@@ -271,7 +299,7 @@ class TestEntropy:
         # E[-ln Z - 1] = (mu/sigma)^2 T / 2 - 1 for the drift-removal density
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 20000, 1, seed=11)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), g, noise), noise)
         rep = entropy_membership(ps, lambda w: -np.log(w) - 1.0)
         assert rep.finite
         assert abs(rep.estimate - (-0.875)) <= 3.0 * rep.se

@@ -453,6 +453,20 @@ class TestCli:
         assert result["certificate"]["exists"] is False
         assert "no consistent price system" in result["verdict"]
 
+    def test_verify_cps_density_underflow_is_not_verified(self, tmp_path):
+        # mu/sigma = 50 underflows the drift-removal density on every path
+        doc = make_doc(
+            thetas=[{"type": "black_scholes", "mu": 0.1, "sigma": 0.002}],
+            noise={"kind": "mc", "paths": 50},
+            grid={"horizon": 1.0, "steps": 5},
+            policy={},
+        )
+        out = tmp_path / "v"
+        code = main(["verify-cps", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 3
+        result = json.loads((out / "verify.json").read_text())
+        assert result["verdict"].startswith("construction failed")
+
     def test_verify_cps_constant_shadow_verifies(self, tmp_path):
         doc = make_doc(
             thetas=[{"type": "arctan_drift"}],

@@ -5,7 +5,6 @@ import pytest
 
 from frictionopt import (
     UtilitySpec,
-    build_conjugate_table,
     check_assumptions,
     conjugate,
     delta2_ratio,
@@ -66,15 +65,6 @@ class TestConjugate:
     def test_linear_utility_diverges(self):
         with pytest.raises(ConjugateUnboundedError):
             conjugate(linear_utility(), 0.5)
-
-    def test_table(self):
-        u = exp_utility(1.0)
-        tab = build_conjugate_table(u, YS)
-        assert tab.utility_name == "exp"
-        expected = [1.0 - y + y * math.log(y) for y in YS]
-        np.testing.assert_allclose(tab.values, expected, atol=1e-8)
-        with pytest.raises(ConfigError):
-            build_conjugate_table(u, [1.0, 0.5])
 
 
 class TestVectorConjugate:
