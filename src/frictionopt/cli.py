@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 bad configuration, 3 verification failure or any
 other engine error, 4 no feasible point.  Errors print one ``error:`` line on
 stderr, never a traceback.
+
+``--threads`` (or ENGINE_THREADS) is the engine's one parallelism control.
+Unless the user sets one of BLAS_THREAD_VARS, the CLI runs numpy's BLAS on
+one thread: set before numpy loads, this keeps OpenBLAS from starting an
+idle worker per core in every process, and keeps long dot products (which
+OpenBLAS splits across its threads) byte-identical from host to host.
 """
 
 from __future__ import annotations
@@ -12,9 +18,14 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .config import load_config
-from .errors import ConfigError, EngineError, NoFeasiblePointError
-from .harness import cmd_duality, cmd_selftest, cmd_simulate, cmd_solve, cmd_verify_cps
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+# numpy loads below, with the BLAS setting above in force
+from .config import load_config  # noqa: E402
+from .errors import ConfigError, EngineError, NoFeasiblePointError  # noqa: E402
+from .harness import cmd_duality, cmd_selftest, cmd_simulate, cmd_solve, cmd_verify_cps  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

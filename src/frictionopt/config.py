@@ -8,11 +8,10 @@ instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from .accounting import CostSpec
 from .errors import ConfigError
@@ -28,8 +27,10 @@ from .scenario import (
     gaussian_panel,
     lattice_panel,
 )
-from .solver import OptimizerSettings, RobustProblem
 from .utility import UtilitySpec, exp_utility, log_utility, power_utility, table_utility
+
+if TYPE_CHECKING:
+    from .solver import RobustProblem
 
 
 def _require_keys(section: str, d: dict, allowed: set[str], required: set[str] = frozenset()) -> None:
@@ -44,8 +45,10 @@ def _require_keys(section: str, d: dict, allowed: set[str], required: set[str] =
 
 
 def _number(where: str, v: Any) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where} must be a number, got {v!r}")
+    """A finite JSON number as a float; NaN, the infinities and integers too
+    large for a float are not numbers here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -166,6 +169,21 @@ def parse_utility(spec: Any) -> UtilitySpec:
     raise ConfigError(f"utility name {name!r} is not known")
 
 
+@dataclass(frozen=True)
+class OptimizerSettings:
+    """Projected supergradient ascent controls for solver.solve.
+
+    Steps follow step0 / sqrt(k) along the normalized supergradient; rejected
+    (infeasible) steps are halved up to solver.MAX_HALVINGS times before the
+    iterate stays put.  The last solver.TAIL_FRACTION of iterates is averaged
+    into a smoothed candidate, mirroring the convex-combination convergence
+    device.
+    """
+
+    iters: int = 150
+    step0: float = 0.25
+
+
 TOP_KEYS = {
     "seed", "threads", "out", "grid", "noise", "cost", "thetas", "utility",
     "policy", "admissibility", "optimizer", "verify", "duality",
@@ -201,6 +219,8 @@ class RunConfig:
         return gaussian_panel(self.grid, self.noise_paths, self.noise_drivers, self.seed)
 
     def build_problem(self) -> RobustProblem:
+        from .solver import RobustProblem
+
         return RobustProblem(
             cost=self.cost,
             thetas=self.thetas,
@@ -216,8 +236,8 @@ class RunConfig:
 
 def load_config(path: str | Path, overrides: Optional[dict] = None) -> RunConfig:
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -291,8 +311,8 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     )
     if optimizer.iters < 1:
         raise ConfigError("optimizer.iters must be at least 1")
-    if not (np.isfinite(optimizer.step0) and optimizer.step0 > 0.0):
-        raise ConfigError(f"optimizer.step0 must be positive and finite, got {optimizer.step0!r}")
+    if optimizer.step0 <= 0.0:
+        raise ConfigError(f"optimizer.step0 must be positive, got {optimizer.step0!r}")
 
     verify = doc.get("verify", {})
     _require_keys("verify", verify, {"theta_index", "construction", "shrink", "level"})
@@ -302,11 +322,13 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     construction = verify.get("construction", "auto")
     if construction not in ("auto", "girsanov", "lattice", "constant"):
         raise ConfigError(f"verify.construction {construction!r} is not known")
+    if construction == "lattice" and (noise_kind != "lattice" or noise_drivers != 1):
+        raise ConfigError("verify.construction 'lattice' needs a single-driver lattice panel")
     if "level" in verify and construction != "constant":
         raise ConfigError(f"verify.level applies to the constant construction only, not {construction!r}")
     level = _num("verify", verify, "level", 0.75) if construction == "constant" else None
-    if level is not None and not (np.isfinite(level) and level > 0.0):
-        raise ConfigError(f"verify.level must be positive and finite, got {level!r}")
+    if level is not None and level <= 0.0:
+        raise ConfigError(f"verify.level must be positive, got {level!r}")
     verify_resolved = {
         "theta_index": theta_index,
         "construction": construction,
@@ -319,8 +341,8 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     duality_resolved: dict[str, Any] = {}
     for key, default in (("ys", [0.25, 0.5, 1.0, 2.0, 4.0]), ("inada_scales", [1.0, 4.0, 16.0])):
         values = _numbers(f"duality.{key}", duality.get(key, default))
-        if not all(np.isfinite(v) and v > 0.0 for v in values):
-            raise ConfigError(f"duality.{key} must be a list of positive finite numbers, got {list(values)}")
+        if not all(v > 0.0 for v in values):
+            raise ConfigError(f"duality.{key} must be a list of positive numbers, got {list(values)}")
         duality_resolved[key] = list(values)
     duality_resolved["shrink"] = _shrink("duality", duality)
 

@@ -148,7 +148,7 @@ def lattice_cps(prices: Array, noise: NoisePanel, shrink: Optional[float] = None
     if noise.kind != "lattice":
         raise ConfigError("exact construction needs a lattice panel")
     if noise.drivers != 1:
-        raise ConfigError("exact lattice construction is single-driver")
+        raise NoCpsConstructibleError("exact lattice construction is single-driver")
     prices = np.asarray(prices, float)
     if prices.shape != (noise.paths, noise.grid.steps + 1):
         raise ConfigError("prices do not match the lattice panel")

@@ -31,7 +31,7 @@ from .cps import (
     verify_band,
     verify_martingale,
 )
-from .errors import NoCpsConstructibleError
+from .errors import ConfigError, NoCpsConstructibleError
 from .fvproc import Strategy
 from .scenario import ArctanDrift, TimeGrid, gaussian_panel, simulate, simulate_panel
 from .solver import default_price_systems, duality_report, solve
@@ -121,7 +121,10 @@ def write_manifest(
 
 def _prepare(cfg: RunConfig, out: Optional[str]) -> Path:
     out_dir = Path(out if out is not None else cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at out or above it, or no permission
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return out_dir
 
 

@@ -8,7 +8,6 @@ by independent sampling error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -345,6 +344,8 @@ def simulate_panel(thetas: ThetaGrid, grid: TimeGrid, noise: NoisePanel, threads
             raise type(exc)(f"theta index {idx}: {exc}") from exc
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a pool needs it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, range(k)))
     else:

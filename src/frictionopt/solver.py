@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accounting import CostSpec, run_ledger, shadow_ledger
+from .config import OptimizerSettings
 from .cps import (
     PriceSystem,
     polarity_gap,
@@ -237,20 +238,6 @@ def objective(problem: RobustProblem, vec: np.ndarray, codec: Optional[PolicyCod
     lo = float(per.min())
     k = int((per <= lo + ARGMIN_TIE_TOL).nonzero()[0][0])
     return ObjectiveResult(True, per, lo, k, terminal[k].copy(), pre_liq)
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Projected supergradient ascent controls.
-
-    Steps follow step0 / sqrt(k) along the normalized supergradient; rejected
-    (infeasible) steps are halved up to MAX_HALVINGS times before the iterate
-    stays put.  The last TAIL_FRACTION of iterates is averaged into a smoothed
-    candidate, mirroring the convex-combination convergence device.
-    """
-
-    iters: int = 150
-    step0: float = 0.25
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,8 @@ def power_utility(p: float) -> UtilitySpec:
 
 def exp_utility(a: float = 1.0) -> UtilitySpec:
     """Whole-line bounded utility U(x) = 1 - exp(-a x), normalized to U(0) = 0."""
-    if a <= 0.0:
-        raise ConfigError(f"exp utility needs a > 0, got {a}")
+    if not (0.0 < a < math.inf):
+        raise ConfigError(f"exp utility needs a finite a > 0, got {a}")
 
     def fn(x: Array) -> Array:
         with np.errstate(over="ignore"):

@@ -337,6 +337,13 @@ class TestCli:
             {"verify": {"construction": "constant", "level": float("inf")}},
             {"verify": {"level": 0.75}},
             {"verify": {"construction": "lattice", "level": 0.75}},
+            {"verify": {"construction": "lattice"}, "noise": {"kind": "mc", "paths": 16}, "policy": {}},
+            {"verify": {"construction": "lattice"}, "thetas": [FACTOR]},
+            {"verify": {"construction": "lattice"}, "noise": {"kind": "lattice", "drivers": 3}},
+            {"thetas": [{"type": "black_scholes", "mu": float("nan"), "sigma": 0.2}]},
+            {"thetas": [dict(FACTOR, rho=[float("-inf"), 0.0])]},
+            {"utility": {"name": "exp", "a": float("inf")}, "policy": {}},
+            {"cost": {"lambda": 0.01, "x0": 10**400}},
         ],
         ids=[
             "mu_bounds-string", "sigma_bounds-short", "theta-string", "theta-flat", "rho-string",
@@ -345,7 +352,9 @@ class TestCli:
             "ys-true", "ys-inf", "ys-scalar", "inada-true", "inada-inf", "duality-shrink-one",
             "duality-shrink-zero", "duality-shrink-true", "verify-shrink-above", "verify-shrink-negative",
             "verify-shrink-nan", "verify-level-zero", "verify-level-negative", "verify-level-inf",
-            "verify-level-with-auto", "verify-level-with-lattice",
+            "verify-level-with-auto", "verify-level-with-lattice", "verify-lattice-on-mc",
+            "verify-lattice-on-factor", "verify-lattice-three-drivers", "mu-nan", "rho-minus-inf", "exp-a-inf",
+            "x0-huge-int",
         ],
     )
     def test_bad_values_exit_2_at_parse_time(self, tmp_path, capsys, over):
@@ -353,6 +362,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_at_or_under_a_file_exits_2(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if below else blocker
+        code = main(["simulate", "--config", write_config(tmp_path, make_doc()), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot create output directory: ") and err.count("\n") == 1
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(json.dumps(make_doc()).encode().replace(b'"log"', b'"l\xf6g"'))
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_engine_error_without_a_code_of_its_own_exits_3(self, tmp_path, monkeypatch, capsys):

@@ -1,0 +1,108 @@
+"""Start-up budget: what a fresh interpreter loads for ``import frictionopt``,
+for parsing a config and for a one-thread ``simulate``, and the CLI's one
+BLAS thread."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import frictionopt
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PRINT_MODULES = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+
+EXPORTS = """
+    AccountingLedger CostSpec check_admissible_rplus run_ledger shadow_ledger
+    BandReport CpsCertificate PriceSystem constant_cps cps_certificate entropy_membership girsanov_cps
+    lattice_cps polarity_gap registered_cps supermartingale_check verify_band verify_martingale
+    KomlosResult MonotonePath RationalEnumeration Strategy converges_at_continuity_points komlos_average rho
+    ArctanDrift BlackScholes Factor NoisePanel PathDependentBS ScenarioPanel ThetaGrid TimeGrid
+    gaussian_panel lattice_panel simulate simulate_panel
+    BruteForceReport DualityReport ObjectiveResult OptimizerSettings PolicyCodec RobustProblem SolveReport
+    brute_force default_price_systems duality_report objective solve
+    UtilitySpec YoungPair check_assumptions conjugate delta2_ratio exp_utility log_utility luxemburg_norm
+    orlicz_conjugate power_utility table_utility vector_conjugate young_pair
+""".split()
+
+MC_CONFIG = {
+    "grid": {"horizon": 1.0, "steps": 3},
+    "noise": {"kind": "mc", "paths": 8},
+    "cost": {"lambda": 0.01},
+    "thetas": [{"type": "black_scholes", "mu": 0.1, "sigma": 0.2}, {"type": "arctan_drift"}],
+    "utility": {"name": "log"},
+}
+
+
+def fresh(code: str, *args: str, **env) -> object:
+    """Run code in a fresh interpreter with no BLAS variable set beyond env;
+    return the JSON it prints last."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, base.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *args], env={**base, **env}, capture_output=True, text=True, check=True
+    )
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    loaded = fresh(f"import frictionopt; {PRINT_MODULES}")
+    assert [m for m in loaded if m.startswith(("numpy", "frictionopt"))] == ["frictionopt"]
+
+
+def test_parsing_a_config_loads_neither_solver_nor_a_thread_pool(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(MC_CONFIG))
+    code = f"import sys; from frictionopt.config import load_config; load_config(sys.argv[1]); {PRINT_MODULES}"
+    loaded = fresh(code, str(config))
+    assert "frictionopt.config" in loaded
+    assert not {"frictionopt.solver", "frictionopt.cps", "concurrent.futures"} & set(loaded)
+
+
+def test_simulate_on_one_thread_loads_no_thread_pool(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(MC_CONFIG))
+    out = tmp_path / "o"
+    code = (
+        "import sys; from frictionopt.cli import main; "
+        "assert main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2], '--threads', '1']) == 0; "
+        + PRINT_MODULES
+    )
+    loaded = fresh(code, str(config), str(out))
+    assert (out / "prices.csv").is_file()
+    assert "concurrent.futures" not in loaded
+
+
+def test_every_export_resolves_lazily():
+    assert sorted(frictionopt.__all__) == sorted(EXPORTS) and len(EXPORTS) == 62
+    assert set(EXPORTS) <= set(dir(frictionopt))
+    for name in EXPORTS:
+        value = getattr(frictionopt, name)
+        owner = import_module(f"frictionopt.{frictionopt._ORIGIN[name]}")
+        assert value is getattr(owner, name)
+    assert frictionopt.solver is import_module("frictionopt.solver")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        frictionopt.no_such_name
+
+
+THREADS = (
+    "import json, os; import frictionopt.cli, numpy; "
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task'))]))"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)")
+def test_cli_runs_numpy_on_one_blas_thread():
+    assert fresh(THREADS) == ["1", 1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)")
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_leaves_a_users_blas_setting_in_place(var):
+    openblas, _ = fresh(THREADS, **{var: "2"})
+    assert openblas == ("2" if var == "OPENBLAS_NUM_THREADS" else None)
