@@ -1,9 +1,9 @@
 """Exact transaction-cost accounting under proportional costs.
 
-Purchases pay the ask price S, sales receive the bid (1 - lambda) S, and the
-time-zero block trade h0 settles at the initial prices.  All balances follow
-the jump-at-t convention: a trade placed at t_i settles at the t_i price and
-is reflected in the balances from t_i on.
+Purchases pay the ask price S and sales receive the bid (1 - lambda) S; the
+block trade at time zero settles like any other, at the t_0 prices.  All
+balances follow the jump-at-t convention: a trade placed at t_i settles at
+the t_i price and is reflected in the balances from t_i on.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> Accoun
     """Settle a strategy against simulated prices of one model, shape
     (paths, steps + 1), or of a stack of models, shape (K, paths, steps + 1).
 
-    cash_0 = x0 - h0^+ S_0 + h0^- (1 - lambda) S_0 and afterwards each buy
-    jump pays S dH_up while each sell jump receives (1 - lambda) S dH_dn.
+    Cash starts at x0 and each buy jump pays S dH_up while each sell jump
+    receives (1 - lambda) S dH_dn, the time-zero trade in column 0 included.
     The liquidation value closes the running position at the same marks.
     """
     prices = np.asarray(prices, float)
@@ -72,23 +72,18 @@ def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> Accoun
         raise ConfigError(
             f"prices must have shape ([K,] {strategy.paths}, {strategy.grid.steps + 1}), got {prices.shape}"
         )
-    lam = cost.lam
-    h0_buy = max(strategy.h0, 0.0)
-    h0_sell = max(-strategy.h0, 0.0)
-    bid = (1.0 - lam) * prices
-    # cash as one running sum along time over [cash_0, -S_1 up_1, bid_1 dn_1,
-    # -S_2 up_2, ...]: add accumulates strictly left to right and x + (-y) is
+    bid = (1.0 - cost.lam) * prices
+    # cash as one running sum along time over [x0, -S_0 up_0, bid_0 dn_0,
+    # -S_1 up_1, ...]: add accumulates strictly left to right and x + (-y) is
     # x - y, so it is the recursion cash_i = (cash_{i-1} - S_i up_i) + bid_i dn_i
-    # bit for bit.  The flows lie as (-S_i up_i, bid_i dn_i) pairs, flat per
-    # path, with cash_0 in the second slot of the unused step-0 pair.
-    pairs = np.empty(prices.shape + (2,))
-    np.multiply(prices, -strategy.d_up, out=pairs[..., 0])
-    np.multiply(bid, strategy.d_dn, out=pairs[..., 1])
-    pairs[..., 0, 1] = cost.x0 - h0_buy * prices[..., 0] + h0_sell * (1.0 - lam) * prices[..., 0]
-    flows = pairs.reshape(prices.shape[:-1] + (-1,))[..., 1:]
+    # from cash_{-1} = x0 bit for bit
+    flows = np.empty(prices.shape[:-1] + (2 * prices.shape[-1] + 1,))
+    flows[..., 0] = cost.x0
+    np.multiply(prices, -strategy.d_up, out=flows[..., 1::2])
+    np.multiply(bid, strategy.d_dn, out=flows[..., 2::2])
     np.add.accumulate(flows, axis=-1, out=flows)
-    cash = flows[..., ::2]
-    pos = position_recursion(strategy.h0, strategy.d_up, strategy.d_dn)
+    cash = flows[..., 2::2]
+    pos = position_recursion(strategy.d_up, strategy.d_dn)
     # mark the long leg against the bid array so that for any shadow price
     # inside the band (including its edges) liq <= cash + pos * sp holds
     # bitwise, by monotonicity of rounding in the per-entry products

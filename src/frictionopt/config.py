@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from .accounting import CostSpec
 from .errors import ConfigError
 from .scenario import (
+    MAX_LATTICE_SLOTS,
     ArctanDrift,
     BlackScholes,
     Factor,
@@ -31,6 +32,30 @@ from .utility import UtilitySpec, exp_utility, log_utility, power_utility, table
 
 if TYPE_CHECKING:
     from .solver import RobustProblem
+
+
+# bytes of the largest float array a config may ask for: the (K, paths,
+# steps + 1) price stack, the (paths, steps, drivers) noise panel or the time
+# grid; a config over it is refused before anything is allocated
+MAX_ARRAY_BYTES = 1 << 30
+
+
+def _check_work_budget(steps: int, noise_kind: str, paths: int, drivers: int, models: int) -> None:
+    if noise_kind == "lattice":
+        # lattice_panel refuses a tree with more slots
+        slots = steps * drivers
+        paths = 1 << slots if 0 < slots <= MAX_LATTICE_SLOTS else 0
+    arrays = {
+        f"price stack of {models} x {paths} x {steps + 1}": models * paths * (steps + 1),
+        f"noise panel of {paths} x {steps} x {drivers}": paths * steps * drivers,
+        f"time grid of {steps + 1}": steps + 1,
+    }
+    name, floats = max(arrays.items(), key=lambda item: item[1])
+    if 8 * floats > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"the {name} floats would take {8 * floats:,} bytes, "
+            f"over the work budget of {MAX_ARRAY_BYTES:,} bytes per array"
+        )
 
 
 def _require_keys(section: str, d: dict, allowed: set[str], required: set[str] = frozenset()) -> None:
@@ -186,7 +211,7 @@ class OptimizerSettings:
 
 TOP_KEYS = {
     "seed", "threads", "out", "grid", "noise", "cost", "thetas", "utility",
-    "policy", "admissibility", "optimizer", "verify", "duality",
+    "policy", "optimizer", "verify", "duality",
 }
 
 
@@ -207,7 +232,6 @@ class RunConfig:
     utility: UtilitySpec
     policy_class: str
     long_only: bool
-    admissibility: str
     optimizer: OptimizerSettings
     verify: dict
     duality: dict
@@ -228,7 +252,6 @@ class RunConfig:
             grid=self.grid,
             noise=self.build_noise(),
             policy_class=self.policy_class,
-            admissibility=self.admissibility,
             long_only=self.long_only,
             threads=self.threads,
         )
@@ -264,7 +287,7 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
 
     grid_spec = doc.get("grid", {})
     _require_keys("grid", grid_spec, {"horizon", "steps"})
-    grid = TimeGrid(_num("grid", grid_spec, "horizon", 1.0), _int("grid", grid_spec, "steps", 50))
+    horizon, steps = _num("grid", grid_spec, "horizon", 1.0), _int("grid", grid_spec, "steps", 50)
 
     noise_spec = doc.get("noise", {})
     _require_keys("noise", noise_spec, {"kind", "paths", "drivers"})
@@ -287,6 +310,8 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         noise_drivers = needed_drivers
     elif noise_drivers < needed_drivers:
         raise ConfigError(f"noise.drivers = {noise_drivers} but the family needs {needed_drivers}")
+    _check_work_budget(steps, noise_kind, noise_paths, noise_drivers, len(thetas))
+    grid = TimeGrid(horizon, steps)
 
     utility = parse_utility(doc.get("utility"))
 
@@ -296,12 +321,6 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     long_only = policy_spec.get("long_only", False)
     if not isinstance(long_only, bool):
         raise ConfigError("policy.long_only must be a boolean")
-
-    admissibility = doc.get("admissibility", "auto")
-    if admissibility == "auto":
-        admissibility = "rplus" if utility.domain == "positive" else "supermartingale"
-    if admissibility not in ("rplus", "supermartingale"):
-        raise ConfigError(f"admissibility must be 'auto', 'rplus' or 'supermartingale', got {admissibility!r}")
 
     opt_spec = doc.get("optimizer", {})
     _require_keys("optimizer", opt_spec, {"iters", "step0"})
@@ -356,7 +375,6 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         "thetas": theta_spec,
         "utility": {k: v for k, v in (doc.get("utility") or {}).items()},
         "policy": {"class": policy_class, "long_only": long_only},
-        "admissibility": admissibility,
         "optimizer": {
             "iters": optimizer.iters,
             "step0": optimizer.step0,
@@ -377,7 +395,6 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         utility=utility,
         policy_class=policy_class,
         long_only=long_only,
-        admissibility=admissibility,
         optimizer=optimizer,
         verify=verify_resolved,
         duality=duality_resolved,

@@ -2,8 +2,9 @@
 and the tail-averaging construction used to extract convergent subsequences.
 
 Trading strategies are pairs of nondecreasing right-continuous paths started
-at zero (cumulative buys and cumulative sells), so everything here is phrased
-for nonnegative step functions living on a shared time grid.
+at zero just before time zero (cumulative buys and cumulative sells), so
+everything here is phrased for nonnegative step functions living on a shared
+time grid.
 """
 
 from __future__ import annotations
@@ -187,14 +188,12 @@ def converges_at_continuity_points(
 class Strategy:
     """Trading strategy as per-path cumulative buy and sell jump arrays.
 
-    h0 is the signed block trade at time zero; d_up and d_dn hold the
-    nonnegative jumps of the cumulative-buy and cumulative-sell paths, with
-    shape (paths, steps + 1) and a zero first column (the time-zero trade is
-    carried by h0 alone).
+    d_up and d_dn hold the nonnegative jumps of the cumulative-buy and
+    cumulative-sell paths, with shape (paths, steps + 1); column 0 is the
+    block trade at time zero, so the position starts flat before it.
     """
 
     grid: TimeGrid
-    h0: float
     d_up: np.ndarray
     d_dn: np.ndarray
 
@@ -203,15 +202,11 @@ class Strategy:
             a = np.asarray(arr, float)
             if a.ndim != 2 or a.shape[1] != self.grid.steps + 1:
                 raise ConfigError(f"{name} must have shape (paths, {self.grid.steps + 1})")
-            if a[:, 0].any():
-                raise ConfigError(f"{name} cannot jump at time zero")
             if not ((a >= 0.0) & (a < math.inf)).all():
                 raise ConfigError(f"{name} jumps must be finite and nonnegative")
             object.__setattr__(self, name, _readonly(a))
         if self.d_up.shape[0] != self.d_dn.shape[0]:
             raise ConfigError("d_up and d_dn must cover the same paths")
-        if not math.isfinite(self.h0):
-            raise ConfigError("h0 must be finite")
 
     @property
     def paths(self) -> int:
@@ -220,35 +215,27 @@ class Strategy:
     def position(self) -> np.ndarray:
         """Holdings per path and grid time, by the same left-to-right recursion
         the accounting ledger uses, so flattened positions cancel bit-exactly."""
-        return position_recursion(self.h0, self.d_up, self.d_dn)
-
-    def buy_path(self, path: int) -> MonotonePath:
-        return MonotonePath(self.grid, self.d_up[path])
-
-    def sell_path(self, path: int) -> MonotonePath:
-        return MonotonePath(self.grid, self.d_dn[path])
+        return position_recursion(self.d_up, self.d_dn)
 
     @classmethod
     def zero(cls, grid: TimeGrid, paths: int) -> "Strategy":
         z = np.zeros((paths, grid.steps + 1))
-        return cls(grid, 0.0, z, z.copy())
+        return cls(grid, z, z.copy())
 
 
-def position_recursion(h0: float, d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:
-    """pos_0 = h0, pos_i = (pos_{i-1} + d_up_i) - d_dn_i, kept in this exact
-    association order so a final sell of the running position lands on zero.
+def position_recursion(d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:
+    """pos_i = (pos_{i-1} + d_up_i) - d_dn_i from a flat pos_{-1} = 0, kept in
+    this exact association order so a final sell of the running position
+    lands on zero.
 
     One running sum along time over the interleaved flows
-    [h0, up_1, -dn_1, up_2, -dn_2, ...], keeping every other entry: add
+    [up_0, -dn_0, up_1, -dn_1, ...], keeping every other entry: add
     accumulates strictly left to right, and x + (-y) is x - y in IEEE
     arithmetic, so every bit matches the step-by-step recursion."""
     paths, n1 = d_up.shape
-    # (up_i, -dn_i) pairs, flat per path; the second slot of the unused
-    # step-0 pair holds h0, where the running sum starts
-    pairs = np.empty((paths, n1, 2))
-    pairs[..., 0] = d_up
-    np.negative(d_dn, out=pairs[..., 1])
-    pairs[:, 0, 1] = h0
-    flows = pairs.reshape(paths, 2 * n1)[:, 1:]
+    flows = np.empty((paths, n1, 2))
+    flows[..., 0] = d_up
+    np.negative(d_dn, out=flows[..., 1])
+    flows = flows.reshape(paths, 2 * n1)
     np.add.accumulate(flows, axis=1, out=flows)
-    return flows[:, ::2]
+    return flows[:, 1::2]

@@ -217,6 +217,11 @@ def cmd_verify_cps(cfg: RunConfig, out: Optional[str] = None) -> int:
 SOLVE_OUTPUTS = ("report.json", "history.csv", "plot_value.csv", "strategy.csv", "ledger_worst.csv")
 
 
+def _time_zero_trade(strat: Strategy) -> float:
+    """The signed block trade at time zero, the same on every path."""
+    return float(strat.d_up[0, 0] - strat.d_dn[0, 0])
+
+
 def _write_solve_outputs(out_dir: Path, problem, report) -> None:
     write_json(
         out_dir / "report.json",
@@ -226,11 +231,11 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
             "per_theta": report.per_theta,
             "argmin_theta": report.argmin_theta,
             "n_params": report.n_params,
-            "policy_class": report.policy_class,
-            "admissibility": report.admissibility,
+            "policy_class": problem.policy_class,
+            "admissibility": problem.admissibility,
             "best_params": report.best_params,
             "averaged_params": report.averaged_params,
-            "h0": report.strategy.h0,
+            "h0": _time_zero_trade(report.strategy),
         },
     )
     iters, values, argmins, steps = zip(*report.history)
@@ -264,7 +269,7 @@ def cmd_solve(cfg: RunConfig, out: Optional[str] = None) -> int:
     summary = {
         "best_value": report.best_value,
         "argmin_theta": report.argmin_theta,
-        "h0": report.strategy.h0,
+        "h0": _time_zero_trade(report.strategy),
     }
     write_manifest(out_dir, "solve", cfg, summary, started, SOLVE_OUTPUTS)
     return 0

@@ -57,10 +57,8 @@ class RobustProblem:
 
     policy_class is "deterministic-schedule" (one increment schedule applied
     on every path) or "lattice-policy" (increments may depend on the tree
-    node, lattice panels only).  admissibility is "rplus" (liquidation value
-    nonnegative throughout, positive-axis utilities) or "supermartingale"
-    (whole-line utilities; positions are flattened structurally and shadow
-    values are monitored against registered price systems).
+    node, lattice panels only).  The panel and the policy codec are built
+    once, from the other fields.
     """
 
     cost: CostSpec
@@ -69,24 +67,16 @@ class RobustProblem:
     grid: TimeGrid
     noise: NoisePanel
     policy_class: str = "deterministic-schedule"
-    admissibility: str = "rplus"
     long_only: bool = False
     threads: int = 1
     panel: ScenarioPanel = field(init=False, repr=False, compare=False)
+    codec: PolicyCodec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.policy_class not in ("deterministic-schedule", "lattice-policy"):
             raise ConfigError(f"unknown policy class {self.policy_class!r}")
-        if self.admissibility not in ("rplus", "supermartingale"):
-            raise ConfigError(f"unknown admissibility rule {self.admissibility!r}")
-        if self.admissibility == "rplus":
-            if self.utility.domain != "positive":
-                raise ConfigError("nonnegative-wealth admissibility pairs with positive-axis utilities")
-            if self.cost.x0 <= 0.0:
-                raise ConfigError("nonnegative-wealth admissibility needs x0 > 0")
-        else:
-            if self.utility.domain != "real":
-                raise ConfigError("supermartingale admissibility pairs with whole-line utilities")
+        if self.admissibility == "rplus" and self.cost.x0 <= 0.0:
+            raise ConfigError("nonnegative-wealth admissibility needs x0 > 0")
         if self.policy_class == "lattice-policy" and self.noise.kind != "lattice":
             raise ConfigError("lattice policies need a lattice noise panel")
         if self.threads < 1:
@@ -94,6 +84,15 @@ class RobustProblem:
         object.__setattr__(
             self, "panel", simulate_panel(self.thetas, self.grid, self.noise, threads=self.threads)
         )
+        object.__setattr__(self, "codec", PolicyCodec(self))
+
+    @property
+    def admissibility(self) -> str:
+        """The utility's domain decides the rule: "rplus" (liquidation value
+        nonnegative throughout) for positive-axis utilities, "supermartingale"
+        for whole-line ones (positions are flattened structurally and shadow
+        values are monitored against registered price systems)."""
+        return "rplus" if self.utility.domain == "positive" else "supermartingale"
 
     @property
     def n_thetas(self) -> int:
@@ -103,13 +102,15 @@ class RobustProblem:
 class PolicyCodec:
     """Bijection between flat parameter vectors and admissible-by-shape strategies.
 
-    Layout: [h0, buy increments, sell increments].  Deterministic schedules
-    carry one scalar per trading step 1..N-1; lattice policies carry one
-    scalar per tree node at each of those steps.  Step N is not parametrized:
-    decode always appends the forced liquidation trade that closes the
-    position, using the same floating-point recursion the ledger applies, so
-    terminal positions are exactly zero.  long_only problems drop the sell
-    block and clamp h0 to be nonnegative.
+    Layout: [h0, buy increments, sell increments].  h0 is the signed trade at
+    time zero: decode writes it as a buy (h0 > 0) or a sell (h0 < 0) into
+    column 0 of the strategy.  Deterministic schedules carry one scalar per
+    trading step 1..N-1; lattice policies carry one scalar per tree node at
+    each of those steps.  Step N is not parametrized: decode always appends
+    the forced liquidation trade that closes the position, using the same
+    floating-point recursion the ledger applies, so terminal positions are
+    exactly zero.  long_only problems drop the sell block and clamp h0 to be
+    nonnegative.
 
     The layout is compiled once: up_index (and dn_index, None when long-only)
     holds the parameter column that drives each path's increment at each
@@ -119,7 +120,7 @@ class PolicyCodec:
     """
 
     def __init__(self, problem: RobustProblem):
-        self.problem = problem
+        self.grid = problem.grid
         noise = problem.noise
         self.paths = noise.paths
         self.steps = problem.grid.steps
@@ -154,27 +155,26 @@ class PolicyCodec:
 
     def decode(self, vec: np.ndarray) -> Strategy:
         """Strategy of one parameter vector, or of a (batch, n_params) stack of
-        vectors sharing h0: the latter decodes to one strategy over batch
-        stacked copies of the paths, vector-major."""
+        vectors: the latter decodes to one strategy over batch stacked copies
+        of the paths, vector-major."""
         vecs = np.asarray(vec, float)
         if vecs.ndim not in (1, 2) or vecs.shape[-1] != self.n_params:
             raise ConfigError(f"parameter vector must have shape ({self.n_params},)")
         vecs = vecs.reshape(-1, self.n_params)
-        h0 = float(vecs[0, 0])
-        if (vecs[:, 0] != h0).any():
-            raise ConfigError("a batch of parameter vectors must share h0")
         n1 = self.steps + 1
         d_up = np.zeros((vecs.shape[0], self.paths, n1))
         d_dn = np.zeros((vecs.shape[0], self.paths, n1))
+        np.maximum(vecs[:, :1], 0.0, out=d_up[:, :, 0])
+        np.maximum(-vecs[:, :1], 0.0, out=d_dn[:, :, 0])
         d_up[:, :, 1:-1] = vecs[:, self.up_index]
         if self.dn_index is not None:
             d_dn[:, :, 1:-1] = vecs[:, self.dn_index]
         d_up = d_up.reshape(-1, n1)
         d_dn = d_dn.reshape(-1, n1)
-        pos = position_recursion(h0, d_up, d_dn)[:, -2]
+        pos = position_recursion(d_up, d_dn)[:, -2]
         np.maximum(pos, 0.0, out=d_dn[:, -1])
         np.maximum(-pos, 0.0, out=d_up[:, -1])
-        return Strategy(self.problem.grid, h0, d_up, d_dn)
+        return Strategy(self.grid, d_up, d_dn)
 
 
 @dataclass(frozen=True)
@@ -212,15 +212,14 @@ def _settle(problem: RobustProblem, strat: Strategy, prices: np.ndarray):
     return ledger, per, ok
 
 
-def objective(problem: RobustProblem, vec: np.ndarray, codec: Optional[PolicyCodec] = None) -> ObjectiveResult:
+def objective(problem: RobustProblem, vec: np.ndarray) -> ObjectiveResult:
     """Evaluate min over the family of the expected terminal utility, settling
-    every model in one ledger pass; codec, when given, is the problem's
-    compiled PolicyCodec (solve passes its own so the layout is built once).
+    every model in one ledger pass.
 
     A vector is infeasible when any model's admissibility check fails; that is
     reported distinctly from a finite (or -inf) objective value.
     """
-    strat = (PolicyCodec(problem) if codec is None else codec).decode(vec)
+    strat = problem.codec.decode(vec)
     ledger, per, ok = _settle(problem, strat, problem.panel.prices)
     per, ok = per[:, 0], ok[:, 0]
     # copies, so that a kept result does not hold the ledger's arrays alive
@@ -250,12 +249,10 @@ class SolveReport:
     averaged_value: float
     history: tuple
     n_params: int
-    policy_class: str
-    admissibility: str
     strategy: Strategy
 
 
-def _supergradient(problem: RobustProblem, codec: PolicyCodec, vec: np.ndarray, res: ObjectiveResult) -> np.ndarray:
+def _supergradient(problem: RobustProblem, vec: np.ndarray, res: ObjectiveResult) -> np.ndarray:
     """Exact gradient of the active model's expected utility at vec, from the
     ledger pass that produced res.
 
@@ -268,7 +265,7 @@ def _supergradient(problem: RobustProblem, codec: PolicyCodec, vec: np.ndarray, 
     a leg at its lower bound 0 takes the right one, every other parameter the
     mean of both.
     """
-    lam = problem.cost.lam
+    codec, lam = problem.codec, problem.cost.lam
     prices = problem.panel.prices[res.argmin_theta]
     n1 = prices.shape[1]
     s_n = prices[:, -1]
@@ -323,16 +320,16 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
     together with the tail average of the trajectory (also evaluated, for
     diagnostics).
     """
-    codec = PolicyCodec(problem)
+    codec = problem.codec
     cur = codec.zero()
-    cur_res = objective(problem, cur, codec)
+    cur_res = objective(problem, cur)
     if not cur_res.feasible:
         raise NoFeasiblePointError("the zero strategy is already inadmissible")
 
     def evaluate(vec: np.ndarray) -> ObjectiveResult:
         if vec.tobytes() == cur.tobytes():
             return cur_res
-        return objective(problem, vec, codec)
+        return objective(problem, vec)
 
     best_vec, best_res = cur, cur_res
     iterates = [cur]
@@ -340,7 +337,7 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
     g = None  # the gradient at cur, recomputed only once cur has moved
     for k in range(1, settings.iters + 1):
         if g is None:
-            g = _supergradient(problem, codec, cur, cur_res)
+            g = _supergradient(problem, cur, cur_res)
             norm = math.sqrt(g @ g)
         if norm < 1e-15:
             history.append((k, cur_res.robust_value, cur_res.argmin_theta, 0.0))
@@ -367,7 +364,7 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
     start = int(len(iterates) * (1.0 - TAIL_FRACTION))
     start = min(max(start, 0), len(iterates) - 1)
     avg_vec = codec.project(np.mean(np.stack(iterates[start:]), axis=0))
-    avg_res = objective(problem, avg_vec, codec)
+    avg_res = objective(problem, avg_vec)
     avg_value = avg_res.robust_value if avg_res.feasible else -math.inf
     return SolveReport(
         best_params=best_vec,
@@ -378,8 +375,6 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
         averaged_value=avg_value,
         history=tuple(history),
         n_params=codec.n_params,
-        policy_class=problem.policy_class,
-        admissibility=problem.admissibility,
         strategy=codec.decode(best_vec),
     )
 
@@ -398,7 +393,7 @@ class BruteForceReport:
 
 
 MAX_BRUTE_COMBOS = 1_000_000
-BRUTE_CHUNK_ROWS = 1 << 16
+BRUTE_CHUNK_ROWS = 1 << 13
 
 
 def brute_force(
@@ -416,7 +411,7 @@ def brute_force(
         raise ConfigError("the brute-force oracle runs on lattice panels only")
     if problem.grid.steps > 3:
         raise OracleTooLargeError("the brute-force oracle supports at most 3 steps")
-    codec = PolicyCodec(problem)
+    codec = problem.codec
     if dn_grid is None:
         dn_grid = up_grid
     axes: list[np.ndarray] = [np.asarray(h0_grid, float)]
@@ -439,16 +434,13 @@ def brute_force(
     per_theta = np.empty((problem.n_thetas, n_combos))
     feasible = np.empty(n_combos, dtype=bool)
     paths = problem.noise.paths
-    # h0 is the slowest digit, so each h0 value owns a contiguous run of
-    # combinations; runs are settled in chunks of at most BRUTE_CHUNK_ROWS paths
-    run = n_combos // sizes[0]
-    chunk = max(1, min(run, BRUTE_CHUNK_ROWS // paths))
+    # combinations are settled in chunks of at most BRUTE_CHUNK_ROWS paths
+    chunk = max(1, min(n_combos, BRUTE_CHUNK_ROWS // paths))
     tiled = np.tile(problem.panel.prices, (1, chunk, 1))
-    for start in range(0, n_combos, run):
-        for lo in range(start, start + run, chunk):
-            hi = min(lo + chunk, start + run)
-            _, per_theta[:, lo:hi], ok = _settle(problem, codec.decode(vecs[lo:hi]), tiled[:, : (hi - lo) * paths])
-            feasible[lo:hi] = ok.all(axis=0)
+    for lo in range(0, n_combos, chunk):
+        hi = min(lo + chunk, n_combos)
+        _, per_theta[:, lo:hi], ok = _settle(problem, codec.decode(vecs[lo:hi]), tiled[:, : (hi - lo) * paths])
+        feasible[lo:hi] = ok.all(axis=0)
     robust = per_theta.min(axis=0)
     robust[~feasible] = -math.inf
     n_feasible = int(feasible.sum())

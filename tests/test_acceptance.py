@@ -59,12 +59,13 @@ def random_flat_strategy(grid, paths, rng, nonneg_h0=False):
     h0 = float(rng.normal(0.0, 1.0))
     if nonneg_h0:
         h0 = abs(h0)
-    pos = h0
-    for i in range(1, grid.steps):
+    d_up[:, 0], d_dn[:, 0] = max(h0, 0.0), max(-h0, 0.0)
+    pos = 0.0
+    for i in range(grid.steps):
         pos = (pos + d_up[:, i]) - d_dn[:, i]
     d_dn[:, -1] = np.maximum(pos, 0.0)
     d_up[:, -1] = np.maximum(-pos, 0.0)
-    return Strategy(grid, h0, d_up, d_dn)
+    return Strategy(grid, d_up, d_dn)
 
 
 def test_criterion_01_arctan_cps_thresholds():
@@ -162,13 +163,7 @@ def test_criterion_05_accounting_identities():
     for _ in range(100):
         strat = random_flat_strategy(grid, 1000, rng)
         led = run_ledger(strat, prices, cost)
-        h0p, h0m = max(strat.h0, 0.0), max(-strat.h0, 0.0)
-        rhs = (
-            -(prices * strat.d_up).sum(axis=1)
-            + ((1 - lam) * prices * strat.d_dn).sum(axis=1)
-            - h0p * prices[:, 0]
-            + h0m * (1 - lam) * prices[:, 0]
-        )
+        rhs = -(prices * strat.d_up).sum(axis=1) + ((1 - lam) * prices * strat.d_dn).sum(axis=1)
         np.testing.assert_allclose(led.cash[:, -1] - x0, rhs, rtol=1e-12, atol=1e-12)
         for sp in shadows:
             sh = shadow_ledger(led, sp)
@@ -178,19 +173,19 @@ def test_criterion_05_accounting_identities():
     # fixture where every product and sum is a representable float
     g3 = TimeGrid(1.0, 3)
     dy_prices = np.array([[1.0, 1.25, 0.75, 1.5], [1.0, 0.5, 1.75, 2.0]])
-    a_up = np.array([[0.0, 0.25, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
-    b_up = np.array([[0.0, 0.75, 0.5, 0.0], [0.0, 0.0, 0.25, 0.0]])
+    a_up = np.array([[0.5, 0.25, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+    b_up = np.array([[0.25, 0.75, 0.5, 0.0], [0.25, 0.0, 0.25, 0.0]])
 
-    def flat(h0, d_up):
+    def flat(d_up):
         d_dn = np.zeros_like(d_up)
-        d_dn[:, 3] = h0 + d_up[:, 1] + d_up[:, 2]
+        d_dn[:, 3] = d_up[:, 0] + d_up[:, 1] + d_up[:, 2]
         return d_dn
 
     dy_cost = CostSpec(0.5, 4.0)
-    a = Strategy(g3, 0.5, a_up, flat(0.5, a_up))
-    b = Strategy(g3, 0.25, b_up, flat(0.25, b_up))
+    a = Strategy(g3, a_up, flat(a_up))
+    b = Strategy(g3, b_up, flat(b_up))
     mid_up = (a_up + b_up) / 2.0
-    mid = Strategy(g3, 0.375, mid_up, flat(0.375, mid_up))
+    mid = Strategy(g3, mid_up, flat(mid_up))
     la, lb, lm = (run_ledger(s, dy_prices, dy_cost) for s in (a, b, mid))
     assert np.all(lm.position[:, -1] == 0.0)
     np.testing.assert_array_equal(lm.liq[:, -1], (la.liq[:, -1] + lb.liq[:, -1]) / 2.0)
@@ -198,7 +193,7 @@ def test_criterion_05_accounting_identities():
     # and to 1e-12 relative on the simulated panel
     sa = random_flat_strategy(grid, 1000, rng, nonneg_h0=True)
     sb = random_flat_strategy(grid, 1000, rng, nonneg_h0=True)
-    sm = Strategy(grid, (sa.h0 + sb.h0) / 2.0, (sa.d_up + sb.d_up) / 2.0, (sa.d_dn + sb.d_dn) / 2.0)
+    sm = Strategy(grid, (sa.d_up + sb.d_up) / 2.0, (sa.d_dn + sb.d_dn) / 2.0)
     la, lb, lm = (run_ledger(s, prices, cost) for s in (sa, sb, sm))
     np.testing.assert_allclose(lm.liq[:, -1], (la.liq[:, -1] + lb.liq[:, -1]) / 2.0, rtol=1e-12)
 
@@ -331,7 +326,6 @@ def test_criterion_08_duality_bound_and_inada():
                 exp_utility(1.0),
                 grid3,
                 lattice_panel(grid3, 1),
-                admissibility="supermartingale",
             ),
             OptimizerSettings(iters=80, step0=0.5),
         )

@@ -24,32 +24,34 @@ def random_strategy(grid, paths, rng, h0_scale=1.0, jump_scale=0.2, flatten=True
     h0 = float(rng.normal(0.0, h0_scale))
     if nonneg_h0:
         h0 = abs(h0)
+    d_up[:, 0], d_dn[:, 0] = max(h0, 0.0), max(-h0, 0.0)
     if flatten:
         d_up[:, -1] = 0.0
         d_dn[:, -1] = 0.0
-        pos = h0
-        for i in range(1, grid.steps):
+        pos = 0.0
+        for i in range(grid.steps):
             pos = (pos + d_up[:, i]) - d_dn[:, i]
         d_dn[:, -1] = np.maximum(pos, 0.0)
         d_up[:, -1] = np.maximum(-pos, 0.0)
-    return Strategy(grid, h0, d_up, d_dn)
+    return Strategy(grid, d_up, d_dn)
 
 
 def sequential_ledger(strategy, prices, cost):
-    """Cash, position and liquidation value one step at a time:
+    """Cash, position and liquidation value one step at a time from cash x0
+    and a flat position, the time-zero trade in column 0 included:
     cash_i = (cash_{i-1} - S_i up_i) + (1 - lambda) S_i dn_i."""
-    lam, h0 = cost.lam, strategy.h0
+    lam = cost.lam
     cash = np.empty(prices.shape)
-    cash[..., 0] = cost.x0 - max(h0, 0.0) * prices[..., 0] + max(-h0, 0.0) * (1.0 - lam) * prices[..., 0]
     pos = np.empty(strategy.d_up.shape)
-    pos[:, 0] = h0
-    for i in range(1, prices.shape[-1]):
+    cash_prev, pos_prev = cost.x0, 0.0
+    for i in range(prices.shape[-1]):
         cash[..., i] = (
-            cash[..., i - 1]
+            cash_prev
             - prices[..., i] * strategy.d_up[:, i]
             + (1.0 - lam) * prices[..., i] * strategy.d_dn[:, i]
         )
-        pos[:, i] = (pos[:, i - 1] + strategy.d_up[:, i]) - strategy.d_dn[:, i]
+        pos[:, i] = (pos_prev + strategy.d_up[:, i]) - strategy.d_dn[:, i]
+        cash_prev, pos_prev = cash[..., i], pos[:, i]
     liq = cash + np.maximum(pos, 0.0) * ((1.0 - lam) * prices) - np.maximum(-pos, 0.0) * prices
     return cash, pos, liq
 
@@ -65,9 +67,8 @@ class TestRunLedger:
         shape = (64, g.steps + 1) if models is None else (models, 64, g.steps + 1)
         prices = rng.choice([1.0, 0.7, 1.3, 1e-3], size=shape) * rng.uniform(0.9, 1.1, size=shape)
         jumps = [rng.choice([0.0, 0.1, 1.0, 1e16], size=(64, g.steps + 1)) for _ in range(2)]
-        for j in jumps:
-            j[:, 0] = 0.0
-        strat = Strategy(g, h0, jumps[0], jumps[1])
+        jumps[0][:, 0], jumps[1][:, 0] = max(h0, 0.0), max(-h0, 0.0)
+        strat = Strategy(g, jumps[0], jumps[1])
         cost = CostSpec(0.03, 1.0)
         ledger = run_ledger(strat, prices, cost)
         cash, pos, liq = sequential_ledger(strat, prices, cost)
@@ -92,7 +93,7 @@ class TestRunLedger:
         g = TimeGrid(1.0, 1)
         prices = np.full((1, 2), 2.0)
         d_dn = np.array([[0.0, 1.0]])
-        strat = Strategy(g, 1.0, np.zeros((1, 2)), d_dn)
+        strat = Strategy(g, np.array([[1.0, 0.0]]), d_dn)
         led = run_ledger(strat, prices, CostSpec(0.01, 10.0))
         assert led.cash[0, 0] == 8.0
         assert led.cash[0, 1] == 9.98
@@ -104,7 +105,7 @@ class TestRunLedger:
     def test_short_side_settles_at_bid(self):
         g = TimeGrid(1.0, 1)
         prices = np.full((1, 2), 2.0)
-        strat = Strategy(g, -1.0, np.array([[0.0, 1.0]]), np.zeros((1, 2)))
+        strat = Strategy(g, np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
         led = run_ledger(strat, prices, CostSpec(0.25, 10.0))
         # sell 1 at (1-lam)*2 = 1.5, buy back at 2
         assert led.cash[0, 0] == 11.5
@@ -116,9 +117,11 @@ class TestRunLedger:
         g = TimeGrid(1.0, 50)
         noise = gaussian_panel(g, 1000, 1, seed=7)
         prices = simulate(ArctanDrift(), g, noise)
+        d_up = np.zeros((1000, 51))
+        d_up[:, 0] = 1.0
         d_dn = np.zeros((1000, 51))
         d_dn[:, -1] = 1.0
-        strat = Strategy(g, 1.0, np.zeros((1000, 51)), d_dn)
+        strat = Strategy(g, d_up, d_dn)
         x = 2.0
         led = run_ledger(strat, prices, CostSpec(2.0 / 3.0, x))
         expected = x - prices[:, 0] + prices[:, -1] / 3.0
@@ -134,13 +137,7 @@ class TestRunLedger:
         for _ in range(25):
             strat = random_strategy(g, 40, rng, flatten=False)
             led = run_ledger(strat, prices, CostSpec(lam, x))
-            h0p, h0m = max(strat.h0, 0.0), max(-strat.h0, 0.0)
-            rhs = (
-                -(prices * strat.d_up).sum(axis=1)
-                + ((1 - lam) * prices * strat.d_dn).sum(axis=1)
-                - h0p * prices[:, 0]
-                + h0m * (1 - lam) * prices[:, 0]
-            )
+            rhs = -(prices * strat.d_up).sum(axis=1) + ((1 - lam) * prices * strat.d_dn).sum(axis=1)
             np.testing.assert_allclose(led.cash[:, -1] - x, rhs, rtol=1e-12, atol=1e-12)
 
     def test_cost_monotonicity(self):
@@ -180,17 +177,18 @@ class TestTerminalLinearity:
         a_up = np.array([[0.0, 0.25, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
         b_up = np.array([[0.0, 0.75, 0.5, 0.0], [0.0, 0.0, 0.25, 0.0]])
 
-        def flatten(h0, d_up):
+        a_up[:, 0], b_up[:, 0] = 0.5, 0.25
+
+        def flatten(d_up):
             d_dn = np.zeros_like(d_up)
-            pos = h0 + d_up[:, 1] + d_up[:, 2]
-            d_dn[:, 3] = pos
+            d_dn[:, 3] = d_up[:, 0] + d_up[:, 1] + d_up[:, 2]
             return d_dn
 
         cost = CostSpec(lam, 4.0)
-        a = Strategy(g, 0.5, a_up, flatten(0.5, a_up))
-        b = Strategy(g, 0.25, b_up, flatten(0.25, b_up))
+        a = Strategy(g, a_up, flatten(a_up))
+        b = Strategy(g, b_up, flatten(b_up))
         mid_up = (a_up + b_up) / 2.0
-        mid = Strategy(g, (0.5 + 0.25) / 2.0, mid_up, flatten((0.5 + 0.25) / 2.0, mid_up))
+        mid = Strategy(g, mid_up, flatten(mid_up))
         led_a = run_ledger(a, prices, cost)
         led_b = run_ledger(b, prices, cost)
         led_mid = run_ledger(mid, prices, cost)
@@ -207,7 +205,7 @@ class TestTerminalLinearity:
         cost = CostSpec(0.03, 5.0)
         a = random_strategy(g, 64, rng, flatten=True, nonneg_h0=True)
         b = random_strategy(g, 64, rng, flatten=True, nonneg_h0=True)
-        mid = Strategy(g, (a.h0 + b.h0) / 2.0, (a.d_up + b.d_up) / 2.0, (a.d_dn + b.d_dn) / 2.0)
+        mid = Strategy(g, (a.d_up + b.d_up) / 2.0, (a.d_dn + b.d_dn) / 2.0)
         led_a = run_ledger(a, prices, cost)
         led_b = run_ledger(b, prices, cost)
         led_mid = run_ledger(mid, prices, cost)
@@ -258,9 +256,11 @@ class TestAdmissibility:
         # x=1, H0=10 on S=1, lambda=0.5: cash_0 = -9 and liq_0 = -9 + 10*0.5 = -4
         g = TimeGrid(1.0, 2)
         prices = np.ones((2, 3))
+        d_up = np.zeros((2, 3))
+        d_up[:, 0] = 10.0
         d_dn = np.zeros((2, 3))
         d_dn[:, -1] = 10.0
-        strat = Strategy(g, 10.0, np.zeros((2, 3)), d_dn)
+        strat = Strategy(g, d_up, d_dn)
         led = run_ledger(strat, prices, CostSpec(0.5, 1.0))
         rep = check_admissible_rplus(led)
         assert not rep.admissible
@@ -271,9 +271,11 @@ class TestAdmissibility:
         # t_1 takes the liquidation value of H0 = 2 below zero
         g = TimeGrid(1.0, 2)
         prices = np.array([np.ones((2, 3)), [[1.0, 1.0, 1.0], [1.0, 0.4, 1.0]]])
+        d_up = np.zeros((2, 3))
+        d_up[:, 0] = 2.0
         d_dn = np.zeros((2, 3))
         d_dn[:, -1] = 2.0
-        strat = Strategy(g, 2.0, np.zeros((2, 3)), d_dn)
+        strat = Strategy(g, d_up, d_dn)
         led = run_ledger(strat, prices, CostSpec(0.5, 1.5))
         rep = check_admissible_rplus(led)
         assert not rep.admissible
@@ -284,7 +286,7 @@ class TestAdmissibility:
     def test_open_terminal_position_is_flagged(self):
         g = TimeGrid(1.0, 2)
         prices = np.full((1, 3), 2.0)
-        strat = Strategy(g, 0.25, np.zeros((1, 3)), np.zeros((1, 3)))
+        strat = Strategy(g, np.array([[0.25, 0.0, 0.0]]), np.zeros((1, 3)))
         led = run_ledger(strat, prices, CostSpec(0.01, 10.0))
         rep = check_admissible_rplus(led)
         assert not rep.admissible

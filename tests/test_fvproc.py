@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -189,10 +191,11 @@ class TestConvergenceReport:
         assert rep.pass_fraction >= 0.99
 
 
-def sequential_position(h0, d_up, d_dn):
-    """pos_i = (pos_{i-1} + up_i) - dn_i, one step at a time."""
+def sequential_position(d_up, d_dn):
+    """pos_i = (pos_{i-1} + up_i) - dn_i, one step at a time from a flat
+    position, so pos_0 = up_0 - dn_0."""
     pos = np.empty(d_up.shape)
-    pos[:, 0] = h0
+    pos[:, 0] = d_up[:, 0] - d_dn[:, 0]
     for i in range(1, d_up.shape[1]):
         pos[:, i] = (pos[:, i - 1] + d_up[:, i]) - d_dn[:, i]
     return pos
@@ -212,15 +215,17 @@ class TestStrategy:
         g = TimeGrid(1.0, 2)
         bad = np.array([[0.0, -1.0, 0.0]])
         with pytest.raises(ConfigError):
-            Strategy(g, 0.0, bad, np.zeros((1, 3)))
+            Strategy(g, bad, np.zeros((1, 3)))
         with pytest.raises(ConfigError):
-            Strategy(g, 0.0, np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)))
+            Strategy(g, np.zeros((1, 3)), np.array([[math.inf, 0.0, 0.0]]))
+        # the time-zero trade is column 0
+        assert Strategy(g, np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3))).position()[0, 0] == 1.0
 
     def test_position_recursion(self):
         g = TimeGrid(1.0, 3)
-        d_up = np.array([[0.0, 1.0, 0.0, 0.0]])
+        d_up = np.array([[1.0, 1.0, 0.0, 0.0]])
         d_dn = np.array([[0.0, 0.0, 0.5, 1.5]])
-        s = Strategy(g, 1.0, d_up, d_dn)
+        s = Strategy(g, d_up, d_dn)
         np.testing.assert_array_equal(s.position(), [[1.0, 2.0, 1.5, 0.0]])
 
     @pytest.mark.parametrize("h0", [1e16, 0.1, -1e16, -0.0])
@@ -228,10 +233,11 @@ class TestStrategy:
         rng = np.random.default_rng(11)
         d_up = mixed_magnitude_jumps(rng, 64, 12)
         d_dn = mixed_magnitude_jumps(rng, 64, 12)
-        want = sequential_position(h0, d_up, d_dn)
-        assert position_recursion(h0, d_up, d_dn).tobytes() == want.tobytes()
+        d_up[:, 0], d_dn[:, 0] = max(h0, 0.0), max(-h0, 0.0)
+        want = sequential_position(d_up, d_dn)
+        assert position_recursion(d_up, d_dn).tobytes() == want.tobytes()
         # the inputs do tell association orders apart
-        netted = h0 + np.cumsum(d_up - d_dn, axis=1)
+        netted = np.cumsum(d_up - d_dn, axis=1)
         assert not np.array_equal(netted, want)
 
     def test_zero_factory(self):
@@ -239,9 +245,3 @@ class TestStrategy:
         s = Strategy.zero(g, 5)
         assert s.paths == 5
         np.testing.assert_array_equal(s.position(), 0.0)
-
-    def test_monotone_path_views(self):
-        g = TimeGrid(1.0, 2)
-        s = Strategy(g, 0.5, np.array([[0.0, 0.25, 0.0]]), np.array([[0.0, 0.0, 0.75]]))
-        assert s.buy_path(0).terminal() == 0.25
-        assert s.sell_path(0).terminal() == 0.75

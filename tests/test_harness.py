@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,14 +92,14 @@ class TestParseConfig:
         assert cfg.noise_paths == 1000
         assert cfg.noise_drivers == 1
         assert cfg.cost.x0 == 1.0
-        assert cfg.admissibility == "rplus"
+        assert cfg.build_problem().admissibility == "rplus"
         assert cfg.policy_class == "deterministic-schedule"
         assert cfg.verify == {"theta_index": 0, "construction": "auto", "shrink": None, "level": None}
         assert cfg.duality["ys"] == [0.25, 0.5, 1.0, 2.0, 4.0]
 
     def test_whole_line_utility_switches_admissibility(self):
         cfg = parse_config(make_doc(utility={"name": "exp"}, policy={"class": "deterministic-schedule"}))
-        assert cfg.admissibility == "supermartingale"
+        assert cfg.build_problem().admissibility == "supermartingale"
 
     def test_unknown_keys_fail_loudly(self):
         with pytest.raises(ConfigError):
@@ -344,6 +345,7 @@ class TestCli:
             {"thetas": [dict(FACTOR, rho=[float("-inf"), 0.0])]},
             {"utility": {"name": "exp", "a": float("inf")}, "policy": {}},
             {"cost": {"lambda": 0.01, "x0": 10**400}},
+            {"admissibility": "rplus"},
         ],
         ids=[
             "mu_bounds-string", "sigma_bounds-short", "theta-string", "theta-flat", "rho-string",
@@ -354,7 +356,7 @@ class TestCli:
             "verify-shrink-nan", "verify-level-zero", "verify-level-negative", "verify-level-inf",
             "verify-level-with-auto", "verify-level-with-lattice", "verify-lattice-on-mc",
             "verify-lattice-on-factor", "verify-lattice-three-drivers", "mu-nan", "rho-minus-inf", "exp-a-inf",
-            "x0-huge-int",
+            "x0-huge-int", "admissibility-key",
         ],
     )
     def test_bad_values_exit_2_at_parse_time(self, tmp_path, capsys, over):
@@ -621,3 +623,92 @@ class TestCli:
         assert [(r["value"], r["ratio"]) for r in result["inada"][1:]] == [(None, None), (None, None)]
         assert result["inada"][0]["value"] == result["best_value"]
         assert result["growth_ok"] is True
+
+
+# the lattice-duality benchmark config at seed 7
+LATTICE_DUALITY_DOC = {
+    "seed": 7,
+    "grid": {"horizon": 1.0, "steps": 2},
+    "noise": {"kind": "lattice"},
+    "cost": {"lambda": 0.02, "x0": 3.0},
+    "thetas": [
+        {"type": "black_scholes", "mu": 0.10, "sigma": 0.2},
+        {"type": "black_scholes", "mu": 0.05, "sigma": 0.2},
+    ],
+    "utility": {"name": "log"},
+    "policy": {"class": "lattice-policy", "long_only": False},
+    "optimizer": {"iters": 300, "step0": 1.0},
+}
+
+
+class TestStrategyCsv:
+    """strategy.csv holds every trade, the time-zero one in its time_index 0
+    rows: per path, the running sum of d_up - d_dn in the recursion's order
+    is the ledger's position column bit for bit."""
+
+    @pytest.mark.parametrize(
+        "thetas, sign",
+        [(LATTICE_DUALITY_DOC["thetas"], 1.0), ([{"type": "black_scholes", "mu": -0.10, "sigma": 0.2}], -1.0)],
+        ids=["long-at-time-zero", "short-at-time-zero"],
+    )
+    def test_running_sum_of_the_trades_is_the_ledger_position(self, tmp_path, thetas, sign):
+        out = tmp_path / "s"
+        doc = dict(LATTICE_DUALITY_DOC, thetas=thetas)
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        h0 = json.loads((out / "report.json").read_text())["h0"]
+        assert sign * h0 > 2.0  # about 2.24 long and 6.36 short
+        strategy = np.loadtxt(out / "strategy.csv", delimiter=",", skiprows=1)
+        ledger = np.loadtxt(out / "ledger_worst.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(strategy[:, :2], ledger[:, :2])
+        n1 = doc["grid"]["steps"] + 1
+        d_up, d_dn, position = (a.reshape(-1, n1) for a in (strategy[:, 2], strategy[:, 3], ledger[:, 3]))
+        np.testing.assert_array_equal(d_up[:, 0] - d_dn[:, 0], h0)
+        pos = np.zeros(len(d_up))
+        for i in range(n1):
+            pos = (pos + d_up[:, i]) - d_dn[:, i]
+            assert pos.tobytes() == position[:, i].tobytes(), i
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize(
+        "over, estimate",
+        [
+            ({"grid": {"horizon": 1.0, "steps": 10**12}},
+             "1 x 1000 x 1000000000001 floats would take 8,000,000,000,008,000 bytes"),
+            ({"noise": {"kind": "mc", "paths": 10**14}},
+             "1 x 100000000000000 x 51 floats would take 40,800,000,000,000,000 bytes"),
+        ],
+        ids=["steps-1e12", "paths-1e14"],
+    )
+    def test_huge_config_exits_2_without_allocating(self, tmp_path, capsys, over, estimate):
+        doc = make_doc(**{"grid": {"horizon": 1.0, "steps": 50}, "noise": {"kind": "mc", "paths": 1000},
+                          "policy": {}, **over})
+        path = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: the price stack of ") and err.count("\n") == 1
+        assert estimate in err
+        assert peak < 1 << 20
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_array_is_measured_against_one_budget(self):
+        # 4 models x 100k paths x 51 times, about 160 MB, is accepted
+        ok = make_doc(grid={"horizon": 1.0, "steps": 50}, noise={"kind": "mc", "paths": 100_000}, policy={},
+                      thetas=[{"type": "black_scholes", "mu": 0.1, "sigma": 0.2}] * 4)
+        parse_config(ok)
+        # the noise panel is the largest array when drivers outnumber models
+        wide = dict(ok, noise={"kind": "mc", "paths": 10**7, "drivers": 6},
+                    thetas=[{"type": "black_scholes", "mu": 0.1, "sigma": 0.2}])
+        with pytest.raises(ConfigError, match="noise panel of 10000000 x 50 x 6"):
+            parse_config(wide)
+        # a lattice has 2^(steps x drivers) paths whatever noise.paths says
+        lattice = make_doc(grid={"horizon": 1.0, "steps": 22}, thetas=[ok["thetas"][0]] * 2)
+        with pytest.raises(ConfigError, match=r"price stack of 2 x 4194304 x 23 floats would take 1,543,503,872"):
+            parse_config(lattice)
+        parse_config(dict(lattice, thetas=lattice["thetas"][:1]))

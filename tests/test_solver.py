@@ -52,12 +52,12 @@ class TestRobustProblemValidation:
         g = TimeGrid(1.0, 2)
         noise = gaussian_panel(g, 8, 1, seed=0)
         thetas = ThetaGrid((BlackScholes(0.1, 0.2),))
+        assert RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), g, noise).admissibility == "rplus"
+        # a whole-line utility needs no positive capital
+        whole_line = RobustProblem(CostSpec(0.01, -1.0), thetas, exp_utility(), g, noise)
+        assert whole_line.admissibility == "supermartingale"
         with pytest.raises(ConfigError):
-            RobustProblem(CostSpec(0.01, 1.0), thetas, exp_utility(), g, noise)
-        with pytest.raises(ConfigError):
-            RobustProblem(
-                CostSpec(0.01, 1.0), thetas, log_utility(), g, noise, admissibility="supermartingale"
-            )
+            RobustProblem(CostSpec(0.01, 0.0), thetas, log_utility(), g, noise)
 
     def test_rplus_needs_positive_capital(self):
         g = TimeGrid(1.0, 2)
@@ -76,12 +76,15 @@ class TestRobustProblemValidation:
 
 
 def repeat_decode(codec, vecs):
-    """Per-step np.repeat of each node's increment over its block of paths,
+    """The signed time-zero parameter as a buy or a sell in column 0, a
+    per-step np.repeat of each node's increment over its block of paths,
     then the closing trade by the sequential position recursion."""
     vecs = np.atleast_2d(vecs)
     n1 = codec.steps + 1
     d_up = np.zeros((len(vecs), codec.paths, n1))
     d_dn = np.zeros((len(vecs), codec.paths, n1))
+    d_up[:, :, 0] = np.maximum(vecs[:, :1], 0.0)
+    d_dn[:, :, 0] = np.maximum(-vecs[:, :1], 0.0)
     ofs = 1
     for j, nodes in enumerate(codec.nodes_per_step):
         block = codec.paths // nodes
@@ -91,8 +94,8 @@ def repeat_decode(codec, vecs):
             d_dn[:, :, j + 1] = np.repeat(vecs[:, dn : dn + nodes], block, axis=1)
         ofs += nodes
     d_up, d_dn = d_up.reshape(-1, n1), d_dn.reshape(-1, n1)
-    pos = np.full(len(d_up), vecs[0, 0])
-    for i in range(1, codec.steps):
+    pos = np.zeros(len(d_up))
+    for i in range(codec.steps):
         pos = (pos + d_up[:, i]) - d_dn[:, i]
     d_dn[:, -1] = np.maximum(pos, 0.0)
     d_up[:, -1] = np.maximum(-pos, 0.0)
@@ -121,9 +124,24 @@ class TestPolicyCodec:
             vecs[:, 0] = vecs[0, 0]
         strat = codec.decode(vecs)
         d_up, d_dn = repeat_decode(codec, vecs)
-        assert strat.h0 == np.atleast_2d(vecs)[0, 0]
         assert strat.d_up.tobytes() == d_up.tobytes()
         assert strat.d_dn.tobytes() == d_dn.tobytes()
+
+    @pytest.mark.parametrize("prob", [lattice_problem(steps=3), gaussian_problem(steps=4, paths=5)],
+                             ids=["lattice-3", "deterministic"])
+    def test_batch_with_different_h0_stacks_the_single_decodes(self, prob):
+        codec = PolicyCodec(prob)
+        rng = np.random.default_rng(8)
+        vecs = codec.project(rng.choice([0.0, 0.1, 0.7, 1e16], size=(4, codec.n_params)))
+        vecs[:, 0] = [2.5, -6.25, 0.0, 1e16]
+        strat = codec.decode(vecs)
+        singles = [codec.decode(v) for v in vecs]
+        assert strat.d_up.tobytes() == np.concatenate([s.d_up for s in singles]).tobytes()
+        assert strat.d_dn.tobytes() == np.concatenate([s.d_dn for s in singles]).tobytes()
+        # the time-zero trade is a buy or a sell in column 0, and every
+        # position closes exactly
+        np.testing.assert_array_equal(strat.position()[:: codec.paths, 0], vecs[:, 0])
+        np.testing.assert_array_equal(strat.position()[:, -1], 0.0)
 
     def test_deterministic_layout(self):
         codec = PolicyCodec(gaussian_problem(steps=4))
@@ -229,19 +247,19 @@ def fd_supergradient(problem, vec, k, h=1e-6):
 
 
 UTILITIES = {
-    # name: (utility, admissibility, x0); the table's knots avoid x0, so the
-    # zero strategy's wealth sits on a linear piece
-    "log": (log_utility(), "rplus", 1.0),
-    "power": (power_utility(0.5), "rplus", 1.0),
-    "exp": (exp_utility(1.5), "supermartingale", 0.5),
-    "custom-table": (table_utility([0.3, 0.7, 0.95, 1.25, 2.0, 4.0], [-1.5, -0.4, 0.0, 0.3, 0.7, 1.2]), "rplus", 1.1),
+    # name: (utility, x0); the table's knots avoid x0, so the zero
+    # strategy's wealth sits on a linear piece
+    "log": (log_utility(), 1.0),
+    "power": (power_utility(0.5), 1.0),
+    "exp": (exp_utility(1.5), 0.5),
+    "custom-table": (table_utility([0.3, 0.7, 0.95, 1.25, 2.0, 4.0], [-1.5, -0.4, 0.0, 0.3, 0.7, 1.2]), 1.1),
 }
 
 
 def adjoint_problem(utility_name, policy):
-    utility, admissibility, x0 = UTILITIES[utility_name]
+    utility, x0 = UTILITIES[utility_name]
     thetas = ThetaGrid((BlackScholes(0.1, 0.2), BlackScholes(-0.05, 0.25)))
-    kw = {"admissibility": admissibility, "long_only": policy == "long-only"}
+    kw = {"long_only": policy == "long-only"}
     if policy == "lattice":
         grid = TimeGrid(1.0, 2)
         return RobustProblem(CostSpec(0.02, x0), thetas, utility, grid, lattice_panel(grid, 1),
@@ -256,7 +274,7 @@ class TestSupergradient:
     def check(self, prob, vec, rtol):
         res = objective(prob, vec)
         assert res.feasible
-        exact = _supergradient(prob, PolicyCodec(prob), vec, res)
+        exact = _supergradient(prob, vec, res)
         ref = fd_supergradient(prob, vec, res.argmin_theta)
         assert np.linalg.norm(exact - ref) <= rtol * np.linalg.norm(ref), (exact, ref)
 
@@ -326,8 +344,8 @@ class TestUnchangedIterateReuse:
         events = []
         real_objective, real_project = solver_module.objective, PolicyCodec.project
 
-        def objective_spy(problem, vec, codec=None):
-            res = real_objective(problem, vec, codec)
+        def objective_spy(problem, vec):
+            res = real_objective(problem, vec)
             events.append(("objective", vec.tobytes(), res))
             return res
 
@@ -385,7 +403,7 @@ class TestBruteForce:
 
     def test_vectorized_recursion_agrees_with_the_ledger(self):
         prob = lattice_problem(steps=2, lam=0.03)
-        rep = brute_force(prob, np.arange(0.0, 1.01, 0.25), np.arange(0.0, 0.51, 0.25))
+        rep = brute_force(prob, np.arange(-1.0, 1.01, 0.25), np.arange(0.0, 0.51, 0.25))
         codec = PolicyCodec(prob)
         check = objective(prob, codec.project(rep.best_params))
         assert check.feasible
@@ -469,10 +487,10 @@ class TestDualityReport:
 
 
 SCALING = {
-    # name: (utility, admissibility, x0, whether the policy scales with x0)
-    "log": (log_utility(), "rplus", 1.0, True),
-    "power": (power_utility(0.4), "rplus", 1.0, True),
-    "exp": (exp_utility(1.5), "supermartingale", 0.5, False),
+    # name: (utility, x0, whether the policy scales with x0)
+    "log": (log_utility(), 1.0, True),
+    "power": (power_utility(0.4), 1.0, True),
+    "exp": (exp_utility(1.5), 0.5, False),
 }
 
 
@@ -483,9 +501,9 @@ def test_objective_obeys_the_scaling_identity(utility_name, policy):
     in the policy, so on random feasible policies the objective at
     (k x0, k theta) is the identity applied to the objective at (x0, theta);
     exp translates instead, so it keeps theta."""
-    utility, admissibility, x0, scales = SCALING[utility_name]
+    utility, x0, scales = SCALING[utility_name]
     thetas = ThetaGrid((BlackScholes(0.1, 0.2), BlackScholes(-0.05, 0.25)))
-    kw = {"admissibility": admissibility, "long_only": policy == "long-only"}
+    kw = {"long_only": policy == "long-only"}
     if policy == "lattice":
         grid = TimeGrid(1.0, 2)
         noise = lattice_panel(grid, 1)
@@ -517,7 +535,7 @@ class TestScaledSolvesAgree:
         grid = TimeGrid(1.0, 3)
         base = RobustProblem(
             CostSpec(0.02, 0.5), ThetaGrid((BlackScholes(0.1, 0.2),)), exp_utility(1.0), grid,
-            lattice_panel(grid, 1), admissibility="supermartingale",
+            lattice_panel(grid, 1),
         )
         settings = OptimizerSettings(iters=80, step0=0.5)
         v = solve(base, settings).best_value
