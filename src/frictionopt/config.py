@@ -58,6 +58,18 @@ def _check_work_budget(steps: int, noise_kind: str, paths: int, drivers: int, mo
         )
 
 
+POLICY_CLASSES = ("deterministic-schedule", "lattice-policy")
+
+
+def check_policy_class(policy_class: Any, noise_kind: str) -> None:
+    """A policy class is one of POLICY_CLASSES, and a lattice policy needs
+    lattice noise, whose tree nodes it is indexed by."""
+    if policy_class not in POLICY_CLASSES:
+        raise ConfigError(f"policy.class must be one of {', '.join(POLICY_CLASSES)}, got {policy_class!r}")
+    if policy_class == "lattice-policy" and noise_kind != "lattice":
+        raise ConfigError("lattice policies need a lattice noise panel")
+
+
 def _require_keys(section: str, d: dict, allowed: set[str], required: set[str] = frozenset()) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{section} must be an object")
@@ -318,6 +330,7 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     policy_spec = doc.get("policy", {})
     _require_keys("policy", policy_spec, {"class", "long_only"})
     policy_class = policy_spec.get("class", "deterministic-schedule")
+    check_policy_class(policy_class, noise_kind)
     long_only = policy_spec.get("long_only", False)
     if not isinstance(long_only, bool):
         raise ConfigError("policy.long_only must be a boolean")

@@ -38,8 +38,13 @@ from .solver import default_price_systems, duality_report, solve
 from .utility import conjugate, log_utility, vector_conjugate
 
 
-# rows formatted and written at a time; bounds the per-chunk string arrays
-CSV_CHUNK_ROWS = 1 << 14
+# rows formatted and written at a time; a chunk's strings take about 280
+# bytes a row of prices.csv, and formatting is no faster below 8192 rows but
+# slower above (16384 and 32768 took 6% and 16% more CPU on a 2-core host)
+CSV_CHUNK_ROWS = 1 << 13
+# bytes read at a time when digesting an output file; 1 MiB blocks read no
+# faster and raised simulate's peak RSS by about 2 MB
+DIGEST_BLOCK_BYTES = 1 << 16
 
 
 def _csv_cells(column: np.ndarray) -> np.ndarray:
@@ -61,17 +66,19 @@ def _csv_cells(column: np.ndarray) -> np.ndarray:
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> None:
-    """Write equal-length 1-D columns under header, one row per index,
-    streaming CSV_CHUNK_ROWS rows at a time."""
+    """Write equally shaped column arrays under header, one row per element
+    in C order, streaming CSV_CHUNK_ROWS rows at a time.  Each chunk is copied
+    flat out of its column, so a broadcast or strided view is never
+    materialized whole."""
     columns = [np.asarray(c) for c in columns]
-    n = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(c.ndim != 1 or len(c) != n for c in columns):
+    n = columns[0].size if columns else 0
+    if len(columns) != len(header) or any(c.shape != columns[0].shape for c in columns):
         shapes = [c.shape for c in columns]
-        raise ValueError(f"{len(header)} equal-length 1-D columns expected, got shapes {shapes}")
+        raise ValueError(f"{len(header)} equally shaped columns expected, got shapes {shapes}")
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, n, CSV_CHUNK_ROWS):
-            parts = [_csv_cells(c[lo : lo + CSV_CHUNK_ROWS]) for c in columns]
+            parts = [_csv_cells(c.flat[lo : lo + CSV_CHUNK_ROWS]) for c in columns]
             f.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
@@ -99,8 +106,12 @@ def write_json(path: Path, obj: Any) -> None:
 
 
 def _digest(path: Path) -> dict:
-    data = path.read_bytes()
-    return {"name": path.name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    sha, size = hashlib.sha256(), 0
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(DIGEST_BLOCK_BYTES), b""):
+            sha.update(block)
+            size += len(block)
+    return {"name": path.name, "sha256": sha.hexdigest(), "bytes": size}
 
 
 def write_manifest(
@@ -135,11 +146,13 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     noise = cfg.build_noise()
     panel = simulate_panel(cfg.thetas, cfg.grid, noise, threads=cfg.threads)
 
-    theta_index, path, time_index = np.indices(panel.prices.shape).reshape(3, -1)
+    models, paths, points = panel.prices.shape
     write_csv(
         out_dir / "prices.csv",
         ["theta_index", "path", "time_index", "time", "price"],
-        [theta_index, path, time_index, cfg.grid.times[time_index], panel.prices.reshape(-1)],
+        np.broadcast_arrays(
+            np.arange(models)[:, None, None], np.arange(paths)[:, None], np.arange(points), cfg.grid.times, panel.prices
+        ),
     )
     summary = {
         "paths": noise.paths,
@@ -244,17 +257,16 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
     )
     write_csv(out_dir / "plot_value.csv", ["iter", "robust_value"], [iters, values])
     strat = report.strategy
-    path, time_index = np.indices(strat.d_up.shape).reshape(2, -1)
+    paths, points = strat.d_up.shape
+    path, time_index = np.broadcast_arrays(np.arange(paths)[:, None], np.arange(points))
     write_csv(
-        out_dir / "strategy.csv",
-        ["path", "time_index", "d_up", "d_dn"],
-        [path, time_index, strat.d_up.reshape(-1), strat.d_dn.reshape(-1)],
+        out_dir / "strategy.csv", ["path", "time_index", "d_up", "d_dn"], [path, time_index, strat.d_up, strat.d_dn]
     )
     ledger = run_ledger(strat, problem.panel.prices[report.argmin_theta], problem.cost)
     write_csv(
         out_dir / "ledger_worst.csv",
         ["path", "time_index", "cash", "position", "liq"],
-        [path, time_index, ledger.cash.reshape(-1), ledger.position.reshape(-1), ledger.liq.reshape(-1)],
+        [path, time_index, ledger.cash, ledger.position, ledger.liq],
     )
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accounting import CostSpec, run_ledger, shadow_ledger
-from .config import OptimizerSettings
+from .config import OptimizerSettings, check_policy_class
 from .cps import (
     PriceSystem,
     polarity_gap,
@@ -73,12 +73,9 @@ class RobustProblem:
     codec: PolicyCodec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.policy_class not in ("deterministic-schedule", "lattice-policy"):
-            raise ConfigError(f"unknown policy class {self.policy_class!r}")
+        check_policy_class(self.policy_class, self.noise.kind)
         if self.admissibility == "rplus" and self.cost.x0 <= 0.0:
             raise ConfigError("nonnegative-wealth admissibility needs x0 > 0")
-        if self.policy_class == "lattice-policy" and self.noise.kind != "lattice":
-            raise ConfigError("lattice policies need a lattice noise panel")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         object.__setattr__(

@@ -431,8 +431,8 @@ def luxemburg_norm(sample: Array, phi: Callable[[Array], Array]) -> float:
 @dataclass(frozen=True)
 class AssumptionReport:
     """Structural checks for whole-line utilities: bounded above, U(0) = 0,
-    nondecreasing and concave on probes, U(x)/x increasing toward -infinity,
-    and the doubling condition for the induced phi."""
+    nondecreasing and concave on probes, and U(x)/x increasing toward
+    -infinity."""
 
     bounded_above: bool
     zero_at_zero: bool

@@ -5,6 +5,7 @@ changed."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from frictionopt import brute_force
 from frictionopt.cli import main
 from frictionopt.config import parse_config
+from frictionopt.harness import write_csv, write_manifest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -41,6 +43,14 @@ def test_every_traced_name_resolves():
             missing.append(f"{layer}.{attr}")
     assert len(tracer.TRACED) > 0
     assert missing == []
+
+
+@pytest.mark.parametrize("writer, first", [(write_csv, "path"), (write_manifest, "out_dir")])
+def test_traced_writers_take_their_location_first(writer, first):
+    # the tracer reads args[0] of each call: the CSV it counts rows and bytes
+    # of, and the directory whose manifest it sums bytes_digested from
+    param = next(iter(inspect.signature(writer).parameters.values()))
+    assert (param.name, param.kind) == (first, inspect.Parameter.POSITIONAL_OR_KEYWORD)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
