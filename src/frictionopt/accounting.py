@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .fvproc import Strategy, position_recursion
+from .fvproc import Strategy
 from .scenario import _readonly
 
 
@@ -51,43 +51,45 @@ class AccountingLedger:
     liq: np.ndarray
     shadow: Optional[np.ndarray] = None
 
-    @property
-    def paths(self) -> int:
-        return self.prices.shape[-2]
-
     def terminal_liq(self) -> np.ndarray:
         return self.liq[..., -1]
 
 
+def settle(d_up: np.ndarray, d_dn: np.ndarray, position: np.ndarray, prices: np.ndarray, cost: CostSpec):
+    """Walk t_0 .. t_N and yield (cash_i, liq_i), the one settlement kernel.
+
+    Jumps and positions have time on their last axis and broadcast against
+    the prices at each grid time (paths, or models by paths, or a batch of
+    schedules by paths).  Cash starts at x0 and follows
+    cash_i = (cash_{i-1} - S_i up_i) + (1 - lambda) S_i dn_i, the time-zero
+    trade in column 0 included; liq_i closes position_i at the same marks.
+    Each yield is a fresh array.
+    """
+    long, short = np.maximum(position, 0.0), np.maximum(-position, 0.0)
+    cash = cost.x0
+    for i in range(prices.shape[-1]):
+        s = prices[..., i]
+        bid = (1.0 - cost.lam) * s
+        cash = (cash - s * d_up[..., i]) + bid * d_dn[..., i]
+        # mark the long leg against the bid so that for any shadow price
+        # inside the band (including its edges) liq <= cash + pos * sp holds
+        # bitwise, by monotonicity of rounding in the per-entry products
+        yield cash, (cash + long[..., i] * bid) - short[..., i] * s
+
+
 def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> AccountingLedger:
     """Settle a strategy against simulated prices of one model, shape
-    (paths, steps + 1), or of a stack of models, shape (K, paths, steps + 1).
-
-    Cash starts at x0 and each buy jump pays S dH_up while each sell jump
-    receives (1 - lambda) S dH_dn, the time-zero trade in column 0 included.
-    The liquidation value closes the running position at the same marks.
-    """
+    (paths, steps + 1), or of a stack of models, shape (K, paths, steps + 1),
+    recording every step of the settle walk."""
     prices = np.asarray(prices, float)
     if prices.ndim not in (2, 3) or prices.shape[-2:] != (strategy.paths, strategy.grid.steps + 1):
         raise ConfigError(
             f"prices must have shape ([K,] {strategy.paths}, {strategy.grid.steps + 1}), got {prices.shape}"
         )
-    bid = (1.0 - cost.lam) * prices
-    # cash as one running sum along time over [x0, -S_0 up_0, bid_0 dn_0,
-    # -S_1 up_1, ...]: add accumulates strictly left to right and x + (-y) is
-    # x - y, so it is the recursion cash_i = (cash_{i-1} - S_i up_i) + bid_i dn_i
-    # from cash_{-1} = x0 bit for bit
-    flows = np.empty(prices.shape[:-1] + (2 * prices.shape[-1] + 1,))
-    flows[..., 0] = cost.x0
-    np.multiply(prices, -strategy.d_up, out=flows[..., 1::2])
-    np.multiply(bid, strategy.d_dn, out=flows[..., 2::2])
-    np.add.accumulate(flows, axis=-1, out=flows)
-    cash = flows[..., 2::2]
-    pos = position_recursion(strategy.d_up, strategy.d_dn)
-    # mark the long leg against the bid array so that for any shadow price
-    # inside the band (including its edges) liq <= cash + pos * sp holds
-    # bitwise, by monotonicity of rounding in the per-entry products
-    liq = cash + np.maximum(pos, 0.0) * bid - np.maximum(-pos, 0.0) * prices
+    pos = strategy.position()
+    cash, liq = np.empty(prices.shape), np.empty(prices.shape)
+    for i, step in enumerate(settle(strategy.d_up, strategy.d_dn, pos, prices, cost)):
+        cash[..., i], liq[..., i] = step
     return AccountingLedger(
         cost=cost, prices=_readonly(prices.copy()), cash=_readonly(cash), position=_readonly(pos), liq=_readonly(liq)
     )

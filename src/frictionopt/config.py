@@ -111,10 +111,13 @@ def _shrink(section: str, d: dict) -> Optional[float]:
     return c
 
 
-def _int(section: str, d: dict, key: str, default: Optional[int] = None) -> int:
+def _int(section: str, d: dict, key: str, default: Optional[int] = None, least: Optional[int] = None) -> int:
+    """An integer that is not a bool, and at least `least` when one is given."""
     v = d.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{section}.{key} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ConfigError(f"{section}.{key} must be at least {least}, got {v}")
     return v
 
 
@@ -287,12 +290,8 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         if val is not None:
             doc[key] = val
 
-    seed = _int("config", doc, "seed", 0)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    threads = _int("config", doc, "threads", 1)
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
+    seed = _int("config", doc, "seed", 0, least=0)
+    threads = _int("config", doc, "threads", 1, least=1)
     out = doc.get("out", "run-out")
     if not isinstance(out, str) or not out:
         raise ConfigError("out must be a nonempty string")
@@ -306,7 +305,8 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     noise_kind = noise_spec.get("kind", "mc")
     if noise_kind not in ("mc", "lattice"):
         raise ConfigError(f"noise.kind must be 'mc' or 'lattice', got {noise_kind!r}")
-    noise_paths = _int("noise", noise_spec, "paths", 1000)
+    # a lattice ignores paths: it enumerates every sign path of the grid
+    noise_paths = _int("noise", noise_spec, "paths", 1000, least=1 if noise_kind == "mc" else None)
     noise_drivers = _int("noise", noise_spec, "drivers", 0)
 
     cost_spec = doc.get("cost")
@@ -338,11 +338,9 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     opt_spec = doc.get("optimizer", {})
     _require_keys("optimizer", opt_spec, {"iters", "step0"})
     optimizer = OptimizerSettings(
-        iters=_int("optimizer", opt_spec, "iters", 150),
+        iters=_int("optimizer", opt_spec, "iters", 150, least=1),
         step0=_num("optimizer", opt_spec, "step0", 0.25),
     )
-    if optimizer.iters < 1:
-        raise ConfigError("optimizer.iters must be at least 1")
     if optimizer.step0 <= 0.0:
         raise ConfigError(f"optimizer.step0 must be positive, got {optimizer.step0!r}")
 

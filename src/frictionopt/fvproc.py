@@ -36,8 +36,7 @@ class MonotonePath:
             raise ConfigError(f"jumps must have shape ({self.grid.steps + 1},), got {jumps.shape}")
         if jumps[0] != 0.0:
             raise ConfigError("a path started at zero cannot jump at time zero")
-        if np.any(jumps < 0.0) or not np.all(np.isfinite(jumps)):
-            raise ConfigError("jumps must be finite and nonnegative")
+        check_jumps("path", jumps)
         object.__setattr__(self, "jumps", _readonly(jumps))
 
     @property
@@ -202,8 +201,7 @@ class Strategy:
             a = np.asarray(arr, float)
             if a.ndim != 2 or a.shape[1] != self.grid.steps + 1:
                 raise ConfigError(f"{name} must have shape (paths, {self.grid.steps + 1})")
-            if not ((a >= 0.0) & (a < math.inf)).all():
-                raise ConfigError(f"{name} jumps must be finite and nonnegative")
+            check_jumps(name, a)
             object.__setattr__(self, name, _readonly(a))
         if self.d_up.shape[0] != self.d_dn.shape[0]:
             raise ConfigError("d_up and d_dn must cover the same paths")
@@ -223,6 +221,11 @@ class Strategy:
         return cls(grid, z, z.copy())
 
 
+def check_jumps(name: str, jumps: np.ndarray) -> None:
+    if not ((jumps >= 0.0) & (jumps < math.inf)).all():
+        raise ConfigError(f"{name} jumps must be finite and nonnegative")
+
+
 def position_recursion(d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:
     """pos_i = (pos_{i-1} + d_up_i) - d_dn_i from a flat pos_{-1} = 0, kept in
     this exact association order so a final sell of the running position
@@ -231,11 +234,11 @@ def position_recursion(d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:
     One running sum along time over the interleaved flows
     [up_0, -dn_0, up_1, -dn_1, ...], keeping every other entry: add
     accumulates strictly left to right, and x + (-y) is x - y in IEEE
-    arithmetic, so every bit matches the step-by-step recursion."""
-    paths, n1 = d_up.shape
-    flows = np.empty((paths, n1, 2))
+    arithmetic, so every bit matches the step-by-step recursion.  Time is
+    the last axis; any leading axes are kept."""
+    flows = np.empty(d_up.shape + (2,))
     flows[..., 0] = d_up
     np.negative(d_dn, out=flows[..., 1])
-    flows = flows.reshape(paths, 2 * n1)
-    np.add.accumulate(flows, axis=1, out=flows)
-    return flows[:, 1::2]
+    flows = flows.reshape(d_up.shape[:-1] + (-1,))
+    np.add.accumulate(flows, axis=-1, out=flows)
+    return flows[..., 1::2]

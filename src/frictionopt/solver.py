@@ -7,8 +7,10 @@ expected utility of terminal liquidation wealth across the family, evaluated
 on common noise; it is maximized by projected supergradient ascent along the
 exact gradient of the active (worst) model's objective.
 
+Every evaluation settles the policy's schedule rows once against every
+model in one settle walk (accounting.settle), without building a ledger.
 Terminal liquidation wealth is piecewise linear in the policy, so that
-gradient comes in closed form from the ledger pass that evaluates the iterate
+gradient comes in closed form from the walk that evaluates the iterate
 (see _supergradient).  Where the one-sided slopes differ it takes their mean,
 except at a leg's lower bound 0, where it takes the slope into the feasible
 side.
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .accounting import CostSpec, run_ledger, shadow_ledger
+from .accounting import CostSpec, run_ledger, settle, shadow_ledger
 from .config import OptimizerSettings, check_policy_class
 from .cps import (
     PriceSystem,
@@ -33,7 +35,7 @@ from .cps import (
     within,
 )
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
-from .fvproc import Strategy, position_recursion
+from .fvproc import Strategy, check_jumps, position_recursion
 from .scenario import (
     NoisePanel,
     ScenarioPanel,
@@ -100,18 +102,19 @@ class PolicyCodec:
     """Bijection between flat parameter vectors and admissible-by-shape strategies.
 
     Layout: [h0, buy increments, sell increments].  h0 is the signed trade at
-    time zero: decode writes it as a buy (h0 > 0) or a sell (h0 < 0) into
-    column 0 of the strategy.  Deterministic schedules carry one scalar per
-    trading step 1..N-1; lattice policies carry one scalar per tree node at
-    each of those steps.  Step N is not parametrized: decode always appends
-    the forced liquidation trade that closes the position, using the same
-    floating-point recursion the ledger applies, so terminal positions are
-    exactly zero.  long_only problems drop the sell block and clamp h0 to be
-    nonnegative.
+    time zero, written as a buy (h0 > 0) or a sell (h0 < 0) into column 0.
+    Deterministic schedules carry one scalar per trading step 1..N-1; lattice
+    policies carry one scalar per tree node at each of those steps.  Step N is
+    not parametrized: the codec always appends the forced liquidation trade
+    that closes the position, using the same floating-point recursion the
+    ledger applies, so terminal positions are exactly zero.  long_only
+    problems drop the sell block and clamp h0 to be nonnegative.
 
-    The layout is compiled once: up_index (and dn_index, None when long-only)
-    holds the parameter column that drives each path's increment at each
-    trading step, shape (paths, N-1), so decode is one gather per side; runs
+    A vector decodes to schedule rows that broadcast over the paths: one row
+    for a deterministic schedule, one per path for a lattice policy.  The
+    layout is compiled once: up_index (and dn_index, None when long-only)
+    holds the parameter column that drives each row's increment at each
+    trading step, shape (rows, N-1), so decoding is one gather per side; runs
     lists (nodes, first step, end step) for each run of consecutive trading
     steps that share a node count.
     """
@@ -123,15 +126,17 @@ class PolicyCodec:
         self.steps = problem.grid.steps
         if problem.policy_class == "deterministic-schedule":
             blocks = [self.paths] * max(self.steps - 1, 0)
+            self.rows = 1
         else:
             blocks = [lattice_block(noise, i) for i in range(1, self.steps)]
+            self.rows = self.paths
         self.nodes_per_step = [self.paths // b for b in blocks]
         self.n_side = int(sum(self.nodes_per_step))
         self.long_only = problem.long_only
         self.n_params = 1 + self.n_side + (0 if self.long_only else self.n_side)
         nodes = np.asarray(self.nodes_per_step, dtype=np.intp)
         first_column = 1 + np.cumsum(nodes) - nodes
-        self.up_index = first_column + np.arange(self.paths)[:, None] // np.asarray(blocks, dtype=np.intp)
+        self.up_index = first_column + np.arange(self.rows)[:, None] // np.asarray(blocks, dtype=np.intp)
         self.dn_index = None if self.long_only else self.up_index + self.n_side
         self.runs: list[tuple[int, int, int]] = []
         for i, n in enumerate(self.nodes_per_step, start=1):
@@ -150,28 +155,36 @@ class PolicyCodec:
             out[0] = max(out[0], 0.0)
         return out
 
-    def decode(self, vec: np.ndarray) -> Strategy:
-        """Strategy of one parameter vector, or of a (batch, n_params) stack of
-        vectors: the latter decodes to one strategy over batch stacked copies
-        of the paths, vector-major."""
-        vecs = np.asarray(vec, float)
-        if vecs.ndim not in (1, 2) or vecs.shape[-1] != self.n_params:
+    def decode_rows(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(d_up, d_dn, position) of a (batch, n_params) stack of vectors, each
+        of shape (batch, rows, steps + 1), closing trade included.  Raises
+        ConfigError when a jump is negative or not finite."""
+        vecs = np.asarray(vecs, float)
+        if vecs.ndim != 2 or vecs.shape[1] != self.n_params:
             raise ConfigError(f"parameter vector must have shape ({self.n_params},)")
-        vecs = vecs.reshape(-1, self.n_params)
-        n1 = self.steps + 1
-        d_up = np.zeros((vecs.shape[0], self.paths, n1))
-        d_dn = np.zeros((vecs.shape[0], self.paths, n1))
+        shape = (vecs.shape[0], self.rows, self.steps + 1)
+        d_up, d_dn = np.zeros(shape), np.zeros(shape)
         np.maximum(vecs[:, :1], 0.0, out=d_up[:, :, 0])
         np.maximum(-vecs[:, :1], 0.0, out=d_dn[:, :, 0])
         d_up[:, :, 1:-1] = vecs[:, self.up_index]
         if self.dn_index is not None:
             d_dn[:, :, 1:-1] = vecs[:, self.dn_index]
-        d_up = d_up.reshape(-1, n1)
-        d_dn = d_dn.reshape(-1, n1)
-        pos = position_recursion(d_up, d_dn)[:, -2]
-        np.maximum(pos, 0.0, out=d_dn[:, -1])
-        np.maximum(-pos, 0.0, out=d_up[:, -1])
-        return Strategy(self.grid, d_up, d_dn)
+        pos = position_recursion(d_up, d_dn)
+        last = pos[..., -2]
+        np.maximum(last, 0.0, out=d_dn[..., -1])
+        np.maximum(-last, 0.0, out=d_up[..., -1])
+        check_jumps("d_up", d_up)
+        check_jumps("d_dn", d_dn)
+        # the recursion's own step with the closing trade: exactly zero
+        pos[..., -1] = (last + d_up[..., -1]) - d_dn[..., -1]
+        return d_up, d_dn, pos
+
+    def decode(self, vec: np.ndarray) -> Strategy:
+        """Strategy of one parameter vector: its schedule rows broadcast over
+        the paths."""
+        d_up, d_dn, _ = self.decode_rows(np.asarray(vec, float)[None])
+        shape = (self.paths, self.steps + 1)
+        return Strategy(self.grid, np.broadcast_to(d_up[0], shape), np.broadcast_to(d_dn[0], shape))
 
 
 @dataclass(frozen=True)
@@ -190,40 +203,38 @@ class ObjectiveResult:
     reason: str = "ok"
 
 
-def _settle(problem: RobustProblem, strat: Strategy, prices: np.ndarray):
-    """Settle a strategy over batch stacked copies of the paths (see
-    PolicyCodec.decode) against a (K, batch * paths, steps + 1) price stack in
-    one ledger pass.  Returns the ledger, the (K, batch) expected terminal
-    utilities and the (K, batch) admissibility mask: under rplus a settlement
-    fails when its liquidation value goes negative; decode closes every
-    position exactly, so the flat-terminal half of the rule holds by
-    construction."""
-    ledger = run_ledger(strat, prices, problem.cost)
+def _settle(problem: RobustProblem, d_up: np.ndarray, d_dn: np.ndarray, pos: np.ndarray, prices: np.ndarray):
+    """Settle schedule rows (PolicyCodec.decode_rows) against a price stack of
+    shape (K, [1,] paths, steps + 1) in one settle walk.  Returns the terminal
+    liquidation values, the (K, batch) expected terminal utilities and the
+    (K, batch) admissibility mask: under rplus a settlement fails, and its
+    expected utility reads -inf, when its liquidation value goes negative;
+    the codec closes every position exactly, so the flat-terminal half of
+    the rule holds by construction."""
+    low = math.inf  # the lowest liquidation value; fmin passes over nan
+    for _, liq in settle(d_up, d_dn, pos, prices, problem.cost):
+        low = np.fmin(low, liq)
     k, paths = prices.shape[0], problem.noise.paths
     with np.errstate(divide="ignore", invalid="ignore"):
-        per = (problem.utility(ledger.terminal_liq().reshape(-1, paths)) @ problem.noise.probs).reshape(k, -1)
-    if problem.admissibility == "rplus":
-        ok = ~(ledger.liq.reshape(k, per.shape[1], -1) < 0.0).any(axis=2)
-    else:
-        ok = np.ones(per.shape, dtype=bool)
-    return ledger, per, ok
+        per = (problem.utility(liq.reshape(-1, paths)) @ problem.noise.probs).reshape(k, -1)
+    ok = ~(low < 0.0).reshape(per.shape + (paths,)).any(axis=2) | (problem.admissibility != "rplus")
+    per[~ok] = -math.inf
+    return liq, per, ok
 
 
 def objective(problem: RobustProblem, vec: np.ndarray) -> ObjectiveResult:
     """Evaluate min over the family of the expected terminal utility, settling
-    every model in one ledger pass.
+    every model in one settle walk.
 
     A vector is infeasible when any model's admissibility check fails; that is
-    reported distinctly from a finite (or -inf) objective value.
+    reported distinctly from a finite (or -inf) objective value.  A negative
+    or non-finite leg raises ConfigError.
     """
-    strat = problem.codec.decode(vec)
-    ledger, per, ok = _settle(problem, strat, problem.panel.prices)
-    per, ok = per[:, 0], ok[:, 0]
-    # copies, so that a kept result does not hold the ledger's arrays alive
-    terminal = ledger.terminal_liq()
-    pre_liq = ledger.position[:, -2].copy()
+    rows = problem.codec.decode_rows(np.asarray(vec, float)[None])
+    terminal, per, _ = _settle(problem, *rows, problem.panel.prices)
+    per = per[:, 0]
+    pre_liq = np.repeat(rows[2][0, :, -2], problem.noise.paths // problem.codec.rows)
     if problem.admissibility == "rplus":
-        per[~ok] = -math.inf
         bad = (per == -math.inf).nonzero()[0]
         if bad.size:
             k = int(bad[0])
@@ -251,7 +262,8 @@ class SolveReport:
 
 def _supergradient(problem: RobustProblem, vec: np.ndarray, res: ObjectiveResult) -> np.ndarray:
     """Exact gradient of the active model's expected utility at vec, from the
-    ledger pass that produced res.
+    terminal wealth and pre-liquidation position of the settle walk that
+    produced res.
 
     Terminal wealth is X = cash_{N-1} + c_N pos_{N-1}, where the closing mark
     c_N is (1 - lambda) S_N for a long and S_N for a short position.  Per path
@@ -430,13 +442,12 @@ def brute_force(
 
     per_theta = np.empty((problem.n_thetas, n_combos))
     feasible = np.empty(n_combos, dtype=bool)
-    paths = problem.noise.paths
     # combinations are settled in chunks of at most BRUTE_CHUNK_ROWS paths
-    chunk = max(1, min(n_combos, BRUTE_CHUNK_ROWS // paths))
-    tiled = np.tile(problem.panel.prices, (1, chunk, 1))
+    chunk = max(1, min(n_combos, BRUTE_CHUNK_ROWS // problem.noise.paths))
+    prices = problem.panel.prices[:, None]
     for lo in range(0, n_combos, chunk):
         hi = min(lo + chunk, n_combos)
-        _, per_theta[:, lo:hi], ok = _settle(problem, codec.decode(vecs[lo:hi]), tiled[:, : (hi - lo) * paths])
+        _, per_theta[:, lo:hi], ok = _settle(problem, *codec.decode_rows(vecs[lo:hi]), prices)
         feasible[lo:hi] = ok.all(axis=0)
     robust = per_theta.min(axis=0)
     robust[~feasible] = -math.inf

@@ -129,6 +129,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(make_doc(threads=0))
 
+    @pytest.mark.parametrize(
+        "over, error",
+        [
+            ({"seed": -1}, "config.seed must be at least 0, got -1"),
+            ({"threads": 0}, "config.threads must be at least 1, got 0"),
+            ({"optimizer": {"iters": 0}}, "optimizer.iters must be at least 1, got 0"),
+            ({"noise": {"kind": "mc", "paths": 0}, "policy": {}}, "noise.paths must be at least 1, got 0"),
+        ],
+    )
+    def test_integer_bounds_name_the_key(self, over, error):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(make_doc(**over))
+        assert str(exc.value) == error
+
+    def test_lattice_ignores_paths(self):
+        assert parse_config(make_doc(noise={"kind": "lattice", "paths": 0})).noise_paths == 0
+
     def test_driver_count_must_cover_the_family(self):
         factor = {
             "type": "factor",
@@ -379,6 +396,8 @@ class TestCli:
             {"utility": {"name": "exp", "a": float("inf")}, "policy": {}},
             {"cost": {"lambda": 0.01, "x0": 10**400}},
             {"admissibility": "rplus"},
+            {"noise": {"kind": "mc", "paths": 0}, "policy": {}},
+            {"noise": {"kind": "mc", "paths": -3}, "policy": {}},
         ],
         ids=[
             "mu_bounds-string", "sigma_bounds-short", "theta-string", "theta-flat", "rho-string",
@@ -389,7 +408,7 @@ class TestCli:
             "verify-shrink-nan", "verify-level-zero", "verify-level-negative", "verify-level-inf",
             "verify-level-with-auto", "verify-level-with-lattice", "verify-lattice-on-mc",
             "verify-lattice-on-factor", "verify-lattice-three-drivers", "mu-nan", "rho-minus-inf", "exp-a-inf",
-            "x0-huge-int", "admissibility-key",
+            "x0-huge-int", "admissibility-key", "mc-paths-zero", "mc-paths-negative",
         ],
     )
     def test_bad_values_exit_2_at_parse_time(self, tmp_path, capsys, over):
@@ -414,6 +433,16 @@ class TestCli:
         code = main([command, "--config", write_config(tmp_path, make_doc(**over)), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-cps"])
+    def test_mc_panel_without_paths_exits_2_at_parse_time(self, tmp_path, capsys, command):
+        # solve is among the parse-time cases above; a lattice ignores paths
+        out = tmp_path / "o"
+        doc = make_doc(noise={"kind": "mc", "paths": 0}, policy={})
+        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: noise.paths must be at least 1, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])

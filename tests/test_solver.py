@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from frictionopt import (
     OptimizerSettings,
     PolicyCodec,
     RobustProblem,
+    Strategy,
     ThetaGrid,
     TimeGrid,
     brute_force,
@@ -30,6 +32,7 @@ from frictionopt import solver as solver_module
 from frictionopt.errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from frictionopt.solver import _supergradient
 from frictionopt.utility import scaled_value
+from test_accounting import sequential_ledger
 
 
 def lattice_problem(steps=2, lam=0.01, x0=1.0, mus=(0.1,), sigma=0.2, **kw):
@@ -102,6 +105,12 @@ def repeat_decode(codec, vecs):
     return d_up, d_dn
 
 
+def broadcast_rows(codec, rows):
+    """(batch, rows, steps + 1) schedule rows as (batch * paths, steps + 1)
+    per-path arrays, vector-major."""
+    return np.broadcast_to(rows, (len(rows), codec.paths, codec.steps + 1)).reshape(-1, codec.steps + 1)
+
+
 class TestPolicyCodec:
     @pytest.mark.parametrize(
         "prob",
@@ -120,12 +129,15 @@ class TestPolicyCodec:
         rng = np.random.default_rng(4)
         size = codec.n_params if batch is None else (batch, codec.n_params)
         vecs = rng.choice([0.0, 0.1, 0.7, 1e16], size=size)
-        if batch is not None:
+        if batch is None:
+            strat = codec.decode(vecs)
+            got = strat.d_up, strat.d_dn
+        else:
             vecs[:, 0] = vecs[0, 0]
-        strat = codec.decode(vecs)
+            got = [broadcast_rows(codec, a) for a in codec.decode_rows(vecs)[:2]]
         d_up, d_dn = repeat_decode(codec, vecs)
-        assert strat.d_up.tobytes() == d_up.tobytes()
-        assert strat.d_dn.tobytes() == d_dn.tobytes()
+        assert got[0].tobytes() == d_up.tobytes()
+        assert got[1].tobytes() == d_dn.tobytes()
 
     @pytest.mark.parametrize("prob", [lattice_problem(steps=3), gaussian_problem(steps=4, paths=5)],
                              ids=["lattice-3", "deterministic"])
@@ -134,14 +146,16 @@ class TestPolicyCodec:
         rng = np.random.default_rng(8)
         vecs = codec.project(rng.choice([0.0, 0.1, 0.7, 1e16], size=(4, codec.n_params)))
         vecs[:, 0] = [2.5, -6.25, 0.0, 1e16]
-        strat = codec.decode(vecs)
+        d_up, d_dn, pos = (broadcast_rows(codec, a) for a in codec.decode_rows(vecs))
         singles = [codec.decode(v) for v in vecs]
-        assert strat.d_up.tobytes() == np.concatenate([s.d_up for s in singles]).tobytes()
-        assert strat.d_dn.tobytes() == np.concatenate([s.d_dn for s in singles]).tobytes()
+        assert d_up.tobytes() == np.concatenate([s.d_up for s in singles]).tobytes()
+        assert d_dn.tobytes() == np.concatenate([s.d_dn for s in singles]).tobytes()
+        # the batch's positions are the recursion over each decoded strategy
+        assert pos.tobytes() == np.concatenate([s.position() for s in singles]).tobytes()
         # the time-zero trade is a buy or a sell in column 0, and every
         # position closes exactly
-        np.testing.assert_array_equal(strat.position()[:: codec.paths, 0], vecs[:, 0])
-        np.testing.assert_array_equal(strat.position()[:, -1], 0.0)
+        np.testing.assert_array_equal(pos[:: codec.paths, 0], vecs[:, 0])
+        np.testing.assert_array_equal(pos[:, -1], 0.0)
 
     def test_deterministic_layout(self):
         codec = PolicyCodec(gaussian_problem(steps=4))
@@ -229,6 +243,109 @@ class TestObjective:
         assert res.argmin_theta == int(np.argmin(per))
         np.testing.assert_array_equal(res.terminal_wealth, ledgers[res.argmin_theta].terminal_liq())
         np.testing.assert_array_equal(res.pre_liq_position, ledgers[0].position[:, -2])
+
+    @pytest.mark.parametrize("leg, value", [(0, math.nan), (1, math.nan), (1, -0.5), (-1, -0.5), (-1, math.inf)])
+    def test_negative_or_nan_leg_raises(self, leg, value):
+        prob = gaussian_problem(steps=3, paths=8)
+        vec = prob.codec.zero()
+        vec[leg] = value
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            objective(prob, vec)
+
+    def test_peak_memory_is_a_fraction_of_the_price_stack(self):
+        # the settle walk holds a few (models, paths) arrays per grid time,
+        # never a per-path copy of the schedule or a recorded ledger
+        prob = gaussian_problem(steps=50, paths=20_000, mus=(0.1, -0.05))
+        vec = prob.codec.project(np.full(prob.codec.n_params, 0.01))
+        objective(prob, vec)
+        tracemalloc.start()
+        try:
+            objective(prob, vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * prob.panel.prices.nbytes
+
+
+def referee_settle(problem, vecs):
+    """Terminal liquidation values (K, batch, paths), positions (batch, paths,
+    steps + 1) and liq < 0 flags (K, batch) of parameter vectors, from
+    per-path strategies (repeat_decode) settled one step at a time by
+    test_accounting.sequential_ledger."""
+    terminal, positions, negative = [], [], []
+    for vec in vecs:
+        strat = Strategy(problem.grid, *repeat_decode(problem.codec, vec))
+        _, pos, liq = sequential_ledger(strat, problem.panel.prices, problem.cost)
+        terminal.append(liq[..., -1])
+        positions.append(pos)
+        negative.append((liq < 0.0).any(axis=(1, 2)))
+    return np.stack(terminal, axis=1), np.stack(positions), np.stack(negative, axis=1)
+
+
+def referee_expectations(problem, terminal, negative):
+    """(K, batch) E[U] as the solver forms it, one (K * batch, paths) @ probs
+    product, and -inf where the nonnegative-wealth rule applies and fails."""
+    k, batch, paths = terminal.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per = (problem.utility(terminal.reshape(-1, paths)) @ problem.noise.probs).reshape(k, batch)
+    if problem.admissibility == "rplus":
+        per[negative] = -math.inf
+    return per
+
+
+REFEREE_PROBLEMS = {
+    "deterministic-mc": gaussian_problem(steps=5, paths=64, lam=0.02, x0=3.0, mus=(0.1, -0.05)),
+    "deterministic-lattice": lattice_problem(
+        steps=3, lam=0.02, x0=3.0, mus=(0.1, -0.05), policy_class="deterministic-schedule"
+    ),
+    "lattice-policy": lattice_problem(steps=3, lam=0.02, x0=3.0, mus=(0.1, -0.05)),
+}
+
+
+def referee_problem(name, utility):
+    prob = REFEREE_PROBLEMS[name]
+    return prob if utility == "log" else replace(prob, utility=exp_utility(1.0))
+
+
+@pytest.mark.parametrize("utility", ["log", "exp"])
+@pytest.mark.parametrize("name", sorted(REFEREE_PROBLEMS))
+class TestSettleWalkAgainstSequentialLedger:
+    """objective and brute_force settle through the walk in accounting.settle;
+    the referee settles materialized per-path strategies step by step, so the
+    two share no settlement code."""
+
+    def vectors(self, prob):
+        rng = np.random.default_rng(21)
+        vecs = np.stack([prob.codec.project(v) for v in rng.uniform(-1.0, 0.8, size=(6, prob.codec.n_params))])
+        vecs[-1, 0] = 40.0  # liquidation value goes negative on a down move
+        return vecs
+
+    def test_objective_matches_bitwise(self, name, utility):
+        prob = referee_problem(name, utility)
+        for vec in self.vectors(prob):
+            terminal, pos, negative = referee_settle(prob, vec[None])
+            per = referee_expectations(prob, terminal, negative)[:, 0]
+            res = objective(prob, vec)
+            assert res.per_theta.tobytes() == per.tobytes()
+            assert res.terminal_wealth.tobytes() == terminal[res.argmin_theta, 0].tobytes()
+            assert res.pre_liq_position.tobytes() == pos[0, :, -2].tobytes()
+            assert res.feasible == (not negative.any() or prob.admissibility != "rplus")
+
+    def test_brute_force_chunk_matches_bitwise(self, name, utility):
+        prob = referee_problem(name, utility)
+        vecs = self.vectors(prob)
+        terminal, _, negative = referee_settle(prob, vecs)
+        # the call brute_force makes for each chunk of combinations (the
+        # oracle itself refuses Monte Carlo panels; the chunk does not care)
+        got_terminal, per, ok = solver_module._settle(
+            prob, *prob.codec.decode_rows(vecs), prob.panel.prices[:, None]
+        )
+        assert got_terminal.tobytes() == terminal.tobytes()
+        assert per.tobytes() == referee_expectations(prob, terminal, negative).tobytes()
+        want_ok = ~negative if prob.admissibility == "rplus" else np.ones_like(negative)
+        np.testing.assert_array_equal(ok, want_ok)
+        if utility == "log":
+            assert not ok.all()  # the fixture exercises the nonnegative-wealth rule
 
 
 def fd_supergradient(problem, vec, k, h=1e-6):
