@@ -65,22 +65,24 @@ def settle(d_up: np.ndarray, d_dn: np.ndarray, position: np.ndarray, prices: np.
     trade in column 0 included; liq_i closes position_i at the same marks.
     Each yield is a fresh array.
     """
-    long, short = np.maximum(position, 0.0), np.maximum(-position, 0.0)
     cash = cost.x0
     for i in range(prices.shape[-1]):
         s = prices[..., i]
         bid = (1.0 - cost.lam) * s
         cash = (cash - s * d_up[..., i]) + bid * d_dn[..., i]
+        pos = position[..., i]
         # mark the long leg against the bid so that for any shadow price
         # inside the band (including its edges) liq <= cash + pos * sp holds
         # bitwise, by monotonicity of rounding in the per-entry products
-        yield cash, (cash + long[..., i] * bid) - short[..., i] * s
+        yield cash, (cash + np.maximum(pos, 0.0) * bid) - np.maximum(-pos, 0.0) * s
 
 
 def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> AccountingLedger:
     """Settle a strategy against simulated prices of one model, shape
     (paths, steps + 1), or of a stack of models, shape (K, paths, steps + 1),
-    recording every step of the settle walk."""
+    recording every step of the settle walk.  The ledger holds prices as
+    given when no array in their base chain is writable, as with a panel's
+    price stack, and a read-only copy otherwise."""
     prices = np.asarray(prices, float)
     if prices.ndim not in (2, 3) or prices.shape[-2:] != (strategy.paths, strategy.grid.steps + 1):
         raise ConfigError(
@@ -90,9 +92,19 @@ def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> Accoun
     cash, liq = np.empty(prices.shape), np.empty(prices.shape)
     for i, step in enumerate(settle(strategy.d_up, strategy.d_dn, pos, prices, cost)):
         cash[..., i], liq[..., i] = step
-    return AccountingLedger(
-        cost=cost, prices=_readonly(prices.copy()), cash=_readonly(cash), position=_readonly(pos), liq=_readonly(liq)
-    )
+    if not _frozen(prices):
+        prices = _readonly(prices.copy())
+    return AccountingLedger(cost=cost, prices=prices, cash=_readonly(cash), position=_readonly(pos), liq=_readonly(liq))
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """True when a and every array it views are read-only, so no one can
+    change a's values through a writable alias."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 def shadow_ledger(ledger: AccountingLedger, shadow_prices: np.ndarray) -> AccountingLedger:

@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (or ENGINE_THREADS)")
+        p.add_argument(
+            "--threads", type=int, default=None, help="worker threads and CSV-formatting processes (or ENGINE_THREADS)"
+        )
     return parser
 
 

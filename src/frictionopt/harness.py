@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -31,7 +32,7 @@ from .cps import (
     verify_band,
     verify_martingale,
 )
-from .errors import ConfigError, NoCpsConstructibleError
+from .errors import ConfigError, EngineError, NoCpsConstructibleError
 from .fvproc import Strategy
 from .scenario import ArctanDrift, TimeGrid, gaussian_panel, simulate, simulate_panel
 from .solver import default_price_systems, duality_report, solve
@@ -65,21 +66,92 @@ def _csv_cells(column: np.ndarray) -> np.ndarray:
     return distinct.take(inverse)
 
 
-def write_csv(path: Path, header: Sequence[str], columns: Sequence[Any]) -> None:
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Any], workers: int = 1) -> None:
     """Write equally shaped column arrays under header, one row per element
     in C order, streaming CSV_CHUNK_ROWS rows at a time.  Each chunk is copied
     flat out of its column, so a broadcast or strided view is never
-    materialized whole."""
+    materialized whole.
+
+    Chunk j is formatted by worker j mod w, with w = min(workers, usable
+    CPUs, chunks), or 1 where os.fork is missing.  Worker 0 is this process;
+    the others are forked before the file is opened and send their chunks
+    back through a pipe each, length-prefixed, to be written in order.  A
+    pipe holds a worker at most one chunk ahead, so memory stays
+    O(w * CSV_CHUNK_ROWS) rows, and the bytes are the same for every w.  A
+    worker that fails raises EngineError; every worker is reaped before
+    write_csv returns or raises."""
     columns = [np.asarray(c) for c in columns]
     n = columns[0].size if columns else 0
     if len(columns) != len(header) or any(c.shape != columns[0].shape for c in columns):
         shapes = [c.shape for c in columns]
         raise ValueError(f"{len(header)} equally shaped columns expected, got shapes {shapes}")
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for lo in range(0, n, CSV_CHUNK_ROWS):
-            parts = [_csv_cells(c.flat[lo : lo + CSV_CHUNK_ROWS]) for c in columns]
-            f.write("\n".join(map(",".join, zip(*parts))) + "\n")
+    starts = range(0, n, CSV_CHUNK_ROWS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    count = max(1, min(workers, cpus, len(starts))) if hasattr(os, "fork") else 1
+
+    def chunk(lo: int) -> bytes:
+        parts = [_csv_cells(c.flat[lo : lo + CSV_CHUNK_ROWS]) for c in columns]
+        return ("\n".join(map(",".join, zip(*parts))) + "\n").encode()
+
+    forked: list[tuple[int, Any]] = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, count):
+            forked.append(_fork_worker(starts[w::count], chunk))
+        with open(path, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+            for j, lo in enumerate(starts):
+                f.write(chunk(lo) if j % count == 0 else _receive(*forked[j % count - 1]))
+    finally:
+        failed = _reap(forked)
+    if failed:
+        raise EngineError(f"CSV worker {failed[0]} failed while writing {path.name}")
+
+
+def _fork_worker(starts: range, chunk) -> tuple[int, Any]:
+    """Fork a worker that formats the chunks at starts and writes each to a
+    pipe as an 8-byte length and the chunk; return its pid and the pipe's
+    read end.  The child ends only through os._exit, so it never runs the
+    caller's exit path or flushes the stdio it shares with the parent."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise EngineError(f"cannot start a CSV worker: {exc}") from exc
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                for lo in starts:
+                    data = chunk(lo)
+                    out.write(len(data).to_bytes(8, "little"))
+                    out.write(data)
+                    out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _receive(pid: int, pipe) -> bytes:
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return data
+    raise EngineError(f"CSV worker {pid} ended before sending its chunk")
+
+
+def _reap(forked: list) -> list:
+    """Close every worker's pipe, so that a worker still writing stops, then
+    wait for each; return the pids that did not exit 0."""
+    for _, pipe in forked:
+        pipe.close()
+    return [pid for pid, _ in forked if os.waitpid(pid, 0)[1] != 0]
 
 
 def _jsonify(obj: Any) -> Any:
@@ -153,6 +225,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
         np.broadcast_arrays(
             np.arange(models)[:, None, None], np.arange(paths)[:, None], np.arange(points), cfg.grid.times, panel.prices
         ),
+        workers=cfg.threads,
     )
     summary = {
         "paths": noise.paths,
@@ -260,13 +333,17 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
     paths, points = strat.d_up.shape
     path, time_index = np.broadcast_arrays(np.arange(paths)[:, None], np.arange(points))
     write_csv(
-        out_dir / "strategy.csv", ["path", "time_index", "d_up", "d_dn"], [path, time_index, strat.d_up, strat.d_dn]
+        out_dir / "strategy.csv",
+        ["path", "time_index", "d_up", "d_dn"],
+        [path, time_index, strat.d_up, strat.d_dn],
+        workers=problem.threads,
     )
     ledger = run_ledger(strat, problem.panel.prices[report.argmin_theta], problem.cost)
     write_csv(
         out_dir / "ledger_worst.csv",
         ["path", "time_index", "cash", "position", "liq"],
         [path, time_index, ledger.cash, ledger.position, ledger.liq],
+        workers=problem.threads,
     )
 
 

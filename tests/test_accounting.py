@@ -6,12 +6,14 @@ from frictionopt import (
     BlackScholes,
     CostSpec,
     Strategy,
+    ThetaGrid,
     TimeGrid,
     check_admissible_rplus,
     gaussian_panel,
     run_ledger,
     shadow_ledger,
     simulate,
+    simulate_panel,
 )
 from frictionopt.errors import ConfigError
 
@@ -149,6 +151,29 @@ class TestRunLedger:
         led_lo = run_ledger(strat, prices, CostSpec(0.01, 3.0))
         led_hi = run_ledger(strat, prices, CostSpec(0.10, 3.0))
         assert np.all(led_hi.liq[:, -1] <= led_lo.liq[:, -1])
+
+    def test_read_only_panel_prices_are_held_not_copied(self):
+        g = TimeGrid(1.0, 6)
+        noise = gaussian_panel(g, 20, 1, seed=2)
+        panel = simulate_panel(ThetaGrid([BlackScholes(0.1, 0.2), ArctanDrift()]), g, noise)
+        strat = Strategy.zero(g, 20)
+        for prices in (panel.prices, panel.prices[1]):
+            ledger = run_ledger(strat, prices, CostSpec(0.1, 1.0))
+            assert np.shares_memory(ledger.prices, panel.prices)
+            assert not ledger.prices.flags.writeable
+
+    def test_writable_prices_are_copied(self):
+        g = TimeGrid(1.0, 6)
+        prices = simulate(BlackScholes(0.1, 0.2), g, gaussian_panel(g, 20, 1, seed=2)).copy()
+        # a read-only view of a writable array can still change through its base
+        view = prices[:]
+        view.setflags(write=False)
+        for given in (prices, view):
+            ledger = run_ledger(Strategy.zero(g, 20), given, CostSpec(0.1, 1.0))
+            kept = ledger.prices.copy()
+            assert not np.shares_memory(ledger.prices, prices)
+            prices *= 2.0
+            np.testing.assert_array_equal(ledger.prices, kept)
 
     def test_grid_mismatch(self):
         g = TimeGrid(1.0, 4)

@@ -821,3 +821,103 @@ class TestWorkBudget:
         with pytest.raises(ConfigError, match=r"price stack of 2 x 4194304 x 23 floats would take 1,543,503,872"):
             parse_config(lattice)
         parse_config(dict(lattice, thetas=lattice["thetas"][:1]))
+
+
+TWO_BS = [
+    {"type": "black_scholes", "mu": 0.1, "sigma": 0.2},
+    {"type": "black_scholes", "mu": -0.05, "sigma": 0.25},
+]
+forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="CSV workers are forked processes")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+class TestCsvWorkers:
+    """--threads also sets how many processes format CSV chunks; the bytes
+    are the same at every count, and every worker is reaped."""
+
+    @pytest.mark.parametrize(
+        "command, doc, outputs",
+        [
+            ("simulate", make_doc(thetas=TWO_BS, noise={"kind": "mc", "paths": 2100}, policy={}), ["prices.csv"]),
+            (
+                "solve",
+                make_doc(
+                    thetas=[TWO_BS[0], {"type": "black_scholes", "mu": 0.06, "sigma": 0.25}],  # the optimum trades
+                    grid={"horizon": 1.0, "steps": 5},
+                    noise={"kind": "mc", "paths": 2100},
+                    policy={"class": "deterministic-schedule"},
+                    optimizer={"iters": 2},
+                ),
+                ["ledger_worst.csv", "strategy.csv", "history.csv", "report.json"],
+            ),
+        ],
+        ids=["simulate", "solve"],
+    )
+    def test_outputs_are_byte_identical_at_any_thread_count(self, tmp_path, monkeypatch, command, doc, outputs):
+        # three usable CPUs, so --threads 3 forks two workers wherever a file has three chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg_path = write_config(tmp_path, doc)
+        written = {}
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}"
+            assert main([command, "--config", cfg_path, "--out", str(out), "--threads", str(threads)]) == 0
+            assert_no_child_left()
+            written[threads] = [(out / name).read_bytes() for name in outputs]
+        assert written[1][0].count(b"\n") > CSV_CHUNK_ROWS + 1
+        assert written[2] == written[1] and written[3] == written[1]
+
+    def test_a_failing_worker_exits_3_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        from frictionopt import harness
+
+        parent, cells = os.getpid(), harness._csv_cells
+
+        def fail_in_a_worker(column):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return cells(column)
+
+        monkeypatch.setattr(harness, "_csv_cells", fail_in_a_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        doc = make_doc(thetas=TWO_BS, noise={"kind": "mc", "paths": 2100}, policy={})
+        cfg_path = write_config(tmp_path, doc)
+        code = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"), "--threads", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: CSV worker ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert_no_child_left()
+
+    def test_workers_are_capped_by_the_usable_cpus(self, tmp_path, monkeypatch):
+        """--threads 64 on a 2-CPU affinity forks once; a second fork would
+        raise instead of starting a crowd."""
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(1)
+            if len(forks) > 1:
+                raise OSError("a second CSV worker was started")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        doc = make_doc(thetas=TWO_BS, noise={"kind": "mc", "paths": 2100}, policy={})
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o"), "--threads", "64"]) == 0
+        assert_no_child_left()
+        assert forks == [1]
+        # a one-chunk file never forks
+        write_csv(tmp_path / "small.csv", ["a"], [np.arange(CSV_CHUNK_ROWS)], workers=64)
+        assert forks == [1]
+
+    def test_without_fork_the_writer_runs_serially(self, tmp_path, monkeypatch):
+        columns = [np.arange(3 * CSV_CHUNK_ROWS), np.linspace(0.0, 1.0, 3 * CSV_CHUNK_ROWS)]
+        write_csv(tmp_path / "forked.csv", ["i", "x"], columns, workers=2)
+        monkeypatch.delattr(os, "fork")
+        write_csv(tmp_path / "serial.csv", ["i", "x"], columns, workers=2)
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+        assert (tmp_path / "serial.csv").read_text() == reference_csv(["i", "x"], zip(*columns))

@@ -144,7 +144,7 @@ class TestPolicyCodec:
     def test_batch_with_different_h0_stacks_the_single_decodes(self, prob):
         codec = PolicyCodec(prob)
         rng = np.random.default_rng(8)
-        vecs = codec.project(rng.choice([0.0, 0.1, 0.7, 1e16], size=(4, codec.n_params)))
+        vecs = np.stack([codec.project(v) for v in rng.choice([0.0, 0.1, 0.7, 1e16], size=(4, codec.n_params))])
         vecs[:, 0] = [2.5, -6.25, 0.0, 1e16]
         d_up, d_dn, pos = (broadcast_rows(codec, a) for a in codec.decode_rows(vecs))
         singles = [codec.decode(v) for v in vecs]

@@ -1,6 +1,6 @@
 """Start-up budget: what a fresh interpreter loads for ``import frictionopt``,
-for parsing a config and for a one-thread ``simulate``, and the CLI's one
-BLAS thread."""
+for parsing a config and for a one- or two-thread ``simulate``, and the CLI's
+one BLAS thread."""
 
 import json
 import os
@@ -76,6 +76,23 @@ def test_simulate_on_one_thread_loads_no_thread_pool(tmp_path):
     loaded = fresh(code, str(config), str(out))
     assert (out / "prices.csv").is_file()
     assert "concurrent.futures" not in loaded
+
+
+def test_simulate_on_two_threads_forks_csv_workers_without_multiprocessing(tmp_path):
+    """At two threads and two usable CPUs, a forked worker formats some of
+    prices.csv's 3 chunks through os.fork and os.pipe, which need no
+    multiprocessing."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(dict(MC_CONFIG, noise={"kind": "mc", "paths": 2100})))
+    out = tmp_path / "o"
+    code = (
+        "import sys; from frictionopt.cli import main; "
+        "assert main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2], '--threads', '2']) == 0; "
+        + PRINT_MODULES
+    )
+    loaded = fresh(code, str(config), str(out))
+    assert (out / "prices.csv").read_bytes().count(b"\n") == 1 + 2 * 2100 * 4
+    assert "multiprocessing" not in loaded
 
 
 def test_every_export_resolves_lazily():
