@@ -28,8 +28,8 @@ _EXPORTS = {
         "komlos_average", "rho",
     ),
     "scenario": (
-        "ArctanDrift", "BlackScholes", "Factor", "NoisePanel", "PathDependentBS", "ScenarioPanel", "ThetaGrid",
-        "TimeGrid", "gaussian_panel", "lattice_panel", "simulate", "simulate_panel",
+        "ArctanDrift", "BlackScholes", "Factor", "NoisePanel", "PathDependentBS", "ThetaGrid", "TimeGrid",
+        "gaussian_panel", "lattice_panel", "simulate", "simulate_panel",
     ),
     "solver": (
         "BruteForceReport", "DualityReport", "ObjectiveResult", "OptimizerSettings", "PolicyCodec",

@@ -35,13 +35,12 @@ class CostSpec:
 
 @dataclass(frozen=True)
 class AccountingLedger:
-    """Cash, holdings, liquidation value and optional shadow value per path and grid time.
+    """Cash, holdings, liquidation value and optional shadow value of one
+    model, each of shape (paths, steps + 1).
 
     liq marks holdings to the unfavourable side (long positions at the bid,
     short positions at the ask); shadow, when present, marks them to a shadow
-    price inside the bid-ask band and therefore dominates liq.  A ledger
-    settled against a stack of K models carries a leading model axis on
-    prices, cash, liq and shadow; position is price-free and has none.
+    price inside the bid-ask band and therefore dominates liq.
     """
 
     cost: CostSpec
@@ -52,7 +51,7 @@ class AccountingLedger:
     shadow: Optional[np.ndarray] = None
 
     def terminal_liq(self) -> np.ndarray:
-        return self.liq[..., -1]
+        return self.liq[:, -1]
 
 
 def settle(d_up: np.ndarray, d_dn: np.ndarray, position: np.ndarray, prices: np.ndarray, cost: CostSpec):
@@ -78,20 +77,17 @@ def settle(d_up: np.ndarray, d_dn: np.ndarray, position: np.ndarray, prices: np.
 
 
 def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> AccountingLedger:
-    """Settle a strategy against simulated prices of one model, shape
-    (paths, steps + 1), or of a stack of models, shape (K, paths, steps + 1),
-    recording every step of the settle walk.  The ledger holds prices as
-    given when no array in their base chain is writable, as with a panel's
-    price stack, and a read-only copy otherwise."""
+    """Settle a strategy against one model's simulated prices, shape
+    (paths, steps + 1), recording every step of the settle walk.  The ledger
+    holds prices as given when no array in their base chain is writable, as
+    with a slice of a panel's price stack, and a read-only copy otherwise."""
     prices = np.asarray(prices, float)
-    if prices.ndim not in (2, 3) or prices.shape[-2:] != (strategy.paths, strategy.grid.steps + 1):
-        raise ConfigError(
-            f"prices must have shape ([K,] {strategy.paths}, {strategy.grid.steps + 1}), got {prices.shape}"
-        )
+    if prices.shape != (strategy.paths, strategy.grid.steps + 1):
+        raise ConfigError(f"prices must have shape ({strategy.paths}, {strategy.grid.steps + 1}), got {prices.shape}")
     pos = strategy.position()
     cash, liq = np.empty(prices.shape), np.empty(prices.shape)
     for i, step in enumerate(settle(strategy.d_up, strategy.d_dn, pos, prices, cost)):
-        cash[..., i], liq[..., i] = step
+        cash[:, i], liq[:, i] = step
     if not _frozen(prices):
         prices = _readonly(prices.copy())
     return AccountingLedger(cost=cost, prices=prices, cash=_readonly(cash), position=_readonly(pos), liq=_readonly(liq))
@@ -127,17 +123,16 @@ def shadow_ledger(ledger: AccountingLedger, shadow_prices: np.ndarray) -> Accoun
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """first_violation is the full index of the first failing entry: (path,
-    time), or (model, path, time) for a negative liq of a stacked ledger."""
+    """first_violation is the (path, time) index of the first failing entry."""
 
     admissible: bool
     reason: str
-    first_violation: Optional[tuple[int, ...]] = None
+    first_violation: Optional[tuple[int, int]] = None
 
 
 def check_admissible_rplus(ledger: AccountingLedger) -> AdmissibilityReport:
-    """Nonnegative-wealth admissibility: liq >= 0 at every path and grid time
-    (of every model), and the terminal position is exactly zero (everything
+    """Nonnegative-wealth admissibility: liq >= 0 at every path and grid
+    time, and the terminal position is exactly zero (everything
     liquidated)."""
     bad = ledger.liq < 0.0
     if np.any(bad):

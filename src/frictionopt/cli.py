@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("selftest", "run the built-in smoke battery"),
     ):
         p = sub.add_parser(name, help=helptext)
-        if name != "selftest":
-            p.add_argument("--config", required=True, help="path to a JSON run configuration")
+        if name == "selftest":
+            continue
+        p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument(
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
-        return cmd_selftest(args.out)
+        return cmd_selftest()
     threads = args.threads
     if threads is None and os.environ.get("ENGINE_THREADS"):
         try:
@@ -70,13 +71,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_CONFIG
     try:
         cfg = load_config(args.config, overrides={"seed": args.seed, "threads": threads, "out": args.out})
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "verify-cps":
-            return cmd_verify_cps(cfg, args.out)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.out)
-        return cmd_duality(cfg, args.out)
+        command = {"simulate": cmd_simulate, "verify-cps": cmd_verify_cps, "solve": cmd_solve, "duality": cmd_duality}
+        return command[args.command](cfg)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError):

@@ -70,6 +70,14 @@ def check_policy_class(policy_class: Any, noise_kind: str) -> None:
         raise ConfigError("lattice policies need a lattice noise panel")
 
 
+def check_capital(utility: UtilitySpec, x0: float) -> None:
+    """A positive-axis utility is judged by nonnegative-wealth
+    admissibility, which needs positive capital: at x0 <= 0 even the zero
+    strategy fails it."""
+    if utility.domain == "positive" and x0 <= 0.0:
+        raise ConfigError("nonnegative-wealth admissibility needs x0 > 0")
+
+
 def _require_keys(section: str, d: dict, allowed: set[str], required: set[str] = frozenset()) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{section} must be an object")
@@ -326,6 +334,7 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     grid = TimeGrid(horizon, steps)
 
     utility = parse_utility(doc.get("utility"))
+    check_capital(utility, cost.x0)
 
     policy_spec = doc.get("policy", {})
     _require_keys("policy", policy_spec, {"class", "long_only"})

@@ -14,7 +14,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -202,8 +202,8 @@ def write_manifest(
     write_json(out_dir / "manifest.json", manifest)
 
 
-def _prepare(cfg: RunConfig, out: Optional[str]) -> Path:
-    out_dir = Path(out if out is not None else cfg.out)
+def _prepare(cfg: RunConfig) -> Path:
+    out_dir = Path(cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at out or above it, or no permission
@@ -211,19 +211,19 @@ def _prepare(cfg: RunConfig, out: Optional[str]) -> Path:
     return out_dir
 
 
-def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     """Simulate the whole family on the shared panel and dump prices to CSV."""
     started = time.monotonic()
-    out_dir = _prepare(cfg, out)
+    out_dir = _prepare(cfg)
     noise = cfg.build_noise()
-    panel = simulate_panel(cfg.thetas, cfg.grid, noise, threads=cfg.threads)
+    prices = simulate_panel(cfg.thetas, cfg.grid, noise, threads=cfg.threads)
 
-    models, paths, points = panel.prices.shape
+    models, paths, points = prices.shape
     write_csv(
         out_dir / "prices.csv",
         ["theta_index", "path", "time_index", "time", "price"],
         np.broadcast_arrays(
-            np.arange(models)[:, None, None], np.arange(paths)[:, None], np.arange(points), cfg.grid.times, panel.prices
+            np.arange(models)[:, None, None], np.arange(paths)[:, None], np.arange(points), cfg.grid.times, prices
         ),
         workers=cfg.threads,
     )
@@ -231,18 +231,19 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
         "paths": noise.paths,
         "steps": cfg.grid.steps,
         "thetas": len(cfg.thetas),
-        "terminal_means": [float(np.dot(noise.probs, panel.prices[k][:, -1])) for k in range(len(cfg.thetas))],
+        "terminal_means": [float(np.dot(noise.probs, prices[k][:, -1])) for k in range(len(cfg.thetas))],
     }
     write_manifest(out_dir, "simulate", cfg, summary, started, ["prices.csv"])
     return 0
 
 
-def _build_price_system(cfg: RunConfig, panel, noise) -> PriceSystem:
-    """The configured construction for model verify.theta_index; auto takes
-    the model's registered system (cps.registered_cps), as duality does."""
+def _build_price_system(cfg: RunConfig, stack: np.ndarray, noise) -> PriceSystem:
+    """The configured construction for model verify.theta_index, from the
+    family's price stack; auto takes the model's registered system
+    (cps.registered_cps), as duality does."""
     k = cfg.verify["theta_index"]
     model = cfg.thetas.models[k]
-    prices = panel.prices[k]
+    prices = stack[k]
     construction = cfg.verify["construction"]
     shrink = cfg.verify["shrink"]
     if construction == "auto":
@@ -257,14 +258,14 @@ def _build_price_system(cfg: RunConfig, panel, noise) -> PriceSystem:
     return constant_cps(noise, cfg.verify["level"])
 
 
-def cmd_verify_cps(cfg: RunConfig, out: Optional[str] = None) -> int:
+def cmd_verify_cps(cfg: RunConfig) -> int:
     """Construct a price system for one model and verify band, martingale
     property and entropy membership; exit 3 when verification fails or a
     nonexistence certificate fires."""
     started = time.monotonic()
-    out_dir = _prepare(cfg, out)
+    out_dir = _prepare(cfg)
     noise = cfg.build_noise()
-    panel = simulate_panel(cfg.thetas, cfg.grid, noise, threads=cfg.threads)
+    prices = simulate_panel(cfg.thetas, cfg.grid, noise, threads=cfg.threads)
     k = cfg.verify["theta_index"]
     model = cfg.thetas.models[k]
     cert = cps_certificate(model, cfg.cost.lam)
@@ -275,12 +276,12 @@ def cmd_verify_cps(cfg: RunConfig, out: Optional[str] = None) -> int:
         code = 3
     else:
         try:
-            ps = _build_price_system(cfg, panel, noise)
+            ps = _build_price_system(cfg, prices, noise)
         except NoCpsConstructibleError as exc:
             result["verdict"] = f"construction failed: {exc}"
             code = 3
         else:
-            band = verify_band(panel.prices[k], ps, cfg.cost.lam)
+            band = verify_band(prices[k], ps, cfg.cost.lam)
             mart = verify_martingale(ps)
             entropy = entropy_membership(ps, lambda w: vector_conjugate(cfg.utility, w))
             result.update(
@@ -329,6 +330,8 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
         out_dir / "history.csv", ["iter", "robust_value", "argmin_theta", "step"], [iters, values, argmins, steps]
     )
     write_csv(out_dir / "plot_value.csv", ["iter", "robust_value"], [iters, values])
+    # these two files are formatted in process: their columns repeat few
+    # distinct values, so forked workers cost more CPU than they save in wall time
     strat = report.strategy
     paths, points = strat.d_up.shape
     path, time_index = np.broadcast_arrays(np.arange(paths)[:, None], np.arange(points))
@@ -336,22 +339,20 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
         out_dir / "strategy.csv",
         ["path", "time_index", "d_up", "d_dn"],
         [path, time_index, strat.d_up, strat.d_dn],
-        workers=problem.threads,
     )
-    ledger = run_ledger(strat, problem.panel.prices[report.argmin_theta], problem.cost)
+    ledger = run_ledger(strat, problem.prices[report.argmin_theta], problem.cost)
     write_csv(
         out_dir / "ledger_worst.csv",
         ["path", "time_index", "cash", "position", "liq"],
         [path, time_index, ledger.cash, ledger.position, ledger.liq],
-        workers=problem.threads,
     )
 
 
-def cmd_solve(cfg: RunConfig, out: Optional[str] = None) -> int:
+def cmd_solve(cfg: RunConfig) -> int:
     """Solve the robust problem and write report, history, strategy and the
     worst-model ledger; exit 4 when no admissible point exists."""
     started = time.monotonic()
-    out_dir = _prepare(cfg, out)
+    out_dir = _prepare(cfg)
     problem = cfg.build_problem()
     report = solve(problem, cfg.optimizer)
     _write_solve_outputs(out_dir, problem, report)
@@ -364,13 +365,13 @@ def cmd_solve(cfg: RunConfig, out: Optional[str] = None) -> int:
     return 0
 
 
-def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
+def cmd_duality(cfg: RunConfig) -> int:
     """Solve, then check duality bounds, polarity and the utility's growth
     against the registered price systems; exit 3 when any check fails or no
     price system is registered for the family or can be built on its panel
     (then nothing is solved)."""
     started = time.monotonic()
-    out_dir = _prepare(cfg, out)
+    out_dir = _prepare(cfg)
     problem = cfg.build_problem()
     verdict = "no price system construction is registered for this family"
     try:
@@ -395,7 +396,7 @@ def cmd_duality(cfg: RunConfig, out: Optional[str] = None) -> int:
     return code
 
 
-def cmd_selftest(out: Optional[str] = None) -> int:
+def cmd_selftest() -> int:
     """Small built-in battery touching every module; exit 3 on any failure."""
     grid = TimeGrid(1.0, 10)
     noise = gaussian_panel(grid, 64, 1, seed=1)

@@ -302,16 +302,6 @@ class ThetaGrid:
         return len(self.models)
 
 
-@dataclass(frozen=True)
-class ScenarioPanel:
-    """Simulated prices for every model of a family on a common panel; shape (K, paths, steps + 1)."""
-
-    grid: TimeGrid
-    thetas: ThetaGrid
-    noise: NoisePanel
-    prices: np.ndarray
-
-
 def simulate(model: Model, grid: TimeGrid, noise: NoisePanel) -> np.ndarray:
     """Simulate one model on the shared panel, returning (paths, steps + 1) prices."""
     if noise.grid is not grid and not np.array_equal(noise.grid.times, grid.times):
@@ -328,8 +318,9 @@ def simulate(model: Model, grid: TimeGrid, noise: NoisePanel) -> np.ndarray:
     return _readonly(prices)
 
 
-def simulate_panel(thetas: ThetaGrid, grid: TimeGrid, noise: NoisePanel, threads: int = 1) -> ScenarioPanel:
-    """Simulate every candidate model on the same noise panel.
+def simulate_panel(thetas: ThetaGrid, grid: TimeGrid, noise: NoisePanel, threads: int = 1) -> np.ndarray:
+    """Simulate every candidate model on the same noise panel, returning the
+    read-only price stack of shape (K, paths, steps + 1).
 
     The result is independent of the thread count: outputs are written into
     a preallocated block indexed by the model's position in the family.
@@ -351,4 +342,4 @@ def simulate_panel(thetas: ThetaGrid, grid: TimeGrid, noise: NoisePanel, threads
     else:
         for idx in range(k):
             run(idx)
-    return ScenarioPanel(grid, thetas, noise, _readonly(prices))
+    return _readonly(prices)

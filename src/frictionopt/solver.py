@@ -19,13 +19,13 @@ side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .accounting import CostSpec, run_ledger, settle, shadow_ledger
-from .config import OptimizerSettings, check_policy_class
+from .config import OptimizerSettings, check_capital, check_policy_class
 from .cps import (
     PriceSystem,
     polarity_gap,
@@ -36,14 +36,7 @@ from .cps import (
 )
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from .fvproc import Strategy, check_jumps, position_recursion
-from .scenario import (
-    NoisePanel,
-    ScenarioPanel,
-    ThetaGrid,
-    TimeGrid,
-    lattice_block,
-    simulate_panel,
-)
+from .scenario import NoisePanel, ThetaGrid, TimeGrid, lattice_block, simulate_panel
 from .utility import UtilitySpec, growth_ok, scaled_value, vector_conjugate
 
 ARGMIN_TIE_TOL = 1e-12
@@ -59,8 +52,8 @@ class RobustProblem:
 
     policy_class is "deterministic-schedule" (one increment schedule applied
     on every path) or "lattice-policy" (increments may depend on the tree
-    node, lattice panels only).  The panel and the policy codec are built
-    once, from the other fields.
+    node, lattice panels only).  The price stack (simulate_panel) and the
+    policy codec are built once, from the other fields.
     """
 
     cost: CostSpec
@@ -71,18 +64,15 @@ class RobustProblem:
     policy_class: str = "deterministic-schedule"
     long_only: bool = False
     threads: int = 1
-    panel: ScenarioPanel = field(init=False, repr=False, compare=False)
+    prices: np.ndarray = field(init=False, repr=False, compare=False)
     codec: PolicyCodec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_policy_class(self.policy_class, self.noise.kind)
-        if self.admissibility == "rplus" and self.cost.x0 <= 0.0:
-            raise ConfigError("nonnegative-wealth admissibility needs x0 > 0")
+        check_capital(self.utility, self.cost.x0)
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        object.__setattr__(
-            self, "panel", simulate_panel(self.thetas, self.grid, self.noise, threads=self.threads)
-        )
+        object.__setattr__(self, "prices", simulate_panel(self.thetas, self.grid, self.noise, threads=self.threads))
         object.__setattr__(self, "codec", PolicyCodec(self))
 
     @property
@@ -231,7 +221,7 @@ def objective(problem: RobustProblem, vec: np.ndarray) -> ObjectiveResult:
     or non-finite leg raises ConfigError.
     """
     rows = problem.codec.decode_rows(np.asarray(vec, float)[None])
-    terminal, per, _ = _settle(problem, *rows, problem.panel.prices)
+    terminal, per, _ = _settle(problem, *rows, problem.prices)
     per = per[:, 0]
     pre_liq = np.repeat(rows[2][0, :, -2], problem.noise.paths // problem.codec.rows)
     if problem.admissibility == "rplus":
@@ -275,7 +265,7 @@ def _supergradient(problem: RobustProblem, vec: np.ndarray, res: ObjectiveResult
     mean of both.
     """
     codec, lam = problem.codec, problem.cost.lam
-    prices = problem.panel.prices[res.argmin_theta]
+    prices = problem.prices[res.argmin_theta]
     n1 = prices.shape[1]
     s_n = prices[:, -1]
     bid_n = (1.0 - lam) * s_n
@@ -444,7 +434,7 @@ def brute_force(
     feasible = np.empty(n_combos, dtype=bool)
     # combinations are settled in chunks of at most BRUTE_CHUNK_ROWS paths
     chunk = max(1, min(n_combos, BRUTE_CHUNK_ROWS // problem.noise.paths))
-    prices = problem.panel.prices[:, None]
+    prices = problem.prices[:, None]
     for lo in range(0, n_combos, chunk):
         hi = min(lo + chunk, n_combos)
         _, per_theta[:, lo:hi], ok = _settle(problem, *codec.decode_rows(vecs[lo:hi]), prices)
@@ -480,7 +470,7 @@ def default_price_systems(problem: RobustProblem, shrink: Optional[float] = None
     """(model index, price system) for every model of the family that has a
     registered system on the problem's panel (cps.registered_cps)."""
     systems = (
-        registered_cps(model, problem.panel.prices[k], problem.noise, problem.cost.lam, shrink)
+        registered_cps(model, problem.prices[k], problem.noise, problem.cost.lam, shrink)
         for k, model in enumerate(problem.thetas.models)
     )
     return [(k, ps) for k, ps in enumerate(systems) if ps is not None]
@@ -534,29 +524,28 @@ def duality_report(
 ) -> DualityReport:
     """Diagnostics relating the solved primal value to dual quantities.
 
-    For each registered price system and dual level y, the primal value per
-    model must stay below E[V(y w)] + x0 y and the terminal payoff must
-    satisfy the polarity bound E[X y w] <= x0 y, both judged by cps.within
-    (exact on lattice panels; a row where V is infinite has an infinite
-    bound and holds); and the utility must grow sublinearly
-    (utility.growth_ok).  For information, the values at
+    Each model with a registered price system is checked on its own ledger:
+    its shadow value process must be a supermartingale under the system, and
+    for each dual level y the primal value must stay below E[V(y w)] + x0 y
+    and the terminal payoff must satisfy the polarity bound E[X y w] <= x0 y,
+    both judged by cps.within (exact on lattice panels; a row where V is
+    infinite has an infinite bound and holds); and the utility must grow
+    sublinearly (utility.growth_ok).  For information, the values at
     scaled endowments k x0 come from the exact identities of
     utility.scaled_value, with value / (k x0) as ratio: None where the
     utility has no identity, ratio None at zero wealth.
     """
     noise = problem.noise
-    ledger = run_ledger(report.strategy, problem.panel.prices, problem.cost)
-    terminal = ledger.terminal_liq()
     rows = []
     pol = []
     sm_ok = True
     x0 = problem.cost.x0
     for k, ps in price_systems:
-        model_ledger = replace(ledger, prices=ledger.prices[k], cash=ledger.cash[k], liq=ledger.liq[k])
-        sm = supermartingale_check(shadow_ledger(model_ledger, ps.shadow).shadow, ps)
-        sm_ok = sm_ok and sm.passed
+        ledger = shadow_ledger(run_ledger(report.strategy, problem.prices[k], problem.cost), ps.shadow)
+        sm_ok = supermartingale_check(ledger.shadow, ps).passed and sm_ok
+        terminal = ledger.terminal_liq()
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_se = standard_error(problem.utility(terminal[k]), noise)
+            u_se = standard_error(problem.utility(terminal), noise)
         u_hat = float(report.per_theta[k])
         for y in ys:
             vvals = vector_conjugate(problem.utility, y * ps.weights)
@@ -564,8 +553,10 @@ def duality_report(
             se = math.hypot(u_se, standard_error(vvals, noise))
             bound = v_hat + x0 * y
             rows.append(DualityRow(k, float(y), u_hat, v_hat, bound, se, within(u_hat, bound, se)))
-            pg = polarity_gap(terminal[k], ps, x0, float(y))
+            pg = polarity_gap(terminal, ps, x0, float(y))
             pol.append(PolarityRow(k, float(y), pg.lhs, pg.bound, pg.se, pg.satisfied))
+        # terminal views the ledger's liq: drop both before the next model's ledger is built
+        del ledger, terminal
     inada_rows = []
     for s in inada_scales:
         val = scaled_value(problem.utility, report.best_value, x0, s)

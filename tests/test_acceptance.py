@@ -249,7 +249,7 @@ def test_criterion_07_supermartingale_and_polarity():
         )
         rep = solve(problem, OptimizerSettings(iters=120, step0=0.5))
         for k, ps in default_price_systems(problem):
-            ledger = run_ledger(rep.strategy, problem.panel.prices[k], problem.cost)
+            ledger = run_ledger(rep.strategy, problem.prices[k], problem.cost)
             sh = shadow_ledger(ledger, ps.shadow)
             sm = supermartingale_check(sh.shadow, ps)
             assert sm.mode == "lattice"
@@ -268,8 +268,8 @@ def test_criterion_07_supermartingale_and_polarity():
     mc_noise = gaussian_panel(grid, 100000, 1, seed=17)
     mc = RobustProblem(CostSpec(0.01, 1.0), ThetaGrid((model,)), log_utility(), grid, mc_noise)
     strat = PolicyCodec(mc).decode(rep.best_params)
-    ledger = run_ledger(strat, mc.panel.prices[0], mc.cost)
-    ps = girsanov_cps(model, mc.panel.prices[0], mc_noise)
+    ledger = run_ledger(strat, mc.prices[0], mc.cost)
+    ps = girsanov_cps(model, mc.prices[0], mc_noise)
     sh = shadow_ledger(ledger, ps.shadow)
     sm = supermartingale_check(sh.shadow, ps)
     assert sm.mode == "mc"

@@ -15,6 +15,7 @@ from frictionopt import (
     simulate,
     simulate_panel,
 )
+from frictionopt.accounting import settle
 from frictionopt.errors import ConfigError
 
 
@@ -58,28 +59,44 @@ def sequential_ledger(strategy, prices, cost):
     return cash, pos, liq
 
 
+def rounding_fixture(h0, models=None):
+    """Jumps mixing 1e16 with 1 and 0.1 steps against prices near 1 and
+    1e-3, so the running sums round differently in another order; prices
+    of one model, or a stack of `models`."""
+    g = TimeGrid(1.0, 11)
+    rng = np.random.default_rng(5)
+    shape = (64, g.steps + 1) if models is None else (models, 64, g.steps + 1)
+    prices = rng.choice([1.0, 0.7, 1.3, 1e-3], size=shape) * rng.uniform(0.9, 1.1, size=shape)
+    jumps = [rng.choice([0.0, 0.1, 1.0, 1e16], size=(64, g.steps + 1)) for _ in range(2)]
+    jumps[0][:, 0], jumps[1][:, 0] = max(h0, 0.0), max(-h0, 0.0)
+    strat = Strategy(g, jumps[0], jumps[1])
+    cost = CostSpec(0.03, 1.0)
+    cash = sequential_ledger(strat, prices, cost)[0]
+    # the inputs do tell association orders apart
+    net = (1.0 - cost.lam) * prices[..., 1:] * jumps[1][:, 1:] - prices[..., 1:] * jumps[0][:, 1:]
+    assert not np.array_equal(cash[..., :1] + np.cumsum(net, axis=-1), cash[..., 1:])
+    return strat, prices, cost
+
+
 class TestRunLedger:
-    @pytest.mark.parametrize("models", [None, 3])
     @pytest.mark.parametrize("h0", [1e16, -0.1, 0.0])
-    def test_matches_sequential_recursion_bitwise(self, models, h0):
-        # jumps mixing 1e16 with 1 and 0.1 steps against prices near 1 and
-        # 1e-3, so the running sums round differently in another order
-        g = TimeGrid(1.0, 11)
-        rng = np.random.default_rng(5)
-        shape = (64, g.steps + 1) if models is None else (models, 64, g.steps + 1)
-        prices = rng.choice([1.0, 0.7, 1.3, 1e-3], size=shape) * rng.uniform(0.9, 1.1, size=shape)
-        jumps = [rng.choice([0.0, 0.1, 1.0, 1e16], size=(64, g.steps + 1)) for _ in range(2)]
-        jumps[0][:, 0], jumps[1][:, 0] = max(h0, 0.0), max(-h0, 0.0)
-        strat = Strategy(g, jumps[0], jumps[1])
-        cost = CostSpec(0.03, 1.0)
+    def test_matches_sequential_recursion_bitwise(self, h0):
+        strat, prices, cost = rounding_fixture(h0)
         ledger = run_ledger(strat, prices, cost)
         cash, pos, liq = sequential_ledger(strat, prices, cost)
         assert ledger.cash.tobytes() == cash.tobytes()
         assert ledger.position.tobytes() == pos.tobytes()
         assert ledger.liq.tobytes() == liq.tobytes()
-        # the inputs do tell association orders apart
-        net = (1.0 - cost.lam) * prices[..., 1:] * jumps[1][:, 1:] - prices[..., 1:] * jumps[0][:, 1:]
-        assert not np.array_equal(cash[..., :1] + np.cumsum(net, axis=-1), cash[..., 1:])
+
+    @pytest.mark.parametrize("h0", [1e16, -0.1, 0.0])
+    def test_settle_over_a_price_stack_matches_sequential_recursion_bitwise(self, h0):
+        # what a ledger records for one model, settle yields for every model
+        # of a stack at once
+        strat, prices, cost = rounding_fixture(h0, models=3)
+        steps = list(settle(strat.d_up, strat.d_dn, strat.position(), prices, cost))
+        cash, _, liq = sequential_ledger(strat, prices, cost)
+        assert np.stack([c for c, _ in steps], axis=-1).tobytes() == cash.tobytes()
+        assert np.stack([q for _, q in steps], axis=-1).tobytes() == liq.tobytes()
 
     def test_zero_strategy_identity(self):
         g = TimeGrid(1.0, 10)
@@ -155,12 +172,10 @@ class TestRunLedger:
     def test_read_only_panel_prices_are_held_not_copied(self):
         g = TimeGrid(1.0, 6)
         noise = gaussian_panel(g, 20, 1, seed=2)
-        panel = simulate_panel(ThetaGrid([BlackScholes(0.1, 0.2), ArctanDrift()]), g, noise)
-        strat = Strategy.zero(g, 20)
-        for prices in (panel.prices, panel.prices[1]):
-            ledger = run_ledger(strat, prices, CostSpec(0.1, 1.0))
-            assert np.shares_memory(ledger.prices, panel.prices)
-            assert not ledger.prices.flags.writeable
+        stack = simulate_panel(ThetaGrid([BlackScholes(0.1, 0.2), ArctanDrift()]), g, noise)
+        ledger = run_ledger(Strategy.zero(g, 20), stack[1], CostSpec(0.1, 1.0))
+        assert np.shares_memory(ledger.prices, stack)
+        assert not ledger.prices.flags.writeable
 
     def test_writable_prices_are_copied(self):
         g = TimeGrid(1.0, 6)
@@ -180,6 +195,12 @@ class TestRunLedger:
         strat = Strategy.zero(g, 3)
         with pytest.raises(ConfigError):
             run_ledger(strat, np.ones((3, 4)), CostSpec(0.1, 1.0))
+
+    def test_a_price_stack_is_refused(self):
+        # a ledger records one model; settle walks a stack without one
+        g = TimeGrid(1.0, 4)
+        with pytest.raises(ConfigError, match=r"prices must have shape \(3, 5\), got \(2, 3, 5\)"):
+            run_ledger(Strategy.zero(g, 3), np.ones((2, 3, 5)), CostSpec(0.1, 1.0))
 
 
 class TestTerminalLinearity:
@@ -291,9 +312,9 @@ class TestAdmissibility:
         assert not rep.admissible
         assert rep.first_violation == (0, 0)
 
-    def test_stacked_ledger_reports_the_model_of_the_violation(self):
+    def test_only_the_model_whose_price_falls_reports_the_violation(self):
         # two models on one strategy: only the second model's price drop at
-        # t_1 takes the liquidation value of H0 = 2 below zero
+        # t_1 on path 1 takes the liquidation value of H0 = 2 below zero
         g = TimeGrid(1.0, 2)
         prices = np.array([np.ones((2, 3)), [[1.0, 1.0, 1.0], [1.0, 0.4, 1.0]]])
         d_up = np.zeros((2, 3))
@@ -301,11 +322,10 @@ class TestAdmissibility:
         d_dn = np.zeros((2, 3))
         d_dn[:, -1] = 2.0
         strat = Strategy(g, d_up, d_dn)
-        led = run_ledger(strat, prices, CostSpec(0.5, 1.5))
-        rep = check_admissible_rplus(led)
+        rep = check_admissible_rplus(run_ledger(strat, prices[1], CostSpec(0.5, 1.5)))
         assert not rep.admissible
         assert rep.reason == "liquidation value went negative"
-        assert rep.first_violation == (1, 1, 1)
+        assert rep.first_violation == (1, 1)
         assert check_admissible_rplus(run_ledger(strat, prices[0], CostSpec(0.5, 1.5))).admissible
 
     def test_open_terminal_position_is_flagged(self):

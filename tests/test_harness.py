@@ -317,7 +317,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
         cfg = load_config(cfg_path)
-        prices = simulate_panel(cfg.thetas, cfg.grid, cfg.build_noise()).prices
+        prices = simulate_panel(cfg.thetas, cfg.grid, cfg.build_noise())
         assert prices.size > CSV_CHUNK_ROWS
         rows = (
             (k, m, i, cfg.grid.times[i], prices[k, m, i])
@@ -434,6 +434,25 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-cps", "solve", "duality"])
+    @pytest.mark.parametrize("x0", [0.0, -0.5])
+    def test_positive_axis_utility_without_capital_exits_2_at_parse_time(self, tmp_path, capsys, command, x0):
+        out = tmp_path / "o"
+        doc = make_doc(cost={"lambda": 0.01, "x0": x0})
+        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: nonnegative-wealth admissibility needs x0 > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--out", "st"], ["--seed", "3"], ["--threads", "2"]])
+    def test_selftest_takes_no_options(self, tmp_path, monkeypatch, capsys, option):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["selftest", *option])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "verify-cps"])
     def test_mc_panel_without_paths_exits_2_at_parse_time(self, tmp_path, capsys, command):
@@ -683,8 +702,8 @@ class TestCli:
 
         monkeypatch.setattr(harness, "solve", counted)
         monkeypatch.setattr(solver, "solve", counted)
-        cfg = load_config(write_config(tmp_path, make_doc(cost={"lambda": 0.01, "x0": 3.0})))
-        assert harness.cmd_duality(cfg, str(tmp_path / "d")) == 0
+        cfg = load_config(write_config(tmp_path, make_doc(cost={"lambda": 0.01, "x0": 3.0}, out=str(tmp_path / "d"))))
+        assert harness.cmd_duality(cfg) == 0
         assert len(calls) == 1
 
     def test_duality_with_a_flat_ended_table_has_no_scaled_rows(self, tmp_path, capsys):
@@ -827,6 +846,14 @@ TWO_BS = [
     {"type": "black_scholes", "mu": 0.1, "sigma": 0.2},
     {"type": "black_scholes", "mu": -0.05, "sigma": 0.25},
 ]
+# a solve whose optimum trades and whose strategy.csv and ledger_worst.csv span two chunks
+TRADING_SOLVE = make_doc(
+    thetas=[TWO_BS[0], {"type": "black_scholes", "mu": 0.06, "sigma": 0.25}],
+    grid={"horizon": 1.0, "steps": 5},
+    noise={"kind": "mc", "paths": 2100},
+    policy={"class": "deterministic-schedule"},
+    optimizer={"iters": 2},
+)
 forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="CSV workers are forked processes")
 
 
@@ -837,24 +864,15 @@ def assert_no_child_left():
 
 @forking
 class TestCsvWorkers:
-    """--threads also sets how many processes format CSV chunks; the bytes
-    are the same at every count, and every worker is reaped."""
+    """--threads also sets how many processes format the chunks of
+    prices.csv; the bytes are the same at every count, and every worker is
+    reaped."""
 
     @pytest.mark.parametrize(
         "command, doc, outputs",
         [
             ("simulate", make_doc(thetas=TWO_BS, noise={"kind": "mc", "paths": 2100}, policy={}), ["prices.csv"]),
-            (
-                "solve",
-                make_doc(
-                    thetas=[TWO_BS[0], {"type": "black_scholes", "mu": 0.06, "sigma": 0.25}],  # the optimum trades
-                    grid={"horizon": 1.0, "steps": 5},
-                    noise={"kind": "mc", "paths": 2100},
-                    policy={"class": "deterministic-schedule"},
-                    optimizer={"iters": 2},
-                ),
-                ["ledger_worst.csv", "strategy.csv", "history.csv", "report.json"],
-            ),
+            ("solve", TRADING_SOLVE, ["ledger_worst.csv", "strategy.csv", "history.csv", "report.json"]),
         ],
         ids=["simulate", "solve"],
     )
@@ -913,6 +931,27 @@ class TestCsvWorkers:
         # a one-chunk file never forks
         write_csv(tmp_path / "small.csv", ["a"], [np.arange(CSV_CHUNK_ROWS)], workers=64)
         assert forks == [1]
+
+    def test_solve_formats_its_csvs_in_process(self, tmp_path, monkeypatch):
+        from frictionopt.harness import SOLVE_OUTPUTS
+
+        forks = []
+
+        def refused_fork():
+            forks.append(1)
+            raise OSError("solve started a CSV worker")
+
+        monkeypatch.setattr(os, "fork", refused_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg_path = write_config(tmp_path, TRADING_SOLVE)
+        written = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert main(["solve", "--config", cfg_path, "--out", str(out), "--threads", str(threads)]) == 0
+            written[threads] = [(out / name).read_bytes() for name in SOLVE_OUTPUTS]
+        assert forks == []
+        assert (tmp_path / "t2" / "ledger_worst.csv").read_bytes().count(b"\n") > CSV_CHUNK_ROWS + 1
+        assert written[2] == written[1]
 
     def test_without_fork_the_writer_runs_serially(self, tmp_path, monkeypatch):
         columns = [np.arange(3 * CSV_CHUNK_ROWS), np.linspace(0.0, 1.0, 3 * CSV_CHUNK_ROWS)]

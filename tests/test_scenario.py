@@ -232,8 +232,8 @@ class TestSimulatePanel:
         g = TimeGrid(1.0, 20)
         n = gaussian_panel(g, 4, 1, seed=42)
         thetas = ThetaGrid((BlackScholes(-0.1, 0.2), BlackScholes(0.1, 0.2)))
-        panel = simulate_panel(thetas, g, n)
-        assert np.all(panel.prices[1][:, 1:] > panel.prices[0][:, 1:])
+        prices = simulate_panel(thetas, g, n)
+        assert np.all(prices[1][:, 1:] > prices[0][:, 1:])
 
     def test_threads_do_not_change_results(self):
         g = TimeGrid(1.0, 10)
@@ -241,15 +241,24 @@ class TestSimulatePanel:
         thetas = ThetaGrid(tuple(BlackScholes(mu, 0.2) for mu in (-0.1, 0.0, 0.1, 0.2)))
         p1 = simulate_panel(thetas, g, n, threads=1)
         p8 = simulate_panel(thetas, g, n, threads=8)
-        assert np.array_equal(p1.prices, p8.prices)
+        assert np.array_equal(p1, p8)
 
     def test_mixed_driver_families_share_a_panel(self):
         g = TimeGrid(1.0, 5)
         n = gaussian_panel(g, 16, 2, seed=1)
         f = Factor(theta=((0.0, 0.0), (0.0, 0.0)), m_fn=lambda y: 0.0, g_fn=lambda y: 0.0, sigma=0.2, rho=(0.1, 0.1))
         thetas = ThetaGrid((BlackScholes(0.1, 0.2), f))
-        panel = simulate_panel(thetas, g, n)
-        assert panel.prices.shape == (2, 16, 6)
+        assert simulate_panel(thetas, g, n).shape == (2, 16, 6)
+
+    def test_returns_the_read_only_price_stack(self):
+        g = TimeGrid(1.0, 4)
+        n = gaussian_panel(g, 6, 1, seed=2)
+        models = (BlackScholes(0.1, 0.2), BlackScholes(-0.05, 0.25))
+        prices = simulate_panel(ThetaGrid(models), g, n)
+        assert type(prices) is np.ndarray and prices.dtype == np.float64
+        assert not prices.flags.writeable
+        for k, model in enumerate(models):
+            assert prices[k].tobytes() == simulate(model, g, n).tobytes()
 
     def test_error_carries_theta_index(self):
         g = TimeGrid(1.0, 5)

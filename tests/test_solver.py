@@ -185,7 +185,7 @@ class TestPolicyCodec:
         rng = np.random.default_rng(0)
         vec = codec.project(rng.normal(0.3, 0.5, size=codec.n_params))
         strat = codec.decode(vec)
-        ledger = run_ledger(strat, prob.panel.prices[0], prob.cost)
+        ledger = run_ledger(strat, prob.prices[0], prob.cost)
         np.testing.assert_array_equal(ledger.position[:, -1], 0.0)
 
     def test_lattice_expansion_maps_nodes_to_path_blocks(self):
@@ -237,7 +237,7 @@ class TestObjective:
         vec = codec.project(np.linspace(0.1, 0.4, codec.n_params))
         res = objective(prob, vec)
         strat = codec.decode(vec)
-        ledgers = [run_ledger(strat, prob.panel.prices[k], prob.cost) for k in range(prob.n_thetas)]
+        ledgers = [run_ledger(strat, prob.prices[k], prob.cost) for k in range(prob.n_thetas)]
         per = [np.dot(prob.noise.probs, prob.utility(led.terminal_liq())) for led in ledgers]
         np.testing.assert_allclose(res.per_theta, per, rtol=1e-14, atol=0.0)
         assert res.argmin_theta == int(np.argmin(per))
@@ -264,7 +264,7 @@ class TestObjective:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * prob.panel.prices.nbytes
+        assert peak < 0.5 * prob.prices.nbytes
 
 
 def referee_settle(problem, vecs):
@@ -275,7 +275,7 @@ def referee_settle(problem, vecs):
     terminal, positions, negative = [], [], []
     for vec in vecs:
         strat = Strategy(problem.grid, *repeat_decode(problem.codec, vec))
-        _, pos, liq = sequential_ledger(strat, problem.panel.prices, problem.cost)
+        _, pos, liq = sequential_ledger(strat, problem.prices, problem.cost)
         terminal.append(liq[..., -1])
         positions.append(pos)
         negative.append((liq < 0.0).any(axis=(1, 2)))
@@ -338,7 +338,7 @@ class TestSettleWalkAgainstSequentialLedger:
         # the call brute_force makes for each chunk of combinations (the
         # oracle itself refuses Monte Carlo panels; the chunk does not care)
         got_terminal, per, ok = solver_module._settle(
-            prob, *prob.codec.decode_rows(vecs), prob.panel.prices[:, None]
+            prob, *prob.codec.decode_rows(vecs), prob.prices[:, None]
         )
         assert got_terminal.tobytes() == terminal.tobytes()
         assert per.tobytes() == referee_expectations(prob, terminal, negative).tobytes()
@@ -509,7 +509,7 @@ class TestBruteForce:
         # with a vanishing spread the one-step optimum is the growth portfolio
         # h* = -(a + b) / (2 a b) for up and down returns a and b
         prob = lattice_problem(steps=1, lam=1e-9)
-        prices = prob.panel.prices[0]
+        prices = prob.prices[0]
         a = prices[0, 1] / prices[0, 0] - 1.0
         b = prices[1, 1] / prices[1, 0] - 1.0
         h_star = -(a + b) / (2.0 * a * b)
@@ -601,6 +601,23 @@ class TestDualityReport:
         assert [r.value for r in dual.inada] == [v, v + math.log(4.0), v + math.log(16.0)]
         assert [r.ratio for r in dual.inada] == [v / 3.0, (v + math.log(4.0)) / 12.0, (v + math.log(16.0)) / 48.0]
         assert dual.growth_ok
+
+    def test_peak_memory_holds_one_models_ledger_at_a_time(self):
+        # each model is checked on a ledger of its own prices, released
+        # before the next model's is built; a ledger over the whole stack,
+        # or two models' ledgers alive at once, peaks above 4x the stack
+        prob = gaussian_problem(steps=10, paths=2000, mus=(0.1, -0.05))
+        rep = solve(prob, OptimizerSettings(iters=3))
+        systems = default_price_systems(prob)
+        assert [k for k, _ in systems] == [0, 1]
+        duality_report(prob, rep, systems)
+        tracemalloc.start()
+        try:
+            duality_report(prob, rep, systems)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * prob.prices.nbytes
 
 
 SCALING = {

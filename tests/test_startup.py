@@ -22,7 +22,7 @@ EXPORTS = """
     BandReport CpsCertificate PriceSystem constant_cps cps_certificate entropy_membership girsanov_cps
     lattice_cps polarity_gap registered_cps supermartingale_check verify_band verify_martingale
     KomlosResult MonotonePath RationalEnumeration Strategy converges_at_continuity_points komlos_average rho
-    ArctanDrift BlackScholes Factor NoisePanel PathDependentBS ScenarioPanel ThetaGrid TimeGrid
+    ArctanDrift BlackScholes Factor NoisePanel PathDependentBS ThetaGrid TimeGrid
     gaussian_panel lattice_panel simulate simulate_panel
     BruteForceReport DualityReport ObjectiveResult OptimizerSettings PolicyCodec RobustProblem SolveReport
     brute_force default_price_systems duality_report objective solve
@@ -96,7 +96,7 @@ def test_simulate_on_two_threads_forks_csv_workers_without_multiprocessing(tmp_p
 
 
 def test_every_export_resolves_lazily():
-    assert sorted(frictionopt.__all__) == sorted(EXPORTS) and len(EXPORTS) == 62
+    assert sorted(frictionopt.__all__) == sorted(EXPORTS) and len(EXPORTS) == 61
     assert set(EXPORTS) <= set(dir(frictionopt))
     for name in EXPORTS:
         value = getattr(frictionopt, name)
