@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports; each submodule listed (errors
 # too) is also an attribute, as when this package imported them all
 _EXPORTS = {
-    "accounting": ("AccountingLedger", "CostSpec", "check_admissible_rplus", "run_ledger", "shadow_ledger"),
+    "accounting": ("AccountingLedger", "CostSpec", "check_admissible_rplus", "run_ledger", "shadow_value"),
     "cps": (
         "BandReport", "CpsCertificate", "PriceSystem", "constant_cps", "cps_certificate", "entropy_membership",
         "girsanov_cps", "lattice_cps", "polarity_gap", "registered_cps", "supermartingale_check", "verify_band",

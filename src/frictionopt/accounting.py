@@ -9,7 +9,7 @@ the t_i price and is reflected in the balances from t_i on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,20 +35,16 @@ class CostSpec:
 
 @dataclass(frozen=True)
 class AccountingLedger:
-    """Cash, holdings, liquidation value and optional shadow value of one
-    model, each of shape (paths, steps + 1).
+    """Cash, holdings and liquidation value of one model, each of shape
+    (paths, steps + 1): the recorded settle walk.
 
     liq marks holdings to the unfavourable side (long positions at the bid,
-    short positions at the ask); shadow, when present, marks them to a shadow
-    price inside the bid-ask band and therefore dominates liq.
+    short positions at the ask).
     """
 
-    cost: CostSpec
-    prices: np.ndarray
     cash: np.ndarray
     position: np.ndarray
     liq: np.ndarray
-    shadow: Optional[np.ndarray] = None
 
     def terminal_liq(self) -> np.ndarray:
         return self.liq[:, -1]
@@ -78,9 +74,7 @@ def settle(d_up: np.ndarray, d_dn: np.ndarray, position: np.ndarray, prices: np.
 
 def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> AccountingLedger:
     """Settle a strategy against one model's simulated prices, shape
-    (paths, steps + 1), recording every step of the settle walk.  The ledger
-    holds prices as given when no array in their base chain is writable, as
-    with a slice of a panel's price stack, and a read-only copy otherwise."""
+    (paths, steps + 1), recording every step of the settle walk."""
     prices = np.asarray(prices, float)
     if prices.shape != (strategy.paths, strategy.grid.steps + 1):
         raise ConfigError(f"prices must have shape ({strategy.paths}, {strategy.grid.steps + 1}), got {prices.shape}")
@@ -88,37 +82,31 @@ def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> Accoun
     cash, liq = np.empty(prices.shape), np.empty(prices.shape)
     for i, step in enumerate(settle(strategy.d_up, strategy.d_dn, pos, prices, cost)):
         cash[:, i], liq[:, i] = step
-    if not _frozen(prices):
-        prices = _readonly(prices.copy())
-    return AccountingLedger(cost=cost, prices=prices, cash=_readonly(cash), position=_readonly(pos), liq=_readonly(liq))
+    return AccountingLedger(cash=_readonly(cash), position=_readonly(pos), liq=_readonly(liq))
 
 
-def _frozen(a: np.ndarray) -> bool:
-    """True when a and every array it views are read-only, so no one can
-    change a's values through a writable alias."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
+def shadow_value(strategy: Strategy, prices: np.ndarray, shadow_prices: np.ndarray, cost: CostSpec):
+    """Settle a strategy against one model's prices and return
+    (value, terminal_liq): the shadow value cash_i + position_i * sp_i,
+    shape (paths, steps + 1), and the liquidation value at t_N.
 
-
-def shadow_ledger(ledger: AccountingLedger, shadow_prices: np.ndarray) -> AccountingLedger:
-    """Attach the shadow valuation cash + position * shadow_price to a ledger.
-
-    Whenever the shadow prices sit inside the bid-ask band, marking to them is
-    at least as favourable as liquidation; that dominance is asserted because
-    it is a consequence of the band, not an extra assumption.
+    Wherever a shadow price sits inside the bid-ask band, marking to it is
+    at least as favourable as liquidation; that dominance is asserted entry
+    by entry because it is a consequence of the band, not an extra
+    assumption.
     """
-    sp = np.asarray(shadow_prices, float)
-    if sp.shape != ledger.prices.shape:
-        raise ConfigError("shadow prices must match the ledger's price array shape")
-    shadow = ledger.cash + ledger.position * sp
-    lam = ledger.cost.lam
-    in_band = np.all(((1.0 - lam) * ledger.prices <= sp) & (sp <= ledger.prices))
-    if in_band and np.any(ledger.liq > shadow):
-        raise ContractViolation("liquidation value exceeded the shadow value inside the band")
-    return replace(ledger, shadow=_readonly(shadow))
+    prices, sp = np.asarray(prices, float), np.asarray(shadow_prices, float)
+    shape = (strategy.paths, strategy.grid.steps + 1)
+    if prices.shape != shape or sp.shape != shape:
+        raise ConfigError(f"prices and shadow prices must have shape {shape}, got {prices.shape} and {sp.shape}")
+    pos = strategy.position()
+    value = np.empty(shape)
+    for i, (cash, liq) in enumerate(settle(strategy.d_up, strategy.d_dn, pos, prices, cost)):
+        s, spi = prices[:, i], sp[:, i]
+        value[:, i] = cash + pos[:, i] * spi
+        if np.any(((1.0 - cost.lam) * s <= spi) & (spi <= s) & (liq > value[:, i])):
+            raise ContractViolation("liquidation value exceeded the shadow value inside the band")
+    return _readonly(value), _readonly(liq)
 
 
 @dataclass(frozen=True)

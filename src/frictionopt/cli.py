@@ -33,8 +33,17 @@ EXIT_VERIFY = 3
 EXIT_INFEASIBLE = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exits 2; subparsers
+    are built from the same class."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frictionopt",
         description="Robust utility maximization under proportional transaction costs",
     )

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .accounting import CostSpec, run_ledger, settle, shadow_ledger
+from .accounting import CostSpec, settle, shadow_value
 from .config import OptimizerSettings, check_capital, check_policy_class
 from .cps import (
     PriceSystem,
@@ -524,8 +524,8 @@ def duality_report(
 ) -> DualityReport:
     """Diagnostics relating the solved primal value to dual quantities.
 
-    Each model with a registered price system is checked on its own ledger:
-    its shadow value process must be a supermartingale under the system, and
+    Each model with a registered price system is valued in one walk: its
+    shadow value process must be a supermartingale under the system, and
     for each dual level y the primal value must stay below E[V(y w)] + x0 y
     and the terminal payoff must satisfy the polarity bound E[X y w] <= x0 y,
     both judged by cps.within (exact on lattice panels; a row where V is
@@ -541,9 +541,8 @@ def duality_report(
     sm_ok = True
     x0 = problem.cost.x0
     for k, ps in price_systems:
-        ledger = shadow_ledger(run_ledger(report.strategy, problem.prices[k], problem.cost), ps.shadow)
-        sm_ok = supermartingale_check(ledger.shadow, ps).passed and sm_ok
-        terminal = ledger.terminal_liq()
+        value, terminal = shadow_value(report.strategy, problem.prices[k], ps.shadow, problem.cost)
+        sm_ok = supermartingale_check(value, ps).passed and sm_ok
         with np.errstate(divide="ignore", invalid="ignore"):
             u_se = standard_error(problem.utility(terminal), noise)
         u_hat = float(report.per_theta[k])
@@ -555,8 +554,8 @@ def duality_report(
             rows.append(DualityRow(k, float(y), u_hat, v_hat, bound, se, within(u_hat, bound, se)))
             pg = polarity_gap(terminal, ps, x0, float(y))
             pol.append(PolarityRow(k, float(y), pg.lhs, pg.bound, pg.se, pg.satisfied))
-        # terminal views the ledger's liq: drop both before the next model's ledger is built
-        del ledger, terminal
+        # release this model's walk before the next model's runs
+        del value, terminal
     inada_rows = []
     for s in inada_scales:
         val = scaled_value(problem.utility, report.best_value, x0, s)

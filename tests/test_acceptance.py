@@ -41,7 +41,7 @@ from frictionopt import (
     polarity_gap,
     rho,
     run_ledger,
-    shadow_ledger,
+    shadow_value,
     simulate,
     solve,
     supermartingale_check,
@@ -166,8 +166,9 @@ def test_criterion_05_accounting_identities():
         rhs = -(prices * strat.d_up).sum(axis=1) + ((1 - lam) * prices * strat.d_dn).sum(axis=1)
         np.testing.assert_allclose(led.cash[:, -1] - x0, rhs, rtol=1e-12, atol=1e-12)
         for sp in shadows:
-            sh = shadow_ledger(led, sp)
-            assert np.all(sh.liq <= sh.shadow)
+            value, terminal = shadow_value(strat, prices, sp, cost)
+            assert np.all(led.liq <= value)
+            np.testing.assert_array_equal(terminal, led.liq[:, -1])
 
     # terminal-value linearity with the position closed: exact on a dyadic
     # fixture where every product and sum is a representable float
@@ -249,13 +250,13 @@ def test_criterion_07_supermartingale_and_polarity():
         )
         rep = solve(problem, OptimizerSettings(iters=120, step0=0.5))
         for k, ps in default_price_systems(problem):
-            ledger = run_ledger(rep.strategy, problem.prices[k], problem.cost)
-            sh = shadow_ledger(ledger, ps.shadow)
-            sm = supermartingale_check(sh.shadow, ps)
+            value, terminal = shadow_value(rep.strategy, problem.prices[k], ps.shadow, problem.cost)
+            np.testing.assert_array_equal(terminal, run_ledger(rep.strategy, problem.prices[k], problem.cost).liq[:, -1])
+            sm = supermartingale_check(value, ps)
             assert sm.mode == "lattice"
             assert sm.passed, (mus, k, sm.max_rise)
             for y in (0.5, 1.0, 2.0):
-                pg = polarity_gap(ledger.terminal_liq(), ps, problem.cost.x0, y)
+                pg = polarity_gap(terminal, ps, problem.cost.x0, y)
                 assert pg.lhs <= pg.bound + 1e-10, (mus, k, y, pg.lhs - pg.bound)
 
     # Monte Carlo mode: re-issue a solved deterministic schedule on a large
@@ -268,13 +269,12 @@ def test_criterion_07_supermartingale_and_polarity():
     mc_noise = gaussian_panel(grid, 100000, 1, seed=17)
     mc = RobustProblem(CostSpec(0.01, 1.0), ThetaGrid((model,)), log_utility(), grid, mc_noise)
     strat = PolicyCodec(mc).decode(rep.best_params)
-    ledger = run_ledger(strat, mc.prices[0], mc.cost)
     ps = girsanov_cps(model, mc.prices[0], mc_noise)
-    sh = shadow_ledger(ledger, ps.shadow)
-    sm = supermartingale_check(sh.shadow, ps)
+    value, terminal = shadow_value(strat, mc.prices[0], ps.shadow, mc.cost)
+    sm = supermartingale_check(value, ps)
     assert sm.mode == "mc"
     assert sm.passed, sm.max_z
-    pg = polarity_gap(ledger.terminal_liq(), ps, mc.cost.x0, 1.0)
+    pg = polarity_gap(terminal, ps, mc.cost.x0, 1.0)
     assert pg.satisfied, (pg.lhs, pg.bound, pg.se)
 
     elapsed = time.perf_counter() - started

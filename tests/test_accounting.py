@@ -11,12 +11,13 @@ from frictionopt import (
     check_admissible_rplus,
     gaussian_panel,
     run_ledger,
-    shadow_ledger,
+    shadow_value,
     simulate,
     simulate_panel,
 )
+from frictionopt import accounting
 from frictionopt.accounting import settle
-from frictionopt.errors import ConfigError
+from frictionopt.errors import ConfigError, ContractViolation
 
 
 def random_strategy(grid, paths, rng, h0_scale=1.0, jump_scale=0.2, flatten=True, nonneg_h0=False):
@@ -169,26 +170,18 @@ class TestRunLedger:
         led_hi = run_ledger(strat, prices, CostSpec(0.10, 3.0))
         assert np.all(led_hi.liq[:, -1] <= led_lo.liq[:, -1])
 
-    def test_read_only_panel_prices_are_held_not_copied(self):
+    def test_ledger_arrays_are_read_only_and_share_no_memory_with_the_prices(self):
         g = TimeGrid(1.0, 6)
         noise = gaussian_panel(g, 20, 1, seed=2)
         stack = simulate_panel(ThetaGrid([BlackScholes(0.1, 0.2), ArctanDrift()]), g, noise)
-        ledger = run_ledger(Strategy.zero(g, 20), stack[1], CostSpec(0.1, 1.0))
-        assert np.shares_memory(ledger.prices, stack)
-        assert not ledger.prices.flags.writeable
-
-    def test_writable_prices_are_copied(self):
-        g = TimeGrid(1.0, 6)
-        prices = simulate(BlackScholes(0.1, 0.2), g, gaussian_panel(g, 20, 1, seed=2)).copy()
-        # a read-only view of a writable array can still change through its base
-        view = prices[:]
-        view.setflags(write=False)
-        for given in (prices, view):
-            ledger = run_ledger(Strategy.zero(g, 20), given, CostSpec(0.1, 1.0))
-            kept = ledger.prices.copy()
-            assert not np.shares_memory(ledger.prices, prices)
-            prices *= 2.0
-            np.testing.assert_array_equal(ledger.prices, kept)
+        prices = stack[1].copy()
+        strat = random_strategy(g, 20, np.random.default_rng(3))
+        for given in (stack[1], prices):
+            ledger = run_ledger(strat, given, CostSpec(0.1, 1.0))
+            for arr in (ledger.cash, ledger.position, ledger.liq):
+                assert not arr.flags.writeable
+                assert not np.shares_memory(arr, stack)
+                assert not np.shares_memory(arr, prices)
 
     def test_grid_mismatch(self):
         g = TimeGrid(1.0, 4)
@@ -259,14 +252,14 @@ class TestTerminalLinearity:
         np.testing.assert_allclose(led_mid.liq[:, -1], (led_a.liq[:, -1] + led_b.liq[:, -1]) / 2.0, rtol=1e-12)
 
 
-class TestShadowLedger:
+class TestShadowValue:
     def test_zero_position_shadow_equals_cash(self):
         g = TimeGrid(1.0, 5)
         noise = gaussian_panel(g, 20, 1, seed=1)
         prices = simulate(BlackScholes(0.1, 0.2), g, noise)
-        led = run_ledger(Strategy.zero(g, 20), prices, CostSpec(0.1, 3.0))
-        shadowed = shadow_ledger(led, prices * 0.95)
-        np.testing.assert_array_equal(shadowed.shadow, 3.0)
+        value, terminal = shadow_value(Strategy.zero(g, 20), prices, prices * 0.95, CostSpec(0.1, 3.0))
+        np.testing.assert_array_equal(value, 3.0)
+        np.testing.assert_array_equal(terminal, 3.0)
 
     def test_flat_terminal_shadow_equals_liq(self):
         g = TimeGrid(1.0, 6)
@@ -274,9 +267,10 @@ class TestShadowLedger:
         prices = simulate(BlackScholes(0.1, 0.2), g, noise)
         rng = np.random.default_rng(5)
         strat = random_strategy(g, 30, rng, flatten=True)
-        led = run_ledger(strat, prices, CostSpec(0.05, 6.0))
-        shadowed = shadow_ledger(led, prices * 0.97)
-        np.testing.assert_array_equal(shadowed.shadow[:, -1], shadowed.liq[:, -1])
+        cost = CostSpec(0.05, 6.0)
+        value, terminal = shadow_value(strat, prices, prices * 0.97, cost)
+        np.testing.assert_array_equal(value[:, -1], run_ledger(strat, prices, cost).liq[:, -1])
+        np.testing.assert_array_equal(terminal, value[:, -1])
 
     def test_band_shadow_dominates_liq_everywhere(self):
         g = TimeGrid(1.0, 10)
@@ -286,9 +280,64 @@ class TestShadowLedger:
         lam = 0.1
         for _ in range(10):
             strat = random_strategy(g, 50, rng, flatten=True)
-            led = run_ledger(strat, prices, CostSpec(lam, 8.0))
-            shadowed = shadow_ledger(led, 0.95 * prices)
-            assert np.all(shadowed.liq <= shadowed.shadow)
+            cost = CostSpec(lam, 8.0)
+            value, _ = shadow_value(strat, prices, 0.95 * prices, cost)
+            assert np.all(run_ledger(strat, prices, cost).liq <= value)
+
+    def test_matches_the_recorded_ledger_bitwise(self):
+        g = TimeGrid(1.0, 12)
+        noise = gaussian_panel(g, 40, 1, seed=9)
+        prices = simulate(BlackScholes(0.08, 0.3), g, noise)
+        rng = np.random.default_rng(23)
+        cost = CostSpec(0.07, 2.5)
+        strat = random_strategy(g, 40, rng, flatten=False)
+        sp = prices * rng.uniform(1.0 - cost.lam, 1.0, size=prices.shape)
+        value, terminal = shadow_value(strat, prices, sp, cost)
+        led = run_ledger(strat, prices, cost)
+        assert value.tobytes() == (led.cash + led.position * sp).tobytes()
+        assert terminal.tobytes() == led.liq[:, -1].tobytes()
+        assert not value.flags.writeable and not terminal.flags.writeable
+
+    def test_mismatched_shapes_raise(self):
+        g = TimeGrid(1.0, 4)
+        strat = Strategy.zero(g, 3)
+        prices = np.ones((3, 5))
+        cost = CostSpec(0.1, 1.0)
+        with pytest.raises(ConfigError, match=r"must have shape \(3, 5\), got \(3, 5\) and \(3, 4\)"):
+            shadow_value(strat, prices, np.ones((3, 4)), cost)
+        with pytest.raises(ConfigError, match=r"must have shape \(3, 5\), got \(2, 3, 5\) and \(3, 5\)"):
+            shadow_value(strat, np.ones((2, 3, 5)), prices, cost)
+
+    def test_a_shadow_outside_the_band_is_not_checked(self):
+        # above the ask on some entries, a short position marked there can
+        # fall below liq; the in-band entries still dominate
+        g = TimeGrid(1.0, 8)
+        noise = gaussian_panel(g, 60, 1, seed=4)
+        prices = simulate(BlackScholes(0.05, 0.3), g, noise)
+        rng = np.random.default_rng(31)
+        cost = CostSpec(0.1, 5.0)
+        outside = rng.random(prices.shape) < 0.3
+        sp = np.where(outside, 1.05 * prices, 0.95 * prices)
+        for _ in range(10):
+            strat = random_strategy(g, 60, rng, flatten=True)
+            value, _ = shadow_value(strat, prices, sp, cost)
+            liq = run_ledger(strat, prices, cost).liq
+            assert np.all(liq[~outside] <= value[~outside])
+
+    def test_a_violation_inside_the_band_raises(self, monkeypatch):
+        # a liquidation value above the shadow value inside the band cannot
+        # come from settle; a broken walk must not pass unnoticed
+        g = TimeGrid(1.0, 3)
+        prices = np.ones((2, 4))
+        strat = random_strategy(g, 2, np.random.default_rng(1))
+
+        def inflated(d_up, d_dn, position, prices, cost):
+            for cash, liq in settle(d_up, d_dn, position, prices, cost):
+                yield cash, liq + 1.0
+
+        monkeypatch.setattr(accounting, "settle", inflated)
+        with pytest.raises(ContractViolation):
+            shadow_value(strat, prices, prices, CostSpec(0.1, 1.0))
 
 
 class TestAdmissibility:

@@ -454,6 +454,38 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--out", "o"],
+            ["selftest", "--out", "st"],
+            [],
+            ["solve", "--config", "run.json", "--out", "o", "--threads", "abc"],
+        ],
+        ids=["no-config", "selftest-out", "no-command", "threads-not-int"],
+    )
+    def test_usage_errors_print_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, make_doc())
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert captured.err.endswith("\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_prints_usage_to_stdout_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: frictionopt")
+        assert captured.err == ""
+
     @pytest.mark.parametrize("command", ["simulate", "verify-cps"])
     def test_mc_panel_without_paths_exits_2_at_parse_time(self, tmp_path, capsys, command):
         # solve is among the parse-time cases above; a lattice ignores paths

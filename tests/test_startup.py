@@ -18,7 +18,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PRINT_MODULES = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 EXPORTS = """
-    AccountingLedger CostSpec check_admissible_rplus run_ledger shadow_ledger
+    AccountingLedger CostSpec check_admissible_rplus run_ledger shadow_value
     BandReport CpsCertificate PriceSystem constant_cps cps_certificate entropy_membership girsanov_cps
     lattice_cps polarity_gap registered_cps supermartingale_check verify_band verify_martingale
     KomlosResult MonotonePath RationalEnumeration Strategy converges_at_continuity_points komlos_average rho
