@@ -36,7 +36,8 @@ class CostSpec:
 @dataclass(frozen=True)
 class AccountingLedger:
     """Cash, holdings and liquidation value of one model, each of shape
-    (paths, steps + 1): the recorded settle walk.
+    (paths, steps + 1): the recorded settle walk.  position is a read-only
+    broadcast view of the strategy's rows.
 
     liq marks holdings to the unfavourable side (long positions at the bid,
     short positions at the ask).
@@ -72,17 +73,25 @@ def settle(d_up: np.ndarray, d_dn: np.ndarray, position: np.ndarray, prices: np.
         yield cash, (cash + np.maximum(pos, 0.0) * bid) - np.maximum(-pos, 0.0) * s
 
 
+def _model_shape(strategy: Strategy, prices: np.ndarray) -> tuple[int, int]:
+    """The (paths, steps + 1) shape one model's prices must have for the
+    strategy's rows, one or one per path, to broadcast against them."""
+    rows, points = strategy.d_up.shape
+    return (prices.shape[0] if rows == 1 and prices.ndim == 2 else rows), points
+
+
 def run_ledger(strategy: Strategy, prices: np.ndarray, cost: CostSpec) -> AccountingLedger:
     """Settle a strategy against one model's simulated prices, shape
     (paths, steps + 1), recording every step of the settle walk."""
     prices = np.asarray(prices, float)
-    if prices.shape != (strategy.paths, strategy.grid.steps + 1):
-        raise ConfigError(f"prices must have shape ({strategy.paths}, {strategy.grid.steps + 1}), got {prices.shape}")
+    shape = _model_shape(strategy, prices)
+    if prices.shape != shape:
+        raise ConfigError(f"prices must have shape {shape}, got {prices.shape}")
     pos = strategy.position()
-    cash, liq = np.empty(prices.shape), np.empty(prices.shape)
+    cash, liq = np.empty(shape), np.empty(shape)
     for i, step in enumerate(settle(strategy.d_up, strategy.d_dn, pos, prices, cost)):
         cash[:, i], liq[:, i] = step
-    return AccountingLedger(cash=_readonly(cash), position=_readonly(pos), liq=_readonly(liq))
+    return AccountingLedger(cash=_readonly(cash), position=np.broadcast_to(pos, shape), liq=_readonly(liq))
 
 
 def shadow_value(strategy: Strategy, prices: np.ndarray, shadow_prices: np.ndarray, cost: CostSpec):
@@ -96,7 +105,7 @@ def shadow_value(strategy: Strategy, prices: np.ndarray, shadow_prices: np.ndarr
     assumption.
     """
     prices, sp = np.asarray(prices, float), np.asarray(shadow_prices, float)
-    shape = (strategy.paths, strategy.grid.steps + 1)
+    shape = _model_shape(strategy, prices)
     if prices.shape != shape or sp.shape != shape:
         raise ConfigError(f"prices and shadow prices must have shape {shape}, got {prices.shape} and {sp.shape}")
     pos = strategy.position()

@@ -34,13 +34,16 @@ if TYPE_CHECKING:
     from .solver import RobustProblem
 
 
-# bytes of the largest float array a config may ask for: the (K, paths,
-# steps + 1) price stack, the (paths, steps, drivers) noise panel or the time
-# grid; a config over it is refused before anything is allocated
-MAX_ARRAY_BYTES = 1 << 30
+# bytes a config may ask a command to hold at once; a config over it is
+# refused before anything is allocated
+MAX_WORK_BYTES = 1 << 30
 
 
-def _check_work_budget(steps: int, noise_kind: str, paths: int, drivers: int, models: int) -> None:
+def _check_work_budget(steps: int, noise_kind: str, paths: int, drivers: int, models: int, policy_class: str) -> None:
+    """Count what a command holds at its peak: the price stack, the noise
+    panel, two arrays the size of one model's prices (a ledger's cash and
+    liq, or the band check's buffers) and the time grid, and for a lattice
+    policy also the codec's two index arrays and one decode's four arrays."""
     if noise_kind == "lattice":
         # lattice_panel refuses a tree with more slots
         slots = steps * drivers
@@ -48,14 +51,16 @@ def _check_work_budget(steps: int, noise_kind: str, paths: int, drivers: int, mo
     arrays = {
         f"price stack of {models} x {paths} x {steps + 1}": models * paths * (steps + 1),
         f"noise panel of {paths} x {steps} x {drivers}": paths * steps * drivers,
+        f"2 model arrays of {paths} x {steps + 1}": 2 * paths * (steps + 1),
         f"time grid of {steps + 1}": steps + 1,
     }
-    name, floats = max(arrays.items(), key=lambda item: item[1])
-    if 8 * floats > MAX_ARRAY_BYTES:
-        raise ConfigError(
-            f"the {name} floats would take {8 * floats:,} bytes, "
-            f"over the work budget of {MAX_ARRAY_BYTES:,} bytes per array"
-        )
+    if policy_class == "lattice-policy":
+        arrays[f"2 codec indices of {paths} x {steps - 1}"] = 2 * paths * (steps - 1)
+        arrays[f"4 decode arrays of {paths} x {steps + 1}"] = 4 * paths * (steps + 1)
+    total = 8 * sum(arrays.values())
+    if total > MAX_WORK_BYTES:
+        parts = ", ".join(f"{name} ({8 * n:,} bytes)" for name, n in arrays.items())
+        raise ConfigError(f"the {parts} would take {total:,} bytes, over the work budget of {MAX_WORK_BYTES:,} bytes")
 
 
 POLICY_CLASSES = ("deterministic-schedule", "lattice-policy")
@@ -330,8 +335,6 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         noise_drivers = needed_drivers
     elif noise_drivers < needed_drivers:
         raise ConfigError(f"noise.drivers = {noise_drivers} but the family needs {needed_drivers}")
-    _check_work_budget(steps, noise_kind, noise_paths, noise_drivers, len(thetas))
-    grid = TimeGrid(horizon, steps)
 
     utility = parse_utility(doc.get("utility"))
     check_capital(utility, cost.x0)
@@ -343,6 +346,8 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     long_only = policy_spec.get("long_only", False)
     if not isinstance(long_only, bool):
         raise ConfigError("policy.long_only must be a boolean")
+    _check_work_budget(steps, noise_kind, noise_paths, noise_drivers, len(thetas), policy_class)
+    grid = TimeGrid(horizon, steps)
 
     opt_spec = doc.get("optimizer", {})
     _require_keys("optimizer", opt_spec, {"iters", "step0"})
@@ -365,6 +370,8 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         raise ConfigError("verify.construction 'lattice' needs a single-driver lattice panel")
     if "level" in verify and construction != "constant":
         raise ConfigError(f"verify.level applies to the constant construction only, not {construction!r}")
+    if verify.get("shrink") is not None and construction == "constant":
+        raise ConfigError("verify.shrink does not apply to the constant construction")
     level = _num("verify", verify, "level", 0.75) if construction == "constant" else None
     if level is not None and level <= 0.0:
         raise ConfigError(f"verify.level must be positive, got {level!r}")
@@ -382,6 +389,8 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         values = _numbers(f"duality.{key}", duality.get(key, default))
         if not all(v > 0.0 for v in values):
             raise ConfigError(f"duality.{key} must be a list of positive numbers, got {list(values)}")
+        if key == "ys" and not values:
+            raise ConfigError("duality.ys must list at least one dual level")
         duality_resolved[key] = list(values)
     duality_resolved["shrink"] = _shrink("duality", duality)
 

@@ -74,9 +74,9 @@ def verify_band(prices: Array, ps: PriceSystem, lam: float) -> BandReport:
         raise ConfigError("prices and shadow must share a shape")
     if not (0.0 < lam < 1.0):
         raise ConfigError("lambda must lie strictly between 0 and 1")
-    lower = ps.shadow - (1.0 - lam) * prices
-    upper = prices - ps.shadow
-    slack = np.minimum(lower, upper)
+    slack = np.multiply(1.0 - lam, prices)
+    np.subtract(ps.shadow, slack, out=slack)
+    np.minimum(slack, prices - ps.shadow, out=slack)
     raw = float(slack.min())
     m, i = np.unravel_index(int(np.argmin(slack)), slack.shape)
     return BandReport(holds=raw >= 0.0, strict=raw > 0.0, delta=max(raw, 0.0), worst=(int(m), int(i)))

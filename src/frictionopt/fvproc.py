@@ -185,11 +185,13 @@ def converges_at_continuity_points(
 
 @dataclass(frozen=True)
 class Strategy:
-    """Trading strategy as per-path cumulative buy and sell jump arrays.
+    """Trading strategy as schedule rows of cumulative buy and sell jumps.
 
     d_up and d_dn hold the nonnegative jumps of the cumulative-buy and
-    cumulative-sell paths, with shape (paths, steps + 1); column 0 is the
-    block trade at time zero, so the position starts flat before it.
+    cumulative-sell paths, with shape (rows, steps + 1): one row traded the
+    same way on every path, or one row per path.  Column 0 is the block
+    trade at time zero, so the position starts flat before it.  Settlement
+    broadcasts the rows against the prices.
     """
 
     grid: TimeGrid
@@ -200,24 +202,20 @@ class Strategy:
         for name, arr in (("d_up", self.d_up), ("d_dn", self.d_dn)):
             a = np.asarray(arr, float)
             if a.ndim != 2 or a.shape[1] != self.grid.steps + 1:
-                raise ConfigError(f"{name} must have shape (paths, {self.grid.steps + 1})")
+                raise ConfigError(f"{name} must have shape (rows, {self.grid.steps + 1})")
             check_jumps(name, a)
             object.__setattr__(self, name, _readonly(a))
         if self.d_up.shape[0] != self.d_dn.shape[0]:
-            raise ConfigError("d_up and d_dn must cover the same paths")
-
-    @property
-    def paths(self) -> int:
-        return self.d_up.shape[0]
+            raise ConfigError("d_up and d_dn must have the same rows")
 
     def position(self) -> np.ndarray:
-        """Holdings per path and grid time, by the same left-to-right recursion
+        """Holdings per row and grid time, by the same left-to-right recursion
         the accounting ledger uses, so flattened positions cancel bit-exactly."""
         return position_recursion(self.d_up, self.d_dn)
 
     @classmethod
-    def zero(cls, grid: TimeGrid, paths: int) -> "Strategy":
-        z = np.zeros((paths, grid.steps + 1))
+    def zero(cls, grid: TimeGrid, rows: int = 1) -> "Strategy":
+        z = np.zeros((rows, grid.steps + 1))
         return cls(grid, z, z.copy())
 
 

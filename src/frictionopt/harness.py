@@ -333,13 +333,11 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
     # these two files are formatted in process: their columns repeat few
     # distinct values, so forked workers cost more CPU than they save in wall time
     strat = report.strategy
-    paths, points = strat.d_up.shape
-    path, time_index = np.broadcast_arrays(np.arange(paths)[:, None], np.arange(points))
-    write_csv(
-        out_dir / "strategy.csv",
-        ["path", "time_index", "d_up", "d_dn"],
-        [path, time_index, strat.d_up, strat.d_dn],
+    columns = np.broadcast_arrays(
+        np.arange(problem.noise.paths)[:, None], np.arange(problem.grid.steps + 1), strat.d_up, strat.d_dn
     )
+    path, time_index = columns[:2]
+    write_csv(out_dir / "strategy.csv", ["path", "time_index", "d_up", "d_dn"], columns)
     ledger = run_ledger(strat, problem.prices[report.argmin_theta], problem.cost)
     write_csv(
         out_dir / "ledger_worst.csv",
@@ -402,7 +400,7 @@ def cmd_selftest() -> int:
     noise = gaussian_panel(grid, 64, 1, seed=1)
     prices = simulate(ArctanDrift(), grid, noise)
     cert = cps_certificate(ArctanDrift(), 0.7)
-    ledger = run_ledger(Strategy.zero(grid, 64), prices, CostSpec(0.1, 1.0))
+    ledger = run_ledger(Strategy.zero(grid), prices, CostSpec(0.1, 1.0))
     checks = {
         "arctan prices stay in (0.75, 2.25)": prices.min() > 0.75 and prices.max() < 2.25,
         "a price system exists at lambda 0.7": cert is not None and cert.exists,

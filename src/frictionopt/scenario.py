@@ -72,11 +72,6 @@ class NoisePanel:
     def paths(self) -> int:
         return self.increments.shape[0]
 
-    def brownian_paths(self, driver: int = 0) -> np.ndarray:
-        """Cumulative driver paths of shape (paths, steps + 1), zero at t_0."""
-        w = np.cumsum(self.increments[:, :, driver], axis=1)
-        return np.hstack([np.zeros((self.paths, 1)), w])
-
 
 def gaussian_panel(grid: TimeGrid, paths: int, drivers: int = 1, seed: int = 0) -> NoisePanel:
     """Monte Carlo noise panel with counter-based per-path substreams.
@@ -143,7 +138,8 @@ class Model:
     drivers: int = 1
     s0: float = 1.0
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel) -> np.ndarray:
+    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray) -> None:
+        """Write the prices on the panel into out, a (paths, steps + 1) view."""
         raise NotImplementedError
 
 
@@ -161,14 +157,14 @@ class BlackScholes(Model):
         if self.s0 <= 0.0:
             raise InvalidModelError(f"s0 must be positive, got {self.s0}")
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel) -> np.ndarray:
-        dw = noise.increments[:, :, 0]
-        log_steps = (self.mu - 0.5 * self.sigma**2) * grid.dt + self.sigma * dw
-        logs = np.cumsum(log_steps, axis=1)
-        out = np.empty((noise.paths, grid.steps + 1))
+    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray) -> None:
         out[:, 0] = self.s0
-        out[:, 1:] = self.s0 * np.exp(logs)
-        return out
+        logs = out[:, 1:]
+        np.multiply(self.sigma, noise.increments[:, :, 0], out=logs)
+        np.add(logs, (self.mu - 0.5 * self.sigma**2) * grid.dt, out=logs)
+        np.cumsum(logs, axis=1, out=logs)
+        np.exp(logs, out=logs)
+        np.multiply(logs, self.s0, out=logs)
 
 
 @dataclass(frozen=True)
@@ -196,9 +192,8 @@ class PathDependentBS(Model):
         if not (0.0 < self.sigma_bounds[0] <= self.sigma_bounds[1]):
             raise InvalidModelError("sigma_bounds must be ordered and strictly positive")
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel) -> np.ndarray:
+    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray) -> None:
         dw = noise.increments[:, :, 0]
-        out = np.empty((noise.paths, grid.steps + 1))
         out[:, 0] = self.s0
         log_s = np.full(noise.paths, math.log(self.s0))
         for i in range(grid.steps):
@@ -210,7 +205,6 @@ class PathDependentBS(Model):
             )
             log_s = log_s + (mu_i - 0.5 * sig_i**2) * grid.dt + sig_i * dw[:, i]
             out[:, i + 1] = np.exp(log_s)
-        return out
 
 
 @dataclass(frozen=True)
@@ -244,17 +238,14 @@ class Factor(Model):
     def drivers(self) -> int:  # type: ignore[override]
         return 2
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel) -> np.ndarray:
-        return self.simulate_with_factor(grid, noise)[0]
-
-    def simulate_with_factor(self, grid: TimeGrid, noise: NoisePanel) -> tuple[np.ndarray, np.ndarray]:
+    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray, factor: Optional[np.ndarray] = None) -> None:
+        """Write S into out, and Y into factor when one is given."""
         th = self.theta
         dw1 = noise.increments[:, :, 0]
         dw2 = noise.increments[:, :, 1]
-        s = np.empty((noise.paths, grid.steps + 1))
-        y = np.empty((noise.paths, grid.steps + 1))
-        s[:, 0] = self.s0
-        y[:, 0] = self.y0
+        out[:, 0] = self.s0
+        if factor is not None:
+            factor[:, 0] = self.y0
         log_s = np.full(noise.paths, math.log(self.s0))
         yi = np.full(noise.paths, self.y0)
         for i in range(grid.steps):
@@ -264,9 +255,9 @@ class Factor(Model):
             log_s = log_s + (drift_s - 0.5 * self.sigma**2) * grid.dt + self.sigma * dw1[:, i]
             drift_y = np.asarray(self.g_fn(yi), float) + self.rho[0] * load1 + self.rho[1] * load2
             yi = yi + drift_y * grid.dt + self.rho[0] * dw1[:, i] + self.rho[1] * dw2[:, i]
-            s[:, i + 1] = np.exp(log_s)
-            y[:, i + 1] = yi
-        return s, y
+            out[:, i + 1] = np.exp(log_s)
+            if factor is not None:
+                factor[:, i + 1] = yi
 
 
 @dataclass(frozen=True)
@@ -283,9 +274,12 @@ class ArctanDrift(Model):
         if self.s0 != 1.0:
             raise InvalidModelError("the arctan family is pinned at s0 = 1")
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel) -> np.ndarray:
-        w = noise.brownian_paths(0)
-        return 1.0 + grid.times[None, :] + np.arctan(w) / (2.0 * math.pi)
+    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray) -> None:
+        out[:, 0] = 0.0
+        np.cumsum(noise.increments[:, :, 0], axis=1, out=out[:, 1:])
+        np.arctan(out, out=out)
+        np.divide(out, 2.0 * math.pi, out=out)
+        np.add(out, 1.0 + grid.times, out=out)
 
 
 @dataclass(frozen=True)
@@ -302,20 +296,23 @@ class ThetaGrid:
         return len(self.models)
 
 
-def simulate(model: Model, grid: TimeGrid, noise: NoisePanel) -> np.ndarray:
-    """Simulate one model on the shared panel, returning (paths, steps + 1) prices."""
+def simulate(model: Model, grid: TimeGrid, noise: NoisePanel, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Simulate one model on the shared panel into out, a (paths, steps + 1)
+    view (a new array when None), and return it read-only."""
     if noise.grid is not grid and not np.array_equal(noise.grid.times, grid.times):
         raise ConfigError("noise panel was generated on a different time grid")
     if noise.drivers < model.drivers:
         raise ConfigError(
             f"model needs {model.drivers} driver(s) but the noise panel carries {noise.drivers}"
         )
-    prices = model.simulate(grid, noise)
-    if not np.all(np.isfinite(prices)):
+    if out is None:
+        out = np.empty((noise.paths, grid.steps + 1))
+    model.simulate(grid, noise, out)
+    if not np.all(np.isfinite(out)):
         raise InvalidModelError("simulation produced non-finite prices")
-    if np.any(prices <= 0.0):
+    if np.any(out <= 0.0):
         raise InvalidModelError("simulation produced nonpositive prices")
-    return _readonly(prices)
+    return _readonly(out)
 
 
 def simulate_panel(thetas: ThetaGrid, grid: TimeGrid, noise: NoisePanel, threads: int = 1) -> np.ndarray:
@@ -330,7 +327,7 @@ def simulate_panel(thetas: ThetaGrid, grid: TimeGrid, noise: NoisePanel, threads
 
     def run(idx: int) -> None:
         try:
-            prices[idx] = simulate(thetas.models[idx], grid, noise)
+            simulate(thetas.models[idx], grid, noise, prices[idx])
         except Exception as exc:
             raise type(exc)(f"theta index {idx}: {exc}") from exc
 

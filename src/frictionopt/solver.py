@@ -170,11 +170,9 @@ class PolicyCodec:
         return d_up, d_dn, pos
 
     def decode(self, vec: np.ndarray) -> Strategy:
-        """Strategy of one parameter vector: its schedule rows broadcast over
-        the paths."""
+        """Strategy of one parameter vector: its schedule rows."""
         d_up, d_dn, _ = self.decode_rows(np.asarray(vec, float)[None])
-        shape = (self.paths, self.steps + 1)
-        return Strategy(self.grid, np.broadcast_to(d_up[0], shape), np.broadcast_to(d_dn[0], shape))
+        return Strategy(self.grid, d_up[0], d_dn[0])
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,7 @@ class TestStrategy:
 
     def test_zero_factory(self):
         g = TimeGrid(1.0, 3)
+        assert Strategy.zero(g).d_up.shape == (1, 4)
         s = Strategy.zero(g, 5)
-        assert s.paths == 5
+        assert s.d_up.shape == s.d_dn.shape == (5, 4)
         np.testing.assert_array_equal(s.position(), 0.0)

@@ -435,6 +435,32 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, over, error",
+        [
+            ("duality", {"duality": {"ys": []}}, "duality.ys must list at least one dual level"),
+            ("verify-cps", {"verify": {"construction": "constant", "shrink": 0.5}},
+             "verify.shrink does not apply to the constant construction"),
+        ],
+        ids=["duality-ys-empty", "verify-shrink-with-constant"],
+    )
+    def test_a_setting_that_checks_or_changes_nothing_exits_2_at_parse_time(
+        self, tmp_path, capsys, command, over, error
+    ):
+        out = tmp_path / "o"
+        code = main([command, "--config", write_config(tmp_path, make_doc(**over)), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_informational_or_unresolved_settings_still_parse(self):
+        # the Inada rows check nothing, and whether auto resolves to the
+        # constant construction is known only once the panel is built
+        cfg = parse_config(make_doc(duality={"inada_scales": []}, verify={"shrink": 0.5}))
+        assert cfg.duality["inada_scales"] == [] and cfg.verify["shrink"] == 0.5
+        cfg = parse_config(make_doc(verify={"construction": "constant", "shrink": None}))
+        assert cfg.verify["shrink"] is None
+
     @pytest.mark.parametrize("command", ["simulate", "verify-cps", "solve", "duality"])
     @pytest.mark.parametrize("x0", [0.0, -0.5])
     def test_positive_axis_utility_without_capital_exits_2_at_parse_time(self, tmp_path, capsys, command, x0):
@@ -804,9 +830,9 @@ class TestWorkBudget:
         "over, estimate",
         [
             ({"grid": {"horizon": 1.0, "steps": 10**12}},
-             "1 x 1000 x 1000000000001 floats would take 8,000,000,000,008,000 bytes"),
+             "1 x 1000 x 1000000000001 (8,000,000,000,008,000 bytes)"),
             ({"noise": {"kind": "mc", "paths": 10**14}},
-             "1 x 100000000000000 x 51 floats would take 40,800,000,000,000,000 bytes"),
+             "1 x 100000000000000 x 51 (40,800,000,000,000,000 bytes)"),
         ],
         ids=["steps-1e12", "paths-1e14"],
     )
@@ -857,21 +883,30 @@ class TestWorkBudget:
         # about 400 bytes measured in a fresh interpreter, imports included
         assert peak < price_stack + noise_panel + 512 * CSV_CHUNK_ROWS
 
-    def test_largest_array_is_measured_against_one_budget(self):
-        # 4 models x 100k paths x 51 times, about 160 MB, is accepted
+    def test_what_a_command_holds_is_measured_against_one_budget(self):
+        # 4 models x 100k paths x 51 times: the stack (about 163 MB), the
+        # noise panel and two model arrays, about 285 MB in all, are accepted
         ok = make_doc(grid={"horizon": 1.0, "steps": 50}, noise={"kind": "mc", "paths": 100_000}, policy={},
                       thetas=[{"type": "black_scholes", "mu": 0.1, "sigma": 0.2}] * 4)
         parse_config(ok)
-        # the noise panel is the largest array when drivers outnumber models
         wide = dict(ok, noise={"kind": "mc", "paths": 10**7, "drivers": 6},
                     thetas=[{"type": "black_scholes", "mu": 0.1, "sigma": 0.2}])
         with pytest.raises(ConfigError, match="noise panel of 10000000 x 50 x 6"):
             parse_config(wide)
-        # a lattice has 2^(steps x drivers) paths whatever noise.paths says
-        lattice = make_doc(grid={"horizon": 1.0, "steps": 22}, thetas=[ok["thetas"][0]] * 2)
-        with pytest.raises(ConfigError, match=r"price stack of 2 x 4194304 x 23 floats would take 1,543,503,872"):
+        # a lattice has 2^(steps x drivers) paths whatever noise.paths says;
+        # one model on 22 steps is a 772 MB stack, which a rule on the
+        # largest array alone accepts, but its noise and model arrays and a
+        # lattice policy's indices and decode take 7.5 GB
+        with pytest.raises(ConfigError, match=r"price stack of 1 x 4194304 x 23 \(771,751,936 bytes\), .* "
+                                              r"would take 7,549,747,384 bytes, over the work budget"):
+            parse_config(make_doc(grid={"horizon": 1.0, "steps": 22}))
+        # on 20 steps a schedule fits, and a lattice policy does not
+        lattice = make_doc(grid={"horizon": 1.0, "steps": 20})
+        parse_config(dict(lattice, policy={"class": "deterministic-schedule"}))
+        with pytest.raises(ConfigError, match=r"2 codec indices of 1048576 x 19 \(318,767,104 bytes\), "
+                                              r"4 decode arrays of 1048576 x 21 \(704,643,072 bytes\) "
+                                              r"would take 1,719,664,808 bytes"):
             parse_config(lattice)
-        parse_config(dict(lattice, thetas=lattice["thetas"][:1]))
 
 
 TWO_BS = [
@@ -887,6 +922,49 @@ TRADING_SOLVE = make_doc(
     optimizer={"iters": 2},
 )
 forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="CSV workers are forked processes")
+# the two-model family whose optimum trades, at 20,000 paths and 50 steps:
+# a 16.3 MB price stack, and a 3-iteration solve
+PEAK_DOC = make_doc(
+    seed=7,
+    thetas=TRADING_SOLVE["thetas"],
+    grid={"horizon": 1.0, "steps": 50},
+    noise={"kind": "mc", "paths": 20_000},
+    policy={"class": "deterministic-schedule"},
+    optimizer={"iters": 3},
+)
+
+
+class TestCommandPeaks:
+    """Each command's whole peak (tracemalloc around main) as a multiple of
+    the price stack.  Every model simulates into its own slice of the stack,
+    and a strategy settles as its schedule rows, so past the stack and the
+    noise panel a command holds about one model's arrays at a time; with
+    per-path copies of the prices and the rows each command read about 3.5x.
+
+    write_csv formats only the first chunk of each file here: its memory is
+    bounded by a chunk whatever the file's length (see
+    test_simulate_writes_its_outputs_in_chunk_bounded_memory), and formatting
+    two million rows under tracemalloc takes about 15 s."""
+
+    @pytest.mark.parametrize(
+        "command, bound", [("simulate", 2.0), ("duality", 2.5), ("solve", 3.0), ("verify-cps", 2.75)]
+    )
+    def test_peak_is_a_small_multiple_of_the_price_stack(self, tmp_path, monkeypatch, command, bound):
+        from frictionopt import harness
+
+        def first_chunk(path, header, columns, workers=1):
+            write_csv(path, header, [np.asarray(c).flat[:CSV_CHUNK_ROWS] for c in columns], workers)
+
+        monkeypatch.setattr(harness, "write_csv", first_chunk)
+        path = write_config(tmp_path, PEAK_DOC)
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= bound * 8 * 2 * 20_000 * 51
 
 
 def assert_no_child_left():

@@ -202,7 +202,8 @@ class TestFactor:
             sigma=0.2,
             rho=(0.0, 0.0),
         )
-        s, y = f.simulate_with_factor(g, n)
+        s, y = np.empty((20, 11)), np.empty((20, 11))
+        f.simulate(g, n, s, y)
         bs = simulate(BlackScholes(0.05, 0.2), g, n)
         np.testing.assert_allclose(s, bs, rtol=1e-12)
         np.testing.assert_array_equal(y, 0.0)
