@@ -16,7 +16,9 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports; each submodule listed (errors
 # too) is also an attribute, as when this package imported them all
 _EXPORTS = {
-    "accounting": ("AccountingLedger", "CostSpec", "check_admissible_rplus", "run_ledger", "shadow_value"),
+    "accounting": (
+        "AccountingLedger", "CostSpec", "Strategy", "check_admissible_rplus", "run_ledger", "shadow_value",
+    ),
     "cps": (
         "BandReport", "CpsCertificate", "PriceSystem", "constant_cps", "cps_certificate", "entropy_membership",
         "girsanov_cps", "lattice_cps", "polarity_gap", "registered_cps", "supermartingale_check", "verify_band",
@@ -24,8 +26,8 @@ _EXPORTS = {
     ),
     "errors": (),
     "fvproc": (
-        "KomlosResult", "MonotonePath", "RationalEnumeration", "Strategy", "converges_at_continuity_points",
-        "komlos_average", "rho",
+        "KomlosResult", "MonotonePath", "RationalEnumeration", "YoungPair", "converges_at_continuity_points",
+        "delta2_ratio", "komlos_average", "luxemburg_norm", "orlicz_conjugate", "rho", "young_pair",
     ),
     "scenario": (
         "ArctanDrift", "BlackScholes", "Factor", "NoisePanel", "PathDependentBS", "ThetaGrid", "TimeGrid",
@@ -37,8 +39,8 @@ _EXPORTS = {
         "solve",
     ),
     "utility": (
-        "UtilitySpec", "YoungPair", "check_assumptions", "conjugate", "delta2_ratio", "exp_utility", "log_utility",
-        "luxemburg_norm", "orlicz_conjugate", "power_utility", "table_utility", "vector_conjugate", "young_pair",
+        "UtilitySpec", "check_assumptions", "conjugate", "exp_utility", "log_utility", "power_utility",
+        "table_utility", "vector_conjugate",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,9 +1,11 @@
-"""Exact transaction-cost accounting under proportional costs.
+"""Trading strategies and their exact accounting under proportional costs.
 
-Purchases pay the ask price S and sales receive the bid (1 - lambda) S; the
-block trade at time zero settles like any other, at the t_0 prices.  All
-balances follow the jump-at-t convention: a trade placed at t_i settles at
-the t_i price and is reflected in the balances from t_i on.
+A strategy is a pair of nondecreasing right-continuous paths started at zero
+just before time zero (cumulative buys and cumulative sells), held as their
+jumps on the time grid.  Purchases pay the ask price S and sales receive the
+bid (1 - lambda) S; the block trade at time zero settles like any other, at
+the t_0 prices.  All balances follow the jump-at-t convention: a trade placed
+at t_i settles at the t_i price and is reflected in the balances from t_i on.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .fvproc import Strategy
-from .scenario import _readonly
+from .scenario import TimeGrid, _readonly
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,65 @@ class CostSpec:
             raise ConfigError(f"lambda must lie strictly between 0 and 1, got {self.lam}")
         if not math.isfinite(self.x0):
             raise ConfigError("x0 must be finite")
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """Trading strategy as schedule rows of cumulative buy and sell jumps.
+
+    d_up and d_dn hold the nonnegative jumps of the cumulative-buy and
+    cumulative-sell paths, with shape (rows, steps + 1): one row traded the
+    same way on every path, or one row per path.  Column 0 is the block
+    trade at time zero, so the position starts flat before it.  Settlement
+    broadcasts the rows against the prices.
+    """
+
+    grid: TimeGrid
+    d_up: np.ndarray
+    d_dn: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, arr in (("d_up", self.d_up), ("d_dn", self.d_dn)):
+            a = np.array(arr, float)  # a copy: the caller's array stays writable
+            if a.ndim != 2 or a.shape[1] != self.grid.steps + 1:
+                raise ConfigError(f"{name} must have shape (rows, {self.grid.steps + 1})")
+            check_jumps(name, a)
+            object.__setattr__(self, name, _readonly(a))
+        if self.d_up.shape[0] != self.d_dn.shape[0]:
+            raise ConfigError("d_up and d_dn must have the same rows")
+
+    def position(self) -> np.ndarray:
+        """Holdings per row and grid time, by the same left-to-right recursion
+        the accounting ledger uses, so flattened positions cancel bit-exactly."""
+        return position_recursion(self.d_up, self.d_dn)
+
+    @classmethod
+    def zero(cls, grid: TimeGrid, rows: int = 1) -> "Strategy":
+        z = np.zeros((rows, grid.steps + 1))
+        return cls(grid, z, z.copy())
+
+
+def check_jumps(name: str, jumps: np.ndarray) -> None:
+    if not ((jumps >= 0.0) & (jumps < math.inf)).all():
+        raise ConfigError(f"{name} jumps must be finite and nonnegative")
+
+
+def position_recursion(d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:
+    """pos_i = (pos_{i-1} + d_up_i) - d_dn_i from a flat pos_{-1} = 0, kept in
+    this exact association order so a final sell of the running position
+    lands on zero.
+
+    One running sum along time over the interleaved flows
+    [up_0, -dn_0, up_1, -dn_1, ...], keeping every other entry: add
+    accumulates strictly left to right, and x + (-y) is x - y in IEEE
+    arithmetic, so every bit matches the step-by-step recursion.  Time is
+    the last axis; any leading axes are kept."""
+    flows = np.empty(d_up.shape + (2,))
+    flows[..., 0] = d_up
+    np.negative(d_dn, out=flows[..., 1])
+    flows = flows.reshape(d_up.shape[:-1] + (-1,))
+    np.add.accumulate(flows, axis=-1, out=flows)
+    return flows[..., 1::2]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_V
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 # numpy loads below, with the BLAS setting above in force
+import numpy as np  # noqa: E402
+
 from .config import load_config  # noqa: E402
 from .errors import ConfigError, EngineError, NoFeasiblePointError  # noqa: E402
 from .harness import cmd_duality, cmd_selftest, cmd_simulate, cmd_solve, cmd_verify_cps  # noqa: E402
@@ -78,10 +80,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError:
             print("error: ENGINE_THREADS must be an integer", file=sys.stderr)
             return EXIT_CONFIG
+    command = {"simulate": cmd_simulate, "verify-cps": cmd_verify_cps, "solve": cmd_solve, "duality": cmd_duality}
     try:
-        cfg = load_config(args.config, overrides={"seed": args.seed, "threads": threads, "out": args.out})
-        command = {"simulate": cmd_simulate, "verify-cps": cmd_verify_cps, "solve": cmd_solve, "duality": cmd_duality}
-        return command[args.command](cfg)
+        # an overflow ends in an explicit check's error, so numpy's warnings
+        # about it would only break the one-line stderr contract
+        with np.errstate(all="ignore"):
+            cfg = load_config(args.config, overrides={"seed": args.seed, "threads": threads, "out": args.out})
+            return command[args.command](cfg)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError):

@@ -304,10 +304,12 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
             doc[key] = val
 
     seed = _int("config", doc, "seed", 0, least=0)
+    if seed >= 1 << 64:  # the width of a Philox key word
+        raise ConfigError(f"config.seed must be below 2**64, got {seed}")
     threads = _int("config", doc, "threads", 1, least=1)
     out = doc.get("out", "run-out")
-    if not isinstance(out, str) or not out:
-        raise ConfigError("out must be a nonempty string")
+    if not isinstance(out, str) or not out or "\0" in out:
+        raise ConfigError(f"out must be a nonempty string without NUL characters, got {out!r}")
 
     grid_spec = doc.get("grid", {})
     _require_keys("grid", grid_spec, {"horizon", "steps"})

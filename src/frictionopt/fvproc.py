@@ -1,22 +1,28 @@
-"""Finite-variation machinery: monotone step paths, a summable metric on them,
-and the tail-averaging construction used to extract convergent subsequences.
+"""Tooling of the existence proof, which no command runs: monotone step
+paths with a summable metric and the tail averages that extract convergent
+subsequences, and for whole-line utilities the Orlicz-space objects.
 
-Trading strategies are pairs of nondecreasing right-continuous paths started
-at zero just before time zero (cumulative buys and cumulative sells), so
-everything here is phrased for nonnegative step functions living on a shared
-time grid.
+Young pairs split the conjugate V at beta, the left derivative of U at zero,
+into a convex function Phi vanishing on [0, beta] and its complementary
+function Phi*(x) = -U(-x); the Delta2 doubling test and the Luxemburg norm
+are taken of either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+# position_recursion is re-exported: bench/tracer.py traces it under this module's name
+from .accounting import check_jumps, position_recursion  # noqa: F401
+from .errors import (
+    AssumptionViolationError, ConfigError, ConjugateUnboundedError, GridMismatchError, IndeterminateError,
+)
 from .scenario import TimeGrid, _readonly
+from .utility import Array, UtilitySpec, _bracket, _ternary_max, check_assumptions, conjugate
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,7 @@ class MonotonePath:
     jumps: np.ndarray
 
     def __post_init__(self) -> None:
-        jumps = np.asarray(self.jumps, float)
+        jumps = np.array(self.jumps, float)  # a copy: the caller's array stays writable
         if jumps.shape != (self.grid.steps + 1,):
             raise ConfigError(f"jumps must have shape ({self.grid.steps + 1},), got {jumps.shape}")
         if jumps[0] != 0.0:
@@ -183,60 +189,158 @@ def converges_at_continuity_points(
     return ConvergenceReport(times=grid.times, checked=_readonly(checked), passed=_readonly(passed))
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """Trading strategy as schedule rows of cumulative buy and sell jumps.
+def orlicz_conjugate(phi: Callable[[Array], Array], y: float, tol: float = 1e-10) -> float:
+    """Conjugate of a convex function on the positive axis: sup_{x >= 0} (x y - phi(x))."""
+    if y < 0.0:
+        raise ConjugateUnboundedError("Orlicz conjugate requested at negative y")
 
-    d_up and d_dn hold the nonnegative jumps of the cumulative-buy and
-    cumulative-sell paths, with shape (rows, steps + 1): one row traded the
-    same way on every path, or one row per path.  Column 0 is the block
-    trade at time zero, so the position starts flat before it.  Settlement
-    broadcasts the rows against the prices.
+    def g(x: float) -> float:
+        return x * y - float(phi(np.asarray([x]))[0])
+
+    _, best = _ternary_max(g, 0.0, _bracket(g, 1.0, f"Orlicz conjugate diverges at y = {y}"), tol)
+    return max(best, g(0.0))
+
+
+@dataclass(frozen=True)
+class YoungPair:
+    """Complementary pair built from a whole-line utility.
+
+    beta is the left derivative of U at zero; phi vanishes on [0, beta] and
+    equals V(y) - V(beta) beyond it; phi_star(x) = -U(-x) is the complementary
+    convex function.  delta2_finite records whether phi passes the doubling
+    diagnostic on the default grid.
     """
 
-    grid: TimeGrid
-    d_up: np.ndarray
-    d_dn: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, arr in (("d_up", self.d_up), ("d_dn", self.d_dn)):
-            a = np.asarray(arr, float)
-            if a.ndim != 2 or a.shape[1] != self.grid.steps + 1:
-                raise ConfigError(f"{name} must have shape (rows, {self.grid.steps + 1})")
-            check_jumps(name, a)
-            object.__setattr__(self, name, _readonly(a))
-        if self.d_up.shape[0] != self.d_dn.shape[0]:
-            raise ConfigError("d_up and d_dn must have the same rows")
-
-    def position(self) -> np.ndarray:
-        """Holdings per row and grid time, by the same left-to-right recursion
-        the accounting ledger uses, so flattened positions cancel bit-exactly."""
-        return position_recursion(self.d_up, self.d_dn)
-
-    @classmethod
-    def zero(cls, grid: TimeGrid, rows: int = 1) -> "Strategy":
-        z = np.zeros((rows, grid.steps + 1))
-        return cls(grid, z, z.copy())
+    beta: float
+    v_at_beta: float
+    phi: Callable[[Array], Array]
+    phi_star: Callable[[Array], Array]
+    delta2_finite: bool
 
 
-def check_jumps(name: str, jumps: np.ndarray) -> None:
-    if not ((jumps >= 0.0) & (jumps < math.inf)).all():
-        raise ConfigError(f"{name} jumps must be finite and nonnegative")
+def _left_derivative_at_zero(u: UtilitySpec, tol: float = 1e-9) -> float:
+    """One-sided difference quotient (U(0) - U(-h)) / h with Richardson step
+    refinement, halting when successive extrapolations settle."""
+    u0 = float(u(np.asarray([0.0]))[0])
+
+    def quot(h: float) -> float:
+        return (u0 - float(u(np.asarray([-h]))[0])) / h
+
+    h = 1e-2
+    prev = 2.0 * quot(h / 2.0) - quot(h)
+    for _ in range(20):
+        h *= 0.5
+        cur = 2.0 * quot(h / 2.0) - quot(h)
+        if abs(cur - prev) < tol:
+            return cur
+        prev = cur
+    return prev
 
 
-def position_recursion(d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:
-    """pos_i = (pos_{i-1} + d_up_i) - d_dn_i from a flat pos_{-1} = 0, kept in
-    this exact association order so a final sell of the running position
-    lands on zero.
+def young_pair(u: UtilitySpec) -> YoungPair:
+    """Build the complementary Young pair of a whole-line utility."""
+    report = check_assumptions(u)
+    if not report.passed:
+        raise AssumptionViolationError(f"utility fails structural checks: {report.failures}")
+    beta = _left_derivative_at_zero(u)
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise AssumptionViolationError(f"left derivative at zero must be positive, got {beta}")
+    v_beta = conjugate(u, beta)
 
-    One running sum along time over the interleaved flows
-    [up_0, -dn_0, up_1, -dn_1, ...], keeping every other entry: add
-    accumulates strictly left to right, and x + (-y) is x - y in IEEE
-    arithmetic, so every bit matches the step-by-step recursion.  Time is
-    the last axis; any leading axes are kept."""
-    flows = np.empty(d_up.shape + (2,))
-    flows[..., 0] = d_up
-    np.negative(d_dn, out=flows[..., 1])
-    flows = flows.reshape(d_up.shape[:-1] + (-1,))
-    np.add.accumulate(flows, axis=-1, out=flows)
-    return flows[..., 1::2]
+    def phi(y: Array) -> Array:
+        y = np.asarray(y, float)
+        out = np.zeros_like(y)
+        above = y > beta
+        if np.any(above):
+            vals = np.asarray([conjugate(u, float(t)) - v_beta for t in y[above]])
+            out[above] = np.maximum(vals, 0.0)
+        return out
+
+    def phi_star(x: Array) -> Array:
+        x = np.asarray(x, float)
+        return -u(-x)
+
+    d2 = delta2_ratio(phi)
+    return YoungPair(beta=beta, v_at_beta=v_beta, phi=phi, phi_star=phi_star, delta2_finite=d2.finite)
+
+
+@dataclass(frozen=True)
+class Delta2Report:
+    """Doubling diagnostic for a convex function on a geometric grid.
+
+    ratio_estimate is the largest phi(2x)/phi(x) over the top decade of the
+    grid; finite is True when the top-decade maximum does not exceed the
+    previous decade's, i.e. the doubling ratios are not still growing."""
+
+    ratio_estimate: float
+    finite: bool
+    grid_max: float
+
+
+def delta2_ratio(phi: Callable[[Array], Array], grid: Optional[np.ndarray] = None) -> Delta2Report:
+    if grid is None:
+        grid = np.geomspace(1.0, 1e6, 121)
+    grid = np.asarray(grid, float)
+    if np.any(grid <= 0.0) or grid.size < 10:
+        raise ConfigError("delta2 grid must be positive with at least 10 points")
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(phi(grid), float)
+    pos = vals > 0.0
+    if not np.any(pos):
+        raise IndeterminateError("phi vanishes on the whole grid; doubling ratio undefined")
+    x = grid[pos]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.asarray(phi(2.0 * x), float) / vals[pos]
+    top = x >= x[-1] / 10.0
+    prev = (x >= x[-1] / 100.0) & ~top
+    top_max = float(np.max(ratios[top]))
+    if not np.any(prev):
+        return Delta2Report(ratio_estimate=top_max, finite=math.isfinite(top_max), grid_max=float(x[-1]))
+    prev_max = float(np.max(ratios[prev]))
+    finite = math.isfinite(top_max) and top_max <= prev_max * (1.0 + 1e-9)
+    return Delta2Report(ratio_estimate=top_max, finite=finite, grid_max=float(x[-1]))
+
+
+def luxemburg_norm(sample: Array, phi: Callable[[Array], Array]) -> float:
+    """Luxemburg gauge inf{g > 0 : mean phi(|X| / g) <= 1} of an empirical sample.
+
+    Brackets by doubling and bisects to relative width 1e-12; the all-zero
+    sample has norm zero by convention.
+    """
+    x = np.abs(np.asarray(sample, float))
+    if x.size == 0:
+        raise ConfigError("cannot take the norm of an empty sample")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("sample must be finite")
+    if np.all(x == 0.0):
+        return 0.0
+
+    def mean_phi(g: float) -> float:
+        with np.errstate(over="ignore"):
+            return float(np.mean(np.asarray(phi(x / g), float)))
+
+    hi = float(np.max(x))
+    for _ in range(2000):
+        if mean_phi(hi) <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise IndeterminateError("could not bracket the Luxemburg norm from above")
+    lo = hi
+    for _ in range(2000):
+        cand = lo / 2.0
+        if mean_phi(cand) <= 1.0:
+            lo = cand
+        else:
+            break
+    else:
+        return 0.0
+    # invariant: mean_phi(lo) <= 1 < mean_phi(lo / 2)
+    a, b = lo / 2.0, lo
+    while (b - a) > 1e-12 * b:
+        mid = 0.5 * (a + b)
+        if mean_phi(mid) <= 1.0:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .accounting import CostSpec, check_admissible_rplus, run_ledger
+from .accounting import CostSpec, Strategy, check_admissible_rplus, run_ledger
 from .config import RunConfig
 from .cps import (
     PriceSystem,
@@ -33,7 +33,6 @@ from .cps import (
     verify_martingale,
 )
 from .errors import ConfigError, EngineError, NoCpsConstructibleError
-from .fvproc import Strategy
 from .scenario import ArctanDrift, TimeGrid, gaussian_panel, simulate, simulate_panel
 from .solver import default_price_systems, duality_report, solve
 from .utility import conjugate, log_utility, vector_conjugate

@@ -84,8 +84,8 @@ def gaussian_panel(grid: TimeGrid, paths: int, drivers: int = 1, seed: int = 0) 
         raise ConfigError("paths must be at least 1")
     if drivers < 1:
         raise ConfigError("drivers must be at least 1")
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if not 0 <= seed < 1 << 64:  # the width of a Philox key word
+        raise ConfigError(f"seed must be a nonnegative integer below 2**64, got {seed}")
     inc = np.empty((paths, grid.steps, drivers))
     root_dt = math.sqrt(grid.dt)
     # one generator, rewound for each path to the state a fresh
@@ -307,7 +307,10 @@ def simulate(model: Model, grid: TimeGrid, noise: NoisePanel, out: Optional[np.n
         )
     if out is None:
         out = np.empty((noise.paths, grid.steps + 1))
-    model.simulate(grid, noise, out)
+    # an overflow shows as non-finite prices, which the check below rejects;
+    # errstate is per thread, so simulate_panel's pool threads need it here
+    with np.errstate(all="ignore"):
+        model.simulate(grid, noise, out)
     if not np.all(np.isfinite(out)):
         raise InvalidModelError("simulation produced non-finite prices")
     if np.any(out <= 0.0):

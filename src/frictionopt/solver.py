@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .accounting import CostSpec, settle, shadow_value
+from .accounting import CostSpec, Strategy, check_jumps, position_recursion, settle, shadow_value
 from .config import OptimizerSettings, check_capital, check_policy_class
 from .cps import (
     PriceSystem,
@@ -35,7 +35,6 @@ from .cps import (
     within,
 )
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
-from .fvproc import Strategy, check_jumps, position_recursion
 from .scenario import NoisePanel, ThetaGrid, TimeGrid, lattice_block, simulate_panel
 from .utility import UtilitySpec, growth_ok, scaled_value, vector_conjugate
 
@@ -171,7 +170,9 @@ class PolicyCodec:
 
     def decode(self, vec: np.ndarray) -> Strategy:
         """Strategy of one parameter vector: its schedule rows."""
-        d_up, d_dn, _ = self.decode_rows(np.asarray(vec, float)[None])
+        # drop the position's flows before Strategy copies the rows, so a
+        # decode peaks at the four row arrays the work budget counts
+        d_up, d_dn = self.decode_rows(np.asarray(vec, float)[None])[:2]
         return Strategy(self.grid, d_up[0], d_dn[0])
 
 

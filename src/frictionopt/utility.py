@@ -1,12 +1,10 @@
-"""Utility functions, convex conjugates, and the Orlicz-space tooling used by
-the whole-line duality diagnostics.
+"""Utility functions, their convex conjugates, and the checks that a utility
+meets the growth and structural assumptions of the duality theory.
 
 Utilities are concave and nondecreasing, either on the positive axis (log,
 power) or on the whole line (bounded exponential-type).  The conjugate is
 V(y) = sup_x (U(x) - x y), computed by ternary search on the concave map
-x -> U(x) - x y; Young pairs split V at beta, the left derivative of U at
-zero, into a convex function Phi vanishing on [0, beta] and its complementary
-function Phi*(x) = -U(-x).
+x -> U(x) - x y.  The Orlicz-space objects built from them live in fvproc.
 """
 
 from __future__ import annotations
@@ -17,12 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolationError,
-    ConfigError,
-    ConjugateUnboundedError,
-    IndeterminateError,
-)
+from .errors import ConfigError, ConjugateUnboundedError
 
 Array = np.ndarray
 
@@ -269,163 +262,6 @@ def vector_conjugate(u: UtilitySpec, points: Array) -> Array:
     if u.analytic_conjugate is not None:
         return np.asarray(u.analytic_conjugate(pts), float)
     return np.asarray([conjugate(u, float(t)) for t in pts.ravel()]).reshape(pts.shape)
-
-
-def orlicz_conjugate(phi: Callable[[Array], Array], y: float, tol: float = 1e-10) -> float:
-    """Conjugate of a convex function on the positive axis: sup_{x >= 0} (x y - phi(x))."""
-    if y < 0.0:
-        raise ConjugateUnboundedError("Orlicz conjugate requested at negative y")
-
-    def g(x: float) -> float:
-        return x * y - float(phi(np.asarray([x]))[0])
-
-    _, best = _ternary_max(g, 0.0, _bracket(g, 1.0, f"Orlicz conjugate diverges at y = {y}"), tol)
-    return max(best, g(0.0))
-
-
-@dataclass(frozen=True)
-class YoungPair:
-    """Complementary pair built from a whole-line utility.
-
-    beta is the left derivative of U at zero; phi vanishes on [0, beta] and
-    equals V(y) - V(beta) beyond it; phi_star(x) = -U(-x) is the complementary
-    convex function.  delta2_finite records whether phi passes the doubling
-    diagnostic on the default grid.
-    """
-
-    beta: float
-    v_at_beta: float
-    phi: Callable[[Array], Array]
-    phi_star: Callable[[Array], Array]
-    delta2_finite: bool
-
-
-def _left_derivative_at_zero(u: UtilitySpec, tol: float = 1e-9) -> float:
-    """One-sided difference quotient (U(0) - U(-h)) / h with Richardson step
-    refinement, halting when successive extrapolations settle."""
-    u0 = float(u(np.asarray([0.0]))[0])
-
-    def quot(h: float) -> float:
-        return (u0 - float(u(np.asarray([-h]))[0])) / h
-
-    h = 1e-2
-    prev = 2.0 * quot(h / 2.0) - quot(h)
-    for _ in range(20):
-        h *= 0.5
-        cur = 2.0 * quot(h / 2.0) - quot(h)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
-
-
-def young_pair(u: UtilitySpec) -> YoungPair:
-    """Build the complementary Young pair of a whole-line utility."""
-    report = check_assumptions(u)
-    if not report.passed:
-        raise AssumptionViolationError(f"utility fails structural checks: {report.failures}")
-    beta = _left_derivative_at_zero(u)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise AssumptionViolationError(f"left derivative at zero must be positive, got {beta}")
-    v_beta = conjugate(u, beta)
-
-    def phi(y: Array) -> Array:
-        y = np.asarray(y, float)
-        out = np.zeros_like(y)
-        above = y > beta
-        if np.any(above):
-            vals = np.asarray([conjugate(u, float(t)) - v_beta for t in y[above]])
-            out[above] = np.maximum(vals, 0.0)
-        return out
-
-    def phi_star(x: Array) -> Array:
-        x = np.asarray(x, float)
-        return -u(-x)
-
-    d2 = delta2_ratio(phi)
-    return YoungPair(beta=beta, v_at_beta=v_beta, phi=phi, phi_star=phi_star, delta2_finite=d2.finite)
-
-
-@dataclass(frozen=True)
-class Delta2Report:
-    """Doubling diagnostic for a convex function on a geometric grid.
-
-    ratio_estimate is the largest phi(2x)/phi(x) over the top decade of the
-    grid; finite is True when the top-decade maximum does not exceed the
-    previous decade's, i.e. the doubling ratios are not still growing."""
-
-    ratio_estimate: float
-    finite: bool
-    grid_max: float
-
-
-def delta2_ratio(phi: Callable[[Array], Array], grid: Optional[np.ndarray] = None) -> Delta2Report:
-    if grid is None:
-        grid = np.geomspace(1.0, 1e6, 121)
-    grid = np.asarray(grid, float)
-    if np.any(grid <= 0.0) or grid.size < 10:
-        raise ConfigError("delta2 grid must be positive with at least 10 points")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(phi(grid), float)
-    pos = vals > 0.0
-    if not np.any(pos):
-        raise IndeterminateError("phi vanishes on the whole grid; doubling ratio undefined")
-    x = grid[pos]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.asarray(phi(2.0 * x), float) / vals[pos]
-    top = x >= x[-1] / 10.0
-    prev = (x >= x[-1] / 100.0) & ~top
-    top_max = float(np.max(ratios[top]))
-    if not np.any(prev):
-        return Delta2Report(ratio_estimate=top_max, finite=math.isfinite(top_max), grid_max=float(x[-1]))
-    prev_max = float(np.max(ratios[prev]))
-    finite = math.isfinite(top_max) and top_max <= prev_max * (1.0 + 1e-9)
-    return Delta2Report(ratio_estimate=top_max, finite=finite, grid_max=float(x[-1]))
-
-
-def luxemburg_norm(sample: Array, phi: Callable[[Array], Array]) -> float:
-    """Luxemburg gauge inf{g > 0 : mean phi(|X| / g) <= 1} of an empirical sample.
-
-    Brackets by doubling and bisects to relative width 1e-12; the all-zero
-    sample has norm zero by convention.
-    """
-    x = np.abs(np.asarray(sample, float))
-    if x.size == 0:
-        raise ConfigError("cannot take the norm of an empty sample")
-    if not np.all(np.isfinite(x)):
-        raise ConfigError("sample must be finite")
-    if np.all(x == 0.0):
-        return 0.0
-
-    def mean_phi(g: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.asarray(phi(x / g), float)))
-
-    hi = float(np.max(x))
-    for _ in range(2000):
-        if mean_phi(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise IndeterminateError("could not bracket the Luxemburg norm from above")
-    lo = hi
-    for _ in range(2000):
-        cand = lo / 2.0
-        if mean_phi(cand) <= 1.0:
-            lo = cand
-        else:
-            break
-    else:
-        return 0.0
-    # invariant: mean_phi(lo) <= 1 < mean_phi(lo / 2)
-    a, b = lo / 2.0, lo
-    while (b - a) > 1e-12 * b:
-        mid = 0.5 * (a + b)
-        if mean_phi(mid) <= 1.0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)

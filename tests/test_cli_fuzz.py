@@ -164,6 +164,34 @@ def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys):
     assert {0, 2, 3} <= codes  # the mutations reach past the parser
 
 
+BLACK_SCHOLES = {"type": "black_scholes", "mu": 0.1, "sigma": 0.2}
+FACTOR = MC_DOC["thetas"][1]
+
+# large finite inputs that overflow inside numpy: (command, config changes, exit code)
+OVERFLOWS = {
+    "bs-mu": ("simulate", {"thetas": [dict(BLACK_SCHOLES, mu=1e300), BLACK_SCHOLES]}, 2),
+    "horizon": ("simulate", {"grid": {"horizon": 1e300, "steps": 4}}, 2),
+    "factor-theta-y0": (
+        "simulate",
+        {"thetas": [BLACK_SCHOLES, dict(FACTOR, theta=[[1e200, 0.0], [0.1, 0.0]], y0=1e200), {"type": "arctan_drift"}]},
+        2,
+    ),
+    "exp-a-x0": ("duality", {"utility": {"name": "exp", "a": 1e300}, "cost": {"lambda": 0.05, "x0": 1e308}}, 3),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_an_overflow_is_judged_by_its_check_without_a_warning(tmp_path, capsys, case, threads):
+    # the explicit checks judge the overflowed values; numpy's warnings
+    # about them stay off stderr, on simulate_panel's pool threads too
+    command, over, expected = OVERFLOWS[case]
+    code, lines = _run(tmp_path, capsys, dict(MC_DOC, threads=threads, **over), command, 0)
+    assert code == expected
+    assert _contract_breaches(code, lines) == []
+    assert not [line for line in lines if "Warning" in line]
+
+
 MULTI_DRIVER_LATTICES = {
     "factor": {
         "grid": {"horizon": 1.0, "steps": 2},

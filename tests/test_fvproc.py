@@ -45,6 +45,13 @@ class TestMonotonePath:
         p = path_from_jumps(g, [0.5, 0.25])
         np.testing.assert_array_equal(p.values_at(np.array([0.0, 0.49, 0.5, 1.0])), [0.0, 0.0, 0.5, 0.75])
 
+    def test_the_callers_array_stays_writable_and_unshared(self):
+        jumps = np.array([0.0, 1.0, 0.5])
+        path = MonotonePath(TimeGrid(1.0, 2), jumps)
+        assert jumps.flags.writeable and not path.jumps.flags.writeable
+        jumps[1] = 7.0
+        np.testing.assert_array_equal(path.jumps, [0.0, 1.0, 0.5])
+
 
 class TestRationalEnumeration:
     def test_leading_points(self):
@@ -239,6 +246,15 @@ class TestStrategy:
         # the inputs do tell association orders apart
         netted = np.cumsum(d_up - d_dn, axis=1)
         assert not np.array_equal(netted, want)
+
+    def test_the_callers_arrays_stay_writable_and_unshared(self):
+        d_up, d_dn = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])
+        s = Strategy(TimeGrid(1.0, 2), d_up, d_dn)
+        assert d_up.flags.writeable and d_dn.flags.writeable
+        assert not (s.d_up.flags.writeable or s.d_dn.flags.writeable)
+        d_up[0, 1] = d_dn[0, 1] = 5.0
+        np.testing.assert_array_equal(s.d_up, [[1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(s.d_dn, [[0.0, 0.0, 1.0]])
 
     def test_zero_factory(self):
         g = TimeGrid(1.0, 3)

@@ -522,6 +522,36 @@ class TestCli:
         assert capsys.readouterr().err == "error: noise.paths must be at least 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "over, argv, error",
+        [
+            ({"seed": 1 << 64}, ["--out", "o"], "config.seed must be below 2**64, got 18446744073709551616"),
+            ({}, ["--out", "o", "--seed", "99999999999999999999999"],
+             "config.seed must be below 2**64, got 99999999999999999999999"),
+            ({"out": "a\0b"}, [], "out must be a nonempty string without NUL characters, got 'a\\x00b'"),
+            ({}, ["--out", "a\0b"], "out must be a nonempty string without NUL characters, got 'a\\x00b'"),
+        ],
+        ids=["seed-key", "seed-flag", "out-nul-key", "out-nul-flag"],
+    )
+    def test_a_seed_past_64_bits_or_a_nul_in_out_exits_2_at_parse_time(
+        self, tmp_path, monkeypatch, capsys, over, argv, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        doc = make_doc(noise={"kind": "mc", "paths": 4}, policy={}, **over)
+        code = main(["simulate", "--config", write_config(tmp_path, doc), *argv])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize(
+        "over, argv", [({"seed": (1 << 64) - 1}, []), ({}, ["--seed", str((1 << 64) - 1)])], ids=["key", "flag"]
+    )
+    def test_the_largest_64_bit_seed_runs(self, tmp_path, over, argv):
+        doc = make_doc(noise={"kind": "mc", "paths": 4}, policy={}, **over)
+        code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o"), *argv])
+        assert code == 0
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["seed"] == (1 << 64) - 1
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
     def test_out_at_or_under_a_file_exits_2(self, tmp_path, capsys, below):
         blocker = tmp_path / "taken"

@@ -76,6 +76,16 @@ class TestGaussianPanel:
                 got = gaussian_panel(g, paths, drivers, seed=seed).increments
                 assert got.tobytes() == per_path_generator_panel(g, paths, drivers, seed).tobytes()
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 10**23])
+    def test_a_seed_outside_64_bits_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match="below 2\\*\\*64"):
+            gaussian_panel(TimeGrid(1.0, 2), 3, 1, seed=seed)
+
+    def test_the_largest_64_bit_seed_keys_its_own_stream(self):
+        g = TimeGrid(1.0, 3)
+        got = gaussian_panel(g, 4, 1, seed=(1 << 64) - 1).increments
+        assert got.tobytes() == per_path_generator_panel(g, 4, 1, (1 << 64) - 1).tobytes()
+
     def test_probs_uniform(self):
         g = TimeGrid(1.0, 3)
         n = gaussian_panel(g, 10, 1, seed=0)

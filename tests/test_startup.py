@@ -1,6 +1,6 @@
 """Start-up budget: what a fresh interpreter loads for ``import frictionopt``,
-for parsing a config and for a one- or two-thread ``simulate``, and the CLI's
-one BLAS thread."""
+for parsing a config, for a one- or two-thread ``simulate`` and for every
+command, and the CLI's one BLAS thread."""
 
 import json
 import os
@@ -93,6 +93,22 @@ def test_simulate_on_two_threads_forks_csv_workers_without_multiprocessing(tmp_p
     loaded = fresh(code, str(config), str(out))
     assert (out / "prices.csv").read_bytes().count(b"\n") == 1 + 2 * 2100 * 4
     assert "multiprocessing" not in loaded
+
+
+def test_no_command_loads_the_proof_tooling(tmp_path):
+    """fvproc holds the existence proof's paths and Orlicz objects, which no
+    command runs: neither importing the CLI nor running a command loads it."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(dict(MC_CONFIG, optimizer={"iters": 3})))
+    code = (
+        "import json, sys; from frictionopt.cli import main; loaded = ['frictionopt.fvproc' in sys.modules]; "
+        "codes = [main([c, '--config', sys.argv[1], '--out', sys.argv[2] + c]) for c in sys.argv[3:]]; "
+        "print(json.dumps([codes, loaded + ['frictionopt.fvproc' in sys.modules]]))"
+    )
+    commands = ["simulate", "verify-cps", "solve", "duality"]
+    codes, loaded = fresh(code, str(config), str(tmp_path / "o-"), *commands)
+    assert codes == [0, 0, 0, 0]
+    assert loaded == [False, False]
 
 
 def test_every_export_resolves_lazily():
