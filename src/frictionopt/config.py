@@ -8,6 +8,7 @@ instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -224,17 +225,23 @@ def parse_utility(spec: Any) -> UtilitySpec:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Projected supergradient ascent controls for solver.solve.
-
-    Steps follow step0 / sqrt(k) along the normalized supergradient; rejected
-    (infeasible) steps are halved up to solver.MAX_HALVINGS times before the
-    iterate stays put.  The last solver.TAIL_FRACTION of iterates is averaged
-    into a smoothed candidate, mirroring the convex-combination convergence
-    device.
+    """Projected supergradient ascent controls for solver.solve: iters
+    iterations (an integer of at least 1), and steps of step0 / sqrt(k) along
+    the normalized supergradient (step0 positive and finite).  A rejected step
+    (robust value -inf) is halved up to solver.MAX_HALVINGS times before the
+    iterate stays put.
     """
 
     iters: int = 150
     step0: float = 0.25
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.iters, int) or isinstance(self.iters, bool):
+            raise ConfigError(f"optimizer.iters must be an integer, got {self.iters!r}")
+        if self.iters < 1:
+            raise ConfigError(f"optimizer.iters must be at least 1, got {self.iters}")
+        if not 0.0 < self.step0 < math.inf:
+            raise ConfigError(f"optimizer.step0 must be positive and finite, got {self.step0!r}")
 
 
 TOP_KEYS = {
@@ -353,12 +360,7 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
 
     opt_spec = doc.get("optimizer", {})
     _require_keys("optimizer", opt_spec, {"iters", "step0"})
-    optimizer = OptimizerSettings(
-        iters=_int("optimizer", opt_spec, "iters", 150, least=1),
-        step0=_num("optimizer", opt_spec, "step0", 0.25),
-    )
-    if optimizer.step0 <= 0.0:
-        raise ConfigError(f"optimizer.step0 must be positive, got {optimizer.step0!r}")
+    optimizer = OptimizerSettings(iters=opt_spec.get("iters", 150), step0=_num("optimizer", opt_spec, "step0", 0.25))
 
     verify = doc.get("verify", {})
     _require_keys("verify", verify, {"theta_index", "construction", "shrink", "level"})

@@ -313,14 +313,12 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
         out_dir / "report.json",
         {
             "best_value": report.best_value,
-            "averaged_value": report.averaged_value,
             "per_theta": report.per_theta,
             "argmin_theta": report.argmin_theta,
             "n_params": report.n_params,
             "policy_class": problem.policy_class,
             "admissibility": problem.admissibility,
             "best_params": report.best_params,
-            "averaged_params": report.averaged_params,
             "h0": _time_zero_trade(report.strategy),
         },
     )

@@ -39,10 +39,8 @@ from .scenario import NoisePanel, ThetaGrid, TimeGrid, lattice_block, simulate_p
 from .utility import UtilitySpec, growth_ok, scaled_value, vector_conjugate
 
 ARGMIN_TIE_TOL = 1e-12
-# halvings of a rejected (infeasible) step before the iterate stays put
+# halvings of a rejected step (robust value -inf) before the iterate stays put
 MAX_HALVINGS = 40
-# share of the trajectory's last iterates averaged into the smoothed candidate
-TAIL_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -215,21 +213,20 @@ def objective(problem: RobustProblem, vec: np.ndarray) -> ObjectiveResult:
     """Evaluate min over the family of the expected terminal utility, settling
     every model in one settle walk.
 
-    A vector is infeasible when any model's admissibility check fails; that is
-    reported distinctly from a finite (or -inf) objective value.  A negative
-    or non-finite leg raises ConfigError.
+    A vector is infeasible when any model's admissibility check in the settle
+    walk fails; that is reported distinctly from a finite (or -inf) objective
+    value, so an admissible vector whose terminal wealth is 0 on some path is
+    feasible with value -inf.  A negative or non-finite leg raises ConfigError.
     """
     rows = problem.codec.decode_rows(np.asarray(vec, float)[None])
-    terminal, per, _ = _settle(problem, *rows, problem.prices)
-    per = per[:, 0]
+    terminal, per, ok = _settle(problem, *rows, problem.prices)
+    per, ok = per[:, 0], ok[:, 0]
     pre_liq = np.repeat(rows[2][0, :, -2], problem.noise.paths // problem.codec.rows)
-    if problem.admissibility == "rplus":
-        bad = (per == -math.inf).nonzero()[0]
-        if bad.size:
-            k = int(bad[0])
-            return ObjectiveResult(
-                False, per, -math.inf, k, terminal[k].copy(), pre_liq, reason=f"inadmissible under theta {k}"
-            )
+    if not ok.all():
+        k = int(np.argmin(ok))  # the first inadmissible model
+        return ObjectiveResult(
+            False, per, -math.inf, k, terminal[k].copy(), pre_liq, reason=f"inadmissible under theta {k}"
+        )
     # the active model: the lowest index within ARGMIN_TIE_TOL of the minimum
     lo = float(per.min())
     k = int((per <= lo + ARGMIN_TIE_TOL).nonzero()[0][0])
@@ -242,8 +239,6 @@ class SolveReport:
     best_value: float
     per_theta: np.ndarray
     argmin_theta: int
-    averaged_params: np.ndarray
-    averaged_value: float
     history: tuple
     n_params: int
     strategy: Strategy
@@ -314,9 +309,11 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
     zero strategy, gradients are exact (see _supergradient), and no randomness
     enters the iteration.  A candidate that projects back onto the current
     iterate bit for bit keeps that iterate's evaluation and gradient instead
-    of settling the same point again.  Returns the best visited iterate
-    together with the tail average of the trajectory (also evaluated, for
-    diagnostics).
+    of settling the same point again.  A candidate whose robust value is -inf
+    (inadmissible, or zero terminal wealth under a positive-axis utility) has
+    its step halved.  Returns the best visited iterate.  Only the current
+    point, the candidate, the best point and one gradient are held, so memory
+    does not grow with settings.iters.
     """
     codec = problem.codec
     cur = codec.zero()
@@ -330,7 +327,6 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
         return objective(problem, vec)
 
     best_vec, best_res = cur, cur_res
-    iterates = [cur]
     history = [(0, cur_res.robust_value, cur_res.argmin_theta, 0.0)]
     g = None  # the gradient at cur, recomputed only once cur has moved
     for k in range(1, settings.iters + 1):
@@ -339,38 +335,29 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
             norm = math.sqrt(g @ g)
         if norm < 1e-15:
             history.append((k, cur_res.robust_value, cur_res.argmin_theta, 0.0))
-            iterates.append(cur)
             continue
         step = settings.step0 / math.sqrt(k)
         cand = codec.project(cur + step * g / norm)
         cand_res = evaluate(cand)
         halvings = 0
-        while not cand_res.feasible and halvings < MAX_HALVINGS:
+        while cand_res.robust_value == -math.inf and halvings < MAX_HALVINGS:
             step *= 0.5
             cand = codec.project(cur + step * g / norm)
             cand_res = evaluate(cand)
             halvings += 1
-        if not cand_res.feasible:
+        if cand_res.robust_value == -math.inf:
             cand, cand_res, step = cur, cur_res, 0.0
         if cand_res is not cur_res:
             g = None
         cur, cur_res = cand, cand_res
-        iterates.append(cur)
         history.append((k, cur_res.robust_value, cur_res.argmin_theta, step))
         if cur_res.robust_value > best_res.robust_value:
             best_vec, best_res = cur, cur_res
-    start = int(len(iterates) * (1.0 - TAIL_FRACTION))
-    start = min(max(start, 0), len(iterates) - 1)
-    avg_vec = codec.project(np.mean(np.stack(iterates[start:]), axis=0))
-    avg_res = objective(problem, avg_vec)
-    avg_value = avg_res.robust_value if avg_res.feasible else -math.inf
     return SolveReport(
         best_params=best_vec,
         best_value=best_res.robust_value,
         per_theta=best_res.per_theta,
         argmin_theta=best_res.argmin_theta,
-        averaged_params=avg_vec,
-        averaged_value=avg_value,
         history=tuple(history),
         n_params=codec.n_params,
         strategy=codec.decode(best_vec),

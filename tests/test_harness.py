@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from frictionopt.cli import main
-from frictionopt.config import load_config, parse_config
+from frictionopt.config import OptimizerSettings, load_config, parse_config
 from frictionopt.errors import ConfigError
 from frictionopt.harness import CSV_CHUNK_ROWS, DIGEST_BLOCK_BYTES, _digest, write_csv, write_json, write_manifest
 from frictionopt.scenario import Factor, simulate_panel
@@ -141,6 +141,26 @@ class TestParseConfig:
     def test_integer_bounds_name_the_key(self, over, error):
         with pytest.raises(ConfigError) as exc:
             parse_config(make_doc(**over))
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"step0": -1.0}, "optimizer.step0 must be positive and finite, got -1.0"),
+            ({"step0": 0.0}, "optimizer.step0 must be positive and finite, got 0.0"),
+            ({"step0": float("nan")}, "optimizer.step0 must be positive and finite, got nan"),
+            ({"step0": float("inf")}, "optimizer.step0 must be positive and finite, got inf"),
+            ({"iters": -3}, "optimizer.iters must be at least 1, got -3"),
+            ({"iters": 0}, "optimizer.iters must be at least 1, got 0"),
+            ({"iters": 2.5}, "optimizer.iters must be an integer, got 2.5"),
+            ({"iters": True}, "optimizer.iters must be an integer, got True"),
+        ],
+    )
+    def test_optimizer_settings_validate_themselves(self, kwargs, error):
+        # the library refuses what parse_config refuses: a descent, a silent
+        # empty run or a late TypeError
+        with pytest.raises(ConfigError) as exc:
+            OptimizerSettings(**kwargs)
         assert str(exc.value) == error
 
     def test_lattice_ignores_paths(self):
@@ -337,6 +357,9 @@ class TestCli:
             fb = (tmp_path / "b" / name).read_bytes()
             assert fa == fb, name
         report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert set(report) == {
+            "best_value", "per_theta", "argmin_theta", "n_params", "policy_class", "admissibility", "best_params", "h0",
+        }
         assert report["policy_class"] == "lattice-policy"
         assert report["best_value"] >= 0.0
 
