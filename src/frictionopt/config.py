@@ -387,16 +387,11 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     }
 
     duality = doc.get("duality", {})
-    _require_keys("duality", duality, {"ys", "inada_scales", "shrink"})
-    duality_resolved: dict[str, Any] = {}
-    for key, default in (("ys", [0.25, 0.5, 1.0, 2.0, 4.0]), ("inada_scales", [1.0, 4.0, 16.0])):
-        values = _numbers(f"duality.{key}", duality.get(key, default))
-        if not all(v > 0.0 for v in values):
-            raise ConfigError(f"duality.{key} must be a list of positive numbers, got {list(values)}")
-        if key == "ys" and not values:
-            raise ConfigError("duality.ys must list at least one dual level")
-        duality_resolved[key] = list(values)
-    duality_resolved["shrink"] = _shrink("duality", duality)
+    _require_keys("duality", duality, {"inada_scales", "shrink"})
+    inada_scales = _numbers("duality.inada_scales", duality.get("inada_scales", [1.0, 4.0, 16.0]))
+    if not all(v > 0.0 for v in inada_scales):
+        raise ConfigError(f"duality.inada_scales must be a list of positive numbers, got {list(inada_scales)}")
+    duality_resolved = {"inada_scales": list(inada_scales), "shrink": _shrink("duality", duality)}
 
     echo = {
         "seed": seed,

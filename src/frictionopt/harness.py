@@ -300,7 +300,7 @@ def cmd_verify_cps(cfg: RunConfig) -> int:
     return code
 
 
-SOLVE_OUTPUTS = ("report.json", "history.csv", "plot_value.csv", "strategy.csv", "ledger_worst.csv")
+SOLVE_OUTPUTS = ("report.json", "history.csv", "strategy.csv", "ledger_worst.csv")
 
 
 def _time_zero_trade(strat: Strategy) -> float:
@@ -326,7 +326,6 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
     write_csv(
         out_dir / "history.csv", ["iter", "robust_value", "argmin_theta", "step"], [iters, values, argmins, steps]
     )
-    write_csv(out_dir / "plot_value.csv", ["iter", "robust_value"], [iters, values])
     # these two files are formatted in process: their columns repeat few
     # distinct values, so forked workers cost more CPU than they save in wall time
     strat = report.strategy
@@ -375,13 +374,7 @@ def cmd_duality(cfg: RunConfig) -> int:
         systems, verdict = [], f"construction failed: {exc}"
     if systems:
         report = solve(problem, cfg.optimizer)
-        dual = duality_report(
-            problem,
-            report,
-            systems,
-            ys=cfg.duality["ys"],
-            inada_scales=cfg.duality["inada_scales"],
-        )
+        dual = duality_report(problem, report, systems, inada_scales=cfg.duality["inada_scales"])
         result = {"best_value": report.best_value, **dataclasses.asdict(dual)}
     else:
         result = {"verdict": verdict, "all_ok": False}

@@ -36,7 +36,7 @@ from .cps import (
 )
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from .scenario import NoisePanel, ThetaGrid, TimeGrid, lattice_block, simulate_panel
-from .utility import UtilitySpec, growth_ok, scaled_value, vector_conjugate
+from .utility import UtilitySpec, best_dual_level, growth_ok, scaled_value, vector_conjugate
 
 ARGMIN_TIE_TOL = 1e-12
 # halvings of a rejected step (robust value -inf) before the iterate stays put
@@ -505,19 +505,20 @@ def duality_report(
     problem: RobustProblem,
     report: SolveReport,
     price_systems: Sequence[tuple[int, PriceSystem]],
-    ys: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     inada_scales: Sequence[float] = (1.0, 4.0, 16.0),
 ) -> DualityReport:
     """Diagnostics relating the solved primal value to dual quantities.
 
     Each model with a registered price system is valued in one walk: its
-    shadow value process must be a supermartingale under the system, and
-    for each dual level y the primal value must stay below E[V(y w)] + x0 y
-    and the terminal payoff must satisfy the polarity bound E[X y w] <= x0 y,
-    both judged by cps.within (exact on lattice panels; a row where V is
-    infinite has an infinite bound and holds); and the utility must grow
-    sublinearly (utility.growth_ok).  For information, the values at
-    scaled endowments k x0 come from the exact identities of
+    shadow value process must be a supermartingale under the system; at
+    the system's best dual level y (utility.best_dual_level) the primal
+    value must stay below E[V(y w)] + x0 y, the tightest bound the system
+    gives, and the terminal payoff must satisfy the polarity bound
+    E[X y w] <= x0 y, which scales with y, so one level checks it; both
+    are judged by cps.within (exact on lattice panels; a row where V is
+    infinite at every level has an infinite bound and holds); and the
+    utility must grow sublinearly (utility.growth_ok).  For information,
+    the values at scaled endowments k x0 come from the exact identities of
     utility.scaled_value, with value / (k x0) as ratio: None where the
     utility has no identity, ratio None at zero wealth.
     """
@@ -532,14 +533,14 @@ def duality_report(
         with np.errstate(divide="ignore", invalid="ignore"):
             u_se = standard_error(problem.utility(terminal), noise)
         u_hat = float(report.per_theta[k])
-        for y in ys:
-            vvals = vector_conjugate(problem.utility, y * ps.weights)
-            v_hat = float(np.dot(noise.probs, vvals))
-            se = math.hypot(u_se, standard_error(vvals, noise))
-            bound = v_hat + x0 * y
-            rows.append(DualityRow(k, float(y), u_hat, v_hat, bound, se, within(u_hat, bound, se)))
-            pg = polarity_gap(terminal, ps, x0, float(y))
-            pol.append(PolarityRow(k, float(y), pg.lhs, pg.bound, pg.se, pg.satisfied))
+        y = best_dual_level(problem.utility, ps.weights, noise.probs, x0)
+        vvals = vector_conjugate(problem.utility, y * ps.weights)
+        v_hat = float(np.dot(noise.probs, vvals))
+        se = math.hypot(u_se, standard_error(vvals, noise))
+        bound = v_hat + x0 * y
+        rows.append(DualityRow(k, y, u_hat, v_hat, bound, se, within(u_hat, bound, se)))
+        pg = polarity_gap(terminal, ps, x0, y)
+        pol.append(PolarityRow(k, y, pg.lhs, pg.bound, pg.se, pg.satisfied))
         # release this model's walk before the next model's runs
         del value, terminal
     inada_rows = []

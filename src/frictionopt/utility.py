@@ -4,7 +4,8 @@ meets the growth and structural assumptions of the duality theory.
 Utilities are concave and nondecreasing, either on the positive axis (log,
 power) or on the whole line (bounded exponential-type).  The conjugate is
 V(y) = sup_x (U(x) - x y), computed by ternary search on the concave map
-x -> U(x) - x y.  The Orlicz-space objects built from them live in fvproc.
+x -> U(x) - x y; the same searches find a price system's best dual level
+(best_dual_level).  The Orlicz-space objects built from them live in fvproc.
 """
 
 from __future__ import annotations
@@ -201,6 +202,7 @@ def growth_ok(u: UtilitySpec) -> bool:
 
 
 _BRACKET_CAP = 1e120
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 def _bracket(g: Callable[[float], float], x: float, message: str) -> float:
@@ -251,6 +253,39 @@ def conjugate(u: UtilitySpec, y: float, tol: float = 1e-10) -> float:
         lo = _bracket(g, -1.0, f"conjugate diverges at y = {y}")
     _, best = _ternary_max(g, lo, hi, tol)
     return best
+
+
+def best_dual_level(u: UtilitySpec, weights: Array, probs: Array, x0: float) -> float:
+    """The level y > 0 that minimizes the dual bound f(y) = E[V(y w)] + x0 y
+    of a price system's weights w, by bracketing and ternary search on the
+    concave -f along log y, from y = 1 or the nearer end of f's window.
+
+    f is finite where every y w lies in V's domain [U'(inf), U'(-inf)]:
+    all of (0, inf) for log, power and exp, the end slopes for a table.
+    The search stays in that window, cut to where every y w is a normal
+    float.  Where the window is empty f is +inf at every level, and its
+    lower end is returned.
+    """
+    with np.errstate(all="ignore"):
+        slope_lo, slope_hi = u.deriv(np.asarray([np.inf, -np.inf]))
+    # max and min keep the float range where an end is nan (no closed-form U')
+    y_lo = float(max(_TINY, slope_lo) / np.min(weights))
+    y_hi = float(min(_HUGE, slope_hi) / np.max(weights))
+    if not y_lo < y_hi:
+        return y_lo
+    lo, hi = math.log(y_lo), math.log(y_hi)
+    mid = min(max(0.0, lo), hi)
+
+    def g(s: float) -> float:
+        # a level past the window reads as its end, so a bracket stops there;
+        # one where V's arithmetic over- or underflows to nan, as unbounded
+        y = math.exp(min(max(mid + s, lo), hi))
+        f = float(np.dot(probs, vector_conjugate(u, y * weights))) + x0 * y
+        return -math.inf if math.isnan(f) else -f
+
+    a = max(_bracket(g, -1.0, "dual bound has no minimum"), lo - mid)
+    b = min(_bracket(g, 1.0, "dual bound has no minimum"), hi - mid)
+    return math.exp(mid + _ternary_max(g, a, b, 1e-10)[0])
 
 
 def vector_conjugate(u: UtilitySpec, points: Array) -> Array:

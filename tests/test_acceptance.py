@@ -284,7 +284,6 @@ def test_criterion_07_supermartingale_and_polarity():
 
 def test_criterion_08_duality_bound_and_inada():
     started = time.perf_counter()
-    ys = (0.25, 0.5, 1.0, 2.0, 4.0)
     scales = (1.0, 4.0, 16.0)
 
     fixtures = []
@@ -333,7 +332,7 @@ def test_criterion_08_duality_bound_and_inada():
 
     for name, problem, settings in fixtures:
         rep = solve(problem, settings)
-        dual = duality_report(problem, rep, default_price_systems(problem), ys=ys, inada_scales=scales)
+        dual = duality_report(problem, rep, default_price_systems(problem), inada_scales=scales)
         assert all(r.ok for r in dual.rows), name
         assert all(p.ok for p in dual.polarity), name
         assert dual.supermartingale_ok, name
@@ -343,7 +342,7 @@ def test_criterion_08_duality_bound_and_inada():
 
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    print(f"criterion 8: PASS (3 fixtures x {len(ys)} dual levels bounded, scaling ratios nonincreasing, {elapsed:.1f} s)")
+    print(f"criterion 8: PASS (3 fixtures bounded at each system's best level, ratios nonincreasing, {elapsed:.1f} s)")
 
 
 def test_criterion_09_robust_monotonicity_worst_theta():
@@ -441,7 +440,7 @@ def test_criterion_11_reproducibility(tmp_path):
         code = cli_main(["solve", "--config", str(cfg), "--threads", threads, "--out", str(out)])
         assert code == 0
         outs[name] = out
-    names = ["report.json", "history.csv", "plot_value.csv", "strategy.csv", "ledger_worst.csv"]
+    names = ["report.json", "history.csv", "strategy.csv", "ledger_worst.csv"]
     for fname in names:
         ref = (outs["a1"] / fname).read_bytes()
         assert (outs["a2"] / fname).read_bytes() == ref, fname

@@ -40,7 +40,7 @@ LATTICE_DOC = {
     "policy": {"class": "lattice-policy", "long_only": False},
     "optimizer": {"iters": 3, "step0": 0.25},
     "verify": {"theta_index": 0, "construction": "auto", "shrink": 0.99},
-    "duality": {"ys": [0.5, 1.0], "inada_scales": [1.0, 4.0], "shrink": None},
+    "duality": {"inada_scales": [1.0, 4.0], "shrink": None},
 }
 
 MC_DOC = {
@@ -58,7 +58,7 @@ MC_DOC = {
     "utility": {"name": "exp", "a": 1.0},
     "optimizer": {"iters": 2},
     "verify": {"theta_index": 1, "construction": "constant", "level": 0.75},
-    "duality": {"ys": [1.0]},
+    "duality": {"inada_scales": [1.0]},
 }
 
 # (section, key, default, cap): a resolved value above cap is out of budget
@@ -190,6 +190,9 @@ def test_an_overflow_is_judged_by_its_check_without_a_warning(tmp_path, capsys, 
     assert code == expected
     assert _contract_breaches(code, lines) == []
     assert not [line for line in lines if "Warning" in line]
+    if command == "duality":
+        # a dual level whose conjugate overflows is passed over, not reported
+        assert "nan" not in (tmp_path / "o0" / "duality.json").read_text()
 
 
 MULTI_DRIVER_LATTICES = {

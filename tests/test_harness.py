@@ -95,7 +95,7 @@ class TestParseConfig:
         assert cfg.build_problem().admissibility == "rplus"
         assert cfg.policy_class == "deterministic-schedule"
         assert cfg.verify == {"theta_index": 0, "construction": "auto", "shrink": None, "level": None}
-        assert cfg.duality["ys"] == [0.25, 0.5, 1.0, 2.0, 4.0]
+        assert cfg.duality == {"inada_scales": [1.0, 4.0, 16.0], "shrink": None}
 
     def test_whole_line_utility_switches_admissibility(self):
         cfg = parse_config(make_doc(utility={"name": "exp"}, policy={"class": "deterministic-schedule"}))
@@ -185,9 +185,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(make_doc(verify={"theta_index": 3}))
 
-    def test_duality_levels_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            parse_config(make_doc(duality={"ys": [0.5, -1.0]}))
+    def test_duality_levels_are_not_a_setting(self):
+        # each price system is bounded at its own best level
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in duality: \['ys'\]"):
+            parse_config(make_doc(duality={"ys": [0.5, 1.0]}))
 
     def test_overrides_apply_when_set(self):
         doc = make_doc()
@@ -352,7 +353,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, make_doc())
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
-        for name in ("report.json", "history.csv", "plot_value.csv", "strategy.csv", "ledger_worst.csv"):
+        for name in ("report.json", "history.csv", "strategy.csv", "ledger_worst.csv"):
             fa = (tmp_path / "a" / name).read_bytes()
             fb = (tmp_path / "b" / name).read_bytes()
             assert fa == fb, name
@@ -370,7 +371,7 @@ class TestCli:
         assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         names = [f["name"] for f in manifest["outputs"]]
-        assert names == sorted(["report.json", "history.csv", "plot_value.csv", "strategy.csv", "ledger_worst.csv"])
+        assert names == sorted(["report.json", "history.csv", "strategy.csv", "ledger_worst.csv"])
         assert (out / "prices.csv").is_file()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -395,9 +396,9 @@ class TestCli:
             {"optimizer": {"step0": float("inf")}},
             {"optimizer": {"seed": 0}},
             {"optimizer": {"tail_fraction": 0.5}},
-            {"duality": {"ys": [0.5, True]}},
-            {"duality": {"ys": [0.5, float("inf")]}},
-            {"duality": {"ys": 1.0}},
+            {"duality": {"ys": [0.25, 0.5, 1.0, 2.0, 4.0]}},
+            {"duality": {"inada_scales": [1.0, -4.0]}},
+            {"duality": {"inada_scales": 1.0}},
             {"duality": {"inada_scales": [1.0, True]}},
             {"duality": {"inada_scales": [1.0, float("inf")]}},
             {"duality": {"shrink": 1.0}},
@@ -426,7 +427,7 @@ class TestCli:
             "mu_bounds-string", "sigma_bounds-short", "theta-string", "theta-flat", "rho-string",
             "table-knot-string", "step0-zero", "step0-negative", "step0-nan", "step0-inf", "optimizer-seed",
             "optimizer-tail-fraction",
-            "ys-true", "ys-inf", "ys-scalar", "inada-true", "inada-inf", "duality-shrink-one",
+            "ys-key", "inada-negative", "inada-scalar", "inada-true", "inada-inf", "duality-shrink-one",
             "duality-shrink-zero", "duality-shrink-true", "verify-shrink-above", "verify-shrink-negative",
             "verify-shrink-nan", "verify-level-zero", "verify-level-negative", "verify-level-inf",
             "verify-level-with-auto", "verify-level-with-lattice", "verify-lattice-on-mc",
@@ -461,11 +462,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, over, error",
         [
-            ("duality", {"duality": {"ys": []}}, "duality.ys must list at least one dual level"),
+            ("duality", {"duality": {"ys": [1.0]}}, "unknown key(s) in duality: ['ys']"),
             ("verify-cps", {"verify": {"construction": "constant", "shrink": 0.5}},
              "verify.shrink does not apply to the constant construction"),
         ],
-        ids=["duality-ys-empty", "verify-shrink-with-constant"],
+        ids=["duality-ys", "verify-shrink-with-constant"],
     )
     def test_a_setting_that_checks_or_changes_nothing_exits_2_at_parse_time(
         self, tmp_path, capsys, command, over, error
@@ -608,9 +609,10 @@ class TestCli:
         assert code == 3
         assert err == "error: an invariant broke\n"
 
-    def test_duality_with_a_rising_table_fails_growth_with_infinite_rows(self, tmp_path, capsys):
-        # the table's conjugate is +inf below its last slope 1/3: those rows
-        # hold trivially, and asymptotic elasticity 1 fails the growth verdict
+    def test_duality_with_a_rising_table_fails_growth(self, tmp_path, capsys):
+        # the table's conjugate is +inf below its last slope 1/3, so the best
+        # level lies above it, where the bound is finite; asymptotic
+        # elasticity 1 fails the growth verdict
         doc = make_doc(utility={"name": "custom-table", "x": [0.1, 1.0, 4.0], "u": [-2.0, 0.0, 1.0]},
                        optimizer={"iters": 2})
         out = tmp_path / "o"
@@ -620,9 +622,10 @@ class TestCli:
         assert "nan" not in text
         result = json.loads(text)
         assert result["growth_ok"] is False and result["all_ok"] is False
-        infinite = [r for r in result["rows"] if r["y"] < 1.0 / 3.0]
-        assert infinite and all(r["bound"] == "inf" and r["ok"] is True for r in infinite)
-        assert all(r["ok"] for r in result["rows"]) and all(p["ok"] for p in result["polarity"])
+        [row] = result["rows"]
+        # write_json spells a non-finite float as a string
+        assert row["y"] > 1.0 / 3.0 and isinstance(row["bound"], float) and row["ok"] is True
+        assert all(p["ok"] for p in result["polarity"])
 
     def test_verify_cps_with_a_rising_table_reports_infinite_entropy(self, tmp_path):
         # last slope 1: V(w) is +inf on the paths whose weight w is below 1
@@ -758,7 +761,7 @@ class TestCli:
     def test_duality_pipeline(self, tmp_path):
         doc = make_doc(
             cost={"lambda": 0.01, "x0": 3.0},
-            duality={"ys": [0.5, 1.0], "inada_scales": [1.0, 4.0]},
+            duality={"inada_scales": [1.0, 4.0]},
             optimizer={"iters": 20},
         )
         out = tmp_path / "d"
@@ -766,7 +769,7 @@ class TestCli:
         assert code == 0
         result = json.loads((out / "duality.json").read_text())
         assert result["all_ok"] is True
-        assert len(result["rows"]) == 2
+        assert len(result["rows"]) == len(result["polarity"]) == 1
 
     def test_duality_on_the_readme_config_exits_0(self, tmp_path, capsys):
         # log(k)/k rises on (0, e), so a ratio verdict failed this config at
@@ -784,7 +787,6 @@ class TestCli:
             "policy": {"class": "deterministic-schedule", "long_only": False},
             "optimizer": {"iters": 3, "step0": 0.25},
             "verify": {"theta_index": 0, "construction": "auto"},
-            "duality": {"ys": [0.25, 0.5, 1.0, 2.0, 4.0]},
         }
         out = tmp_path / "d"
         code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
@@ -822,7 +824,6 @@ class TestCli:
             utility={"name": "custom-table", "x": [0.5, 1.0, 2.0, 4.0], "u": [-1.0, 0.0, 0.5, 0.5]},
             cost={"lambda": 0.01, "x0": 3.0},
             grid={"horizon": 1.0, "steps": 2},
-            duality={"ys": [1.0]},
             optimizer={"iters": 5},
         )
         out = tmp_path / "d"

@@ -8,6 +8,7 @@ import pytest
 from frictionopt import (
     BlackScholes,
     CostSpec,
+    NoisePanel,
     OptimizerSettings,
     PolicyCodec,
     RobustProblem,
@@ -32,7 +33,7 @@ from frictionopt import (
 from frictionopt import solver as solver_module
 from frictionopt.errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from frictionopt.solver import _supergradient
-from frictionopt.utility import scaled_value
+from frictionopt.utility import scaled_value, vector_conjugate
 from test_accounting import sequential_ledger
 
 
@@ -598,25 +599,19 @@ class TestDualityReport:
         dual = duality_report(prob, rep, default_price_systems(prob), inada_scales=(1.0, 4.0))
         assert dual.all_ok
         assert dual.supermartingale_ok
-        assert len(dual.rows) == 5
+        assert len(dual.rows) == 1
         for row in dual.rows:
             assert row.se == 0.0
             assert row.u_hat <= row.bound + 1e-10
         ratios = [r.ratio for r in dual.inada]
         assert ratios == sorted(ratios, reverse=True)
 
-    def test_row_counts_scale_with_systems_and_levels(self):
+    def test_row_counts_scale_with_systems(self):
         prob = lattice_problem(steps=2, x0=3.0, mus=(0.1, -0.1))
         rep = solve(prob, OptimizerSettings(iters=10))
-        dual = duality_report(
-            prob,
-            rep,
-            default_price_systems(prob),
-            ys=(0.5, 1.0),
-            inada_scales=(1.0,),
-        )
-        assert len(dual.rows) == 4
-        assert len(dual.polarity) == 4
+        dual = duality_report(prob, rep, default_price_systems(prob), inada_scales=(1.0,))
+        assert len(dual.rows) == 2
+        assert len(dual.polarity) == 2
         assert len(dual.inada) == 1
 
     def test_scaled_rows_come_from_the_identities(self):
@@ -645,6 +640,136 @@ class TestDualityReport:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * prob.prices.nbytes
+
+
+def lattice_duality_family(utility):
+    """The lattice-duality benchmark's 2-step lattice-policy family."""
+    g = TimeGrid(1.0, 2)
+    thetas = ThetaGrid((BlackScholes(0.10, 0.2), BlackScholes(0.05, 0.2)))
+    return RobustProblem(CostSpec(0.02, 3.0), thetas, utility, g, lattice_panel(g, 1), policy_class="lattice-policy")
+
+
+def mc_trade_family(utility):
+    """The README grid and panel, with two positive drifts, so the optimum
+    trades."""
+    g = TimeGrid(1.0, 50)
+    thetas = ThetaGrid((BlackScholes(0.10, 0.2), BlackScholes(0.06, 0.25)))
+    return RobustProblem(CostSpec(0.01, 1.0), thetas, utility, g, gaussian_panel(g, 1000, 1, seed=7))
+
+
+def closed_form_bound(u, x0, w, probs):
+    """min over y > 0 of E[V(y w)] + x0 y for log, power and exp, exact for
+    any mean m of the weights."""
+    def mean(v):
+        return float(np.dot(probs, v))
+
+    if u.name == "log":
+        return math.log(x0) - mean(np.log(w))
+    if u.name == "power":
+        p = u.params["p"]
+        q = p / (p - 1.0)
+        return x0**p / p * mean(w**q) ** (1.0 - p)
+    a, m = u.params["a"], mean(w)
+    return 1.0 - m * math.exp(-(a * x0 + mean(w * np.log(w))) / m)
+
+
+def sweep_bound(u, x0, w, probs):
+    """The best of the five fixed levels the dual sweep used to check."""
+    return min(float(np.dot(probs, vector_conjugate(u, y * w))) + x0 * y for y in (0.25, 0.5, 1.0, 2.0, 4.0))
+
+
+def lattice_weight_ratios():
+    """w_max / w_min of each price system of the lattice-duality family."""
+    systems = default_price_systems(lattice_duality_family(log_utility()))
+    return [ps.weights.max() / ps.weights.min() for _, ps in systems]
+
+
+def slope_table(ratio):
+    """A whole-line table with end slopes 10 ratio and 10: its conjugate is
+    finite on [10, 10 ratio], so a system's bound is finite only on the
+    levels [10 / w_min, 10 ratio / w_max], above e."""
+    return table_utility([-1.0, 0.0, 1.0], [-10.0 * ratio, 0.0, 10.0])
+
+
+SWEEP_FIXTURES = {
+    "lattice-log": lambda: lattice_duality_family(log_utility()),
+    "lattice-power": lambda: lattice_duality_family(power_utility(0.5)),
+    "lattice-exp": lambda: lattice_duality_family(exp_utility(1.0)),
+    "lattice-table": lambda: lattice_duality_family(table_utility([0.5, 1.0, 2.0, 4.0], [-1.0, 0.0, 0.5, 0.6])),
+    "mc-trade-log": lambda: mc_trade_family(log_utility()),
+    "narrow-window-table": lambda: lattice_duality_family(slope_table(1.01 * max(lattice_weight_ratios()))),
+    "empty-window-table": lambda: lattice_duality_family(slope_table(0.99 * min(lattice_weight_ratios()))),
+}
+
+
+class TestBestDualLevel:
+    @pytest.mark.parametrize("family", [lattice_duality_family, mc_trade_family], ids=["lattice", "mc"])
+    @pytest.mark.parametrize(
+        "utility", [log_utility(), power_utility(0.5), exp_utility(1.0)], ids=["log", "power", "exp"]
+    )
+    def test_bound_is_the_closed_form_minimum(self, family, utility):
+        prob = family(utility)
+        systems = default_price_systems(prob)
+        dual = duality_report(prob, solve(prob, OptimizerSettings(iters=2)), systems)
+        assert [r.theta_index for r in dual.rows] == [k for k, _ in systems] == [0, 1]
+        for row, (_, ps) in zip(dual.rows, systems):
+            assert abs(row.bound - closed_form_bound(utility, prob.cost.x0, ps.weights, prob.noise.probs)) <= 1e-12
+            # f is flat to rounding within about sqrt(eps) of its minimizer
+            if utility.name == "log":
+                assert abs(row.y * prob.cost.x0 - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    def test_bound_is_at_most_the_five_level_sweep(self, name):
+        prob = SWEEP_FIXTURES[name]()
+        systems = default_price_systems(prob)
+        dual = duality_report(prob, solve(prob, OptimizerSettings(iters=2)), systems)
+        assert len(dual.rows) == len(dual.polarity) == len(systems) == 2
+        for row, pol, (_, ps) in zip(dual.rows, dual.polarity, systems):
+            assert row.bound <= sweep_bound(prob.utility, prob.cost.x0, ps.weights, prob.noise.probs) + 1e-12
+            assert row.ok and pol.ok and pol.y == row.y
+            # every fixed level misses a table's window, and the bound is
+            # finite exactly where the window is not empty
+            if name.endswith("window-table"):
+                assert math.isinf(sweep_bound(prob.utility, prob.cost.x0, ps.weights, prob.noise.probs))
+                assert math.isfinite(row.bound) == (name == "narrow-window-table")
+
+
+def nested_panel(fine, steps):
+    """The steps-step panel whose every increment is the sum of the fine
+    panel's increments inside that coarse step."""
+    paths, fine_steps, drivers = fine.increments.shape
+    inc = fine.increments.reshape(paths, steps, fine_steps // steps, drivers).sum(axis=2)
+    return NoisePanel("mc", fine.seed, TimeGrid(fine.grid.horizon, steps), drivers, inc, fine.probs)
+
+
+def embed_schedule(params, steps, shift=0):
+    """An N-step schedule [h0, up_1..up_{N-1}, dn_1..dn_{N-1}] as a 2N-step
+    one: coarse step i trades at fine step 2i - shift, no trades between."""
+    fine = np.zeros(1 + 2 * (2 * steps - 1))
+    fine[0] = params[0]
+    at = 2 * np.arange(1, steps) - shift
+    fine[at] = params[1:steps]
+    fine[2 * steps - 1 + at] = params[steps:]
+    return fine
+
+
+def test_a_schedule_keeps_its_value_on_the_refined_grid():
+    """N-step panels nested in one 80-step panel: an N-step schedule, moved
+    to the even steps of the 2N-step grid, settles on the same prices, so
+    V*_N <= V*_2N; moved one fine step early, it does not."""
+    fine = gaussian_panel(TimeGrid(1.0, 80), 1000, 1, seed=7)
+    thetas = ThetaGrid((BlackScholes(0.10, 0.2), BlackScholes(0.06, 0.25)))
+
+    def family(steps):
+        grid = TimeGrid(1.0, steps)
+        return RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), grid, nested_panel(fine, steps))
+
+    for steps in (5, 10, 20, 40):
+        coarse, refined = family(steps), family(2 * steps)
+        params = solve(coarse, OptimizerSettings(iters=50)).best_params
+        value = objective(coarse, params).robust_value
+        assert abs(objective(refined, embed_schedule(params, steps)).robust_value - value) <= 1e-12
+        assert abs(objective(refined, embed_schedule(params, steps, shift=1)).robust_value - value) > 1e-9
 
 
 SCALING = {
