@@ -11,16 +11,16 @@ at t_i settles at the t_i price and is reflected in the balances from t_i on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
+from .records import record
 from .scenario import TimeGrid, _readonly
 
 
-@dataclass(frozen=True)
+@record
 class CostSpec:
     """Proportional cost level and initial cash endowment."""
 
@@ -34,7 +34,7 @@ class CostSpec:
             raise ConfigError("x0 must be finite")
 
 
-@dataclass(frozen=True)
+@record
 class Strategy:
     """Trading strategy as schedule rows of cumulative buy and sell jumps.
 
@@ -93,7 +93,7 @@ def position_recursion(d_up: np.ndarray, d_dn: np.ndarray) -> np.ndarray:
     return flows[..., 1::2]
 
 
-@dataclass(frozen=True)
+@record
 class AccountingLedger:
     """Cash, holdings and liquidation value of one model, each of shape
     (paths, steps + 1): the recorded settle walk.  position is a read-only
@@ -178,7 +178,7 @@ def shadow_value(strategy: Strategy, prices: np.ndarray, shadow_prices: np.ndarr
     return _readonly(value), _readonly(liq)
 
 
-@dataclass(frozen=True)
+@record
 class AdmissibilityReport:
     """first_violation is the (path, time) index of the first failing entry."""
 

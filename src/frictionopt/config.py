@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
 from .accounting import CostSpec
 from .errors import ConfigError
+from .records import record
 from .scenario import (
     MAX_LATTICE_SLOTS,
     ArctanDrift,
@@ -223,7 +224,7 @@ def parse_utility(spec: Any) -> UtilitySpec:
     raise ConfigError(f"utility name {name!r} is not known")
 
 
-@dataclass(frozen=True)
+@record
 class OptimizerSettings:
     """Projected supergradient ascent controls for solver.solve: iters
     iterations (an integer of at least 1), and steps of step0 / sqrt(k) along
@@ -250,7 +251,7 @@ TOP_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """Fully resolved run configuration plus the normalized document that
     produced it (echoed into manifests)."""

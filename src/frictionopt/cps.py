@@ -11,18 +11,18 @@ probabilities of the noise panel the system was built on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NoCpsConstructibleError
+from .records import record
 from .scenario import ArctanDrift, BlackScholes, Model, NoisePanel, _readonly, lattice_block
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class PriceSystem:
     """Shadow prices (paths, steps + 1) and measure weights (paths,) on the
     noise panel they were built on, and the bandwidth margin mu_level in
@@ -57,7 +57,7 @@ class PriceSystem:
         return self.noise.probs * self.weights
 
 
-@dataclass(frozen=True)
+@record
 class BandReport:
     """Pathwise band check: delta is the smallest slack
     min(shadow - (1 - lambda) S, S - shadow) over all paths and times,
@@ -189,7 +189,7 @@ def lattice_cps(prices: Array, noise: NoisePanel, shrink: Optional[float] = None
     )
 
 
-@dataclass(frozen=True)
+@record
 class MartingaleReport:
     """Step-by-step martingale verification of the shadow under Q.
 
@@ -226,8 +226,9 @@ def standard_error(values: Array, noise: NoisePanel) -> float:
 
 
 def within(value: float, bound: float, se: float) -> bool:
-    """The verdict value <= bound, forgiving Z_MAX standard errors and TOL."""
-    return value <= bound + Z_MAX * se + TOL
+    """The verdict value <= bound, forgiving Z_MAX standard errors and TOL.
+    A value of +inf or nan fails whatever its standard error."""
+    return value < math.inf and value <= bound + Z_MAX * se + TOL
 
 
 def _step_drifts(values: Array, ps: PriceSystem) -> list:
@@ -271,7 +272,7 @@ def verify_martingale(ps: PriceSystem) -> MartingaleReport:
     return MartingaleReport(passed=max_z <= Z_MAX, mode=ps.noise.kind, max_defect=float("nan"), max_z=max_z)
 
 
-@dataclass(frozen=True)
+@record
 class SupermartingaleReport:
     """Supermartingale verification of a value process under Q: conditional
     means may only decrease.  Lattice mode checks every node exactly; mc mode
@@ -300,7 +301,7 @@ def supermartingale_check(values: Array, ps: PriceSystem) -> SupermartingaleRepo
     return SupermartingaleReport(passed=max_z <= Z_MAX, mode=ps.noise.kind, max_rise=worst, max_z=max_z)
 
 
-@dataclass(frozen=True)
+@record
 class EntropyReport:
     """Generalized-entropy membership: estimate of E[V(dQ/dP)] with its
     standard error (see standard_error), plus a finiteness heuristic (no
@@ -324,7 +325,7 @@ def entropy_membership(ps: PriceSystem, vconj: Callable[[Array], Array]) -> Entr
     return EntropyReport(estimate=est, se=se, finite=share < 0.5, max_share=share)
 
 
-@dataclass(frozen=True)
+@record
 class PolarityReport:
     """One-sided polarity bound E_P[X y w] <= x0 y for payoffs X reachable
     from x0 and deflators y w built from a price system, judged by within."""
@@ -343,7 +344,7 @@ def polarity_gap(terminal: Array, ps: PriceSystem, x0: float, y: float) -> Polar
     return PolarityReport(lhs=lhs, bound=bound, se=se, satisfied=within(lhs, bound, se))
 
 
-@dataclass(frozen=True)
+@record
 class CpsCertificate:
     """Analytic existence or nonexistence verdict for a model and cost level."""
 

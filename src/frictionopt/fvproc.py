@@ -11,7 +11,7 @@ are taken of either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,11 +21,12 @@ from .accounting import check_jumps, position_recursion  # noqa: F401
 from .errors import (
     AssumptionViolationError, ConfigError, ConjugateUnboundedError, GridMismatchError, IndeterminateError,
 )
+from .records import record
 from .scenario import TimeGrid, _readonly
 from .utility import Array, UtilitySpec, _bracket, _ternary_max, check_assumptions, conjugate
 
 
-@dataclass(frozen=True)
+@record
 class MonotonePath:
     """Nondecreasing right-continuous step path on a grid, zero at time zero.
 
@@ -64,7 +65,7 @@ class MonotonePath:
         return float(self.values_at(np.asarray([t]))[0])
 
 
-@dataclass(frozen=True)
+@record
 class RationalEnumeration:
     """The first `length` points of the enumeration T, 0, T/2, T/3, 2T/3, T/4, 3T/4, ...
 
@@ -94,8 +95,10 @@ class RationalEnumeration:
         object.__setattr__(self, "points", _readonly(np.asarray(pts[: self.length])))
 
 
-@dataclass(frozen=True)
+@record
 class RhoResult:
+    """rho on an enumeration, with the bound on its discarded tail."""
+
     value: float
     truncation_bound: float
 
@@ -117,7 +120,7 @@ def rho(f: MonotonePath, g: MonotonePath, enum: RationalEnumeration) -> RhoResul
     return RhoResult(value=value, truncation_bound=bound)
 
 
-@dataclass(frozen=True)
+@record
 class KomlosResult:
     """Tail Cesaro averages of a path sequence and the deepest average as limit candidate.
 
@@ -148,7 +151,7 @@ def komlos_average(seq: Sequence[MonotonePath]) -> KomlosResult:
     return KomlosResult(averages=avgs, candidate=avgs[0])
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceReport:
     """Per-grid-time verdicts for convergence of averages toward a limit path.
 
@@ -201,7 +204,7 @@ def orlicz_conjugate(phi: Callable[[Array], Array], y: float, tol: float = 1e-10
     return max(best, g(0.0))
 
 
-@dataclass(frozen=True)
+@record
 class YoungPair:
     """Complementary pair built from a whole-line utility.
 
@@ -264,7 +267,7 @@ def young_pair(u: UtilitySpec) -> YoungPair:
     return YoungPair(beta=beta, v_at_beta=v_beta, phi=phi, phi_star=phi_star, delta2_finite=d2.finite)
 
 
-@dataclass(frozen=True)
+@record
 class Delta2Report:
     """Doubling diagnostic for a convex function on a geometric grid.
 

@@ -8,12 +8,13 @@ by independent sampling error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvalidModelError
+from .records import record
 
 MAX_LATTICE_SLOTS = 22
 
@@ -23,7 +24,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@record
 class TimeGrid:
     """Uniform trading grid 0 = t_0 < t_1 < ... < t_N = horizon."""
 
@@ -43,7 +44,7 @@ class TimeGrid:
         return self.horizon / self.steps
 
 
-@dataclass(frozen=True)
+@record
 class NoisePanel:
     """Brownian increments shared by every model in a scenario family.
 
@@ -143,7 +144,7 @@ class Model:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class BlackScholes(Model):
     """Geometric Brownian motion, stepped exactly in log space."""
 
@@ -167,7 +168,7 @@ class BlackScholes(Model):
         np.multiply(logs, self.s0, out=logs)
 
 
-@dataclass(frozen=True)
+@record
 class PathDependentBS(Model):
     """Log-Euler scheme whose per-step drift and volatility are functions of
     the current time and the driver history up to that time.
@@ -207,7 +208,7 @@ class PathDependentBS(Model):
             out[:, i + 1] = np.exp(log_s)
 
 
-@dataclass(frozen=True)
+@record
 class Factor(Model):
     """Two-driver model: the asset loads on driver 1, an observable factor Y
     loads on both drivers and feeds the asset drift.
@@ -260,7 +261,7 @@ class Factor(Model):
                 factor[:, i + 1] = yi
 
 
-@dataclass(frozen=True)
+@record
 class ArctanDrift(Model):
     """Closed-form family S_t = 1 + t + arctan(W_t) / (2 pi) on [0, horizon].
 
@@ -282,7 +283,7 @@ class ArctanDrift(Model):
         np.add(out, 1.0 + grid.times, out=out)
 
 
-@dataclass(frozen=True)
+@record
 class ThetaGrid:
     """Finite family of candidate models sharing one noise panel."""
 

@@ -19,7 +19,7 @@ side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .cps import (
     within,
 )
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
+from .records import record
 from .scenario import NoisePanel, ThetaGrid, TimeGrid, lattice_block, simulate_panel
 from .utility import UtilitySpec, best_dual_level, growth_ok, scaled_value, vector_conjugate
 
@@ -43,7 +44,7 @@ ARGMIN_TIE_TOL = 1e-12
 MAX_HALVINGS = 40
 
 
-@dataclass(frozen=True)
+@record
 class RobustProblem:
     """A robust utility maximization instance on a shared noise panel.
 
@@ -174,7 +175,7 @@ class PolicyCodec:
         return Strategy(self.grid, d_up[0], d_dn[0])
 
 
-@dataclass(frozen=True)
+@record
 class ObjectiveResult:
     """Worst-case expected utility of a parameter vector; infeasible vectors
     are reported as such rather than mapped to a low value.  terminal_wealth
@@ -233,8 +234,10 @@ def objective(problem: RobustProblem, vec: np.ndarray) -> ObjectiveResult:
     return ObjectiveResult(True, per, lo, k, terminal[k].copy(), pre_liq)
 
 
-@dataclass(frozen=True)
+@record
 class SolveReport:
+    """The best iterate a solve visited, its values, the history rows and its strategy."""
+
     best_params: np.ndarray
     best_value: float
     per_theta: np.ndarray
@@ -364,7 +367,7 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
     )
 
 
-@dataclass(frozen=True)
+@record
 class BruteForceReport:
     """Exhaustive grid optimum on a lattice panel, with the largest objective
     gap to the optimum's axis neighbors as the resolution certificate."""
@@ -462,8 +465,10 @@ def default_price_systems(problem: RobustProblem, shrink: Optional[float] = None
     return [(k, ps) for k, ps in enumerate(systems) if ps is not None]
 
 
-@dataclass(frozen=True)
+@record
 class DualityRow:
+    """Model theta_index's primal value u_hat against the bound v_hat + x0 y at level y."""
+
     theta_index: int
     y: float
     u_hat: float
@@ -473,8 +478,10 @@ class DualityRow:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class PolarityRow:
+    """Model theta_index's polarity check E[X y w] = lhs <= bound = x0 y at level y."""
+
     theta_index: int
     y: float
     lhs: float
@@ -483,16 +490,20 @@ class PolarityRow:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class InadaRow:
+    """The value at the endowment x = scale x0, and value / x (None where unknown)."""
+
     scale: float
     x: float
     value: Optional[float]
     ratio: Optional[float]
 
 
-@dataclass(frozen=True)
+@record
 class DualityReport:
+    """The rows and verdicts of duality_report."""
+
     rows: tuple[DualityRow, ...]
     polarity: tuple[PolarityRow, ...]
     inada: tuple[InadaRow, ...]

@@ -11,17 +11,18 @@ x -> U(x) - x y; the same searches find a price system's best dual level
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ConjugateUnboundedError
+from .records import record
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class UtilitySpec:
     """A concave nondecreasing utility with its domain convention.
 
@@ -299,7 +300,7 @@ def vector_conjugate(u: UtilitySpec, points: Array) -> Array:
     return np.asarray([conjugate(u, float(t)) for t in pts.ravel()]).reshape(pts.shape)
 
 
-@dataclass(frozen=True)
+@record
 class AssumptionReport:
     """Structural checks for whole-line utilities: bounded above, U(0) = 0,
     nondecreasing and concave on probes, and U(x)/x increasing toward

@@ -192,7 +192,11 @@ def test_an_overflow_is_judged_by_its_check_without_a_warning(tmp_path, capsys, 
     assert not [line for line in lines if "Warning" in line]
     if command == "duality":
         # a dual level whose conjugate overflows is passed over, not reported
-        assert "nan" not in (tmp_path / "o0" / "duality.json").read_text()
+        text = (tmp_path / "o0" / "duality.json").read_text()
+        assert "nan" not in text
+        # the polarity row's left side overflows to inf: it fails, although its standard error is inf too
+        [row] = json.loads(text)["polarity"]
+        assert (row["lhs"], row["se"], row["ok"]) == ("inf", "inf", False)
 
 
 MULTI_DRIVER_LATTICES = {

@@ -21,6 +21,7 @@ from frictionopt import (
     verify_band,
     verify_martingale,
 )
+from frictionopt.cps import TOL, Z_MAX, within
 from frictionopt.errors import ConfigError, ContractViolation, NoCpsConstructibleError
 
 
@@ -348,6 +349,35 @@ class TestPolarity:
         rep = polarity_gap(np.full(16, 3.0), ps, x0=2.0, y=1.0)
         assert not rep.satisfied
         assert rep.lhs > rep.bound
+
+
+class TestWithin:
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "bound, se", [(1.0, 0.0), (1.0, 0.5), (1.0, math.inf), (math.inf, 0.0), (math.inf, math.inf)]
+    )
+    def test_an_infinite_or_nan_value_fails_whatever_its_standard_error(self, value, bound, se):
+        assert not within(value, bound, se)
+
+    @pytest.mark.parametrize("bound, se", [(1.0, 0.0), (1.0, math.inf), (-1e300, 0.0), (math.inf, 0.0)])
+    def test_a_minus_infinite_value_holds(self, bound, se):
+        assert within(-math.inf, bound, se)
+
+    @pytest.mark.parametrize(
+        "value, bound, se, ok",
+        [
+            (1.0, 1.0, 0.0, True),
+            (1.0 + TOL / 2, 1.0, 0.0, True),
+            (1.0 + 2 * TOL, 1.0, 0.0, False),
+            (1.0 + Z_MAX * 0.1, 1.0, 0.1, True),
+            (1.0 + Z_MAX * 0.1 + 1e-6, 1.0, 0.1, False),
+            (1e300, 1.0, math.inf, True),
+            (1.0, -math.inf, 0.0, False),
+            (1.0, math.nan, 0.0, False),
+        ],
+    )
+    def test_finite_verdicts(self, value, bound, se, ok):
+        assert within(value, bound, se) is ok
 
 
 class TestCertificate:

@@ -4,6 +4,7 @@ command, and the CLI's one BLAS thread."""
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import import_module
@@ -121,6 +122,22 @@ def test_every_export_resolves_lazily():
     assert frictionopt.solver is import_module("frictionopt.solver")
     with pytest.raises(AttributeError, match="no_such_name"):
         frictionopt.no_such_name
+
+
+def test_every_dataclass_is_a_record():
+    """A record shares records.__init__, where a stray @dataclass would
+    generate its own; records itself is not exported."""
+    from frictionopt import records
+
+    classes = {
+        value
+        for info in pkgutil.iter_modules(frictionopt.__path__)
+        for value in vars(import_module(f"frictionopt.{info.name}")).values()
+        if isinstance(value, type) and "__dataclass_fields__" in vars(value)
+    }
+    assert classes
+    assert sorted(cls.__qualname__ for cls in classes if cls.__init__ is not records.__init__) == []
+    assert "records" not in frictionopt._EXPORTS
 
 
 THREADS = (
