@@ -9,9 +9,9 @@ the one field expected to vary.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
+import sys
 import time
 from pathlib import Path
 from typing import Any, Sequence
@@ -39,9 +39,15 @@ from .utility import conjugate, log_utility, vector_conjugate
 
 
 # rows formatted and written at a time; a chunk's strings take about 280
-# bytes a row of prices.csv, and formatting is no faster below 8192 rows but
-# slower above (16384 and 32768 took 6% and 16% more CPU on a 2-core host)
-CSV_CHUNK_ROWS = 1 << 13
+# bytes a row of prices.csv.  write_csv on simulate's 204k-row prices.csv,
+# in process on a 2-core host:
+#   chunk rows   CPU, 1 worker   CPU, 2 workers   tracemalloc peak
+#   2048         225 ms          275 ms           0.47 MB
+#   8192         235 ms          267 ms           1.82 MB
+# CPU is flat from 2048 to 8192 rows and rises below (1024 rows took 287 ms
+# and 512 took 310 ms on 1 worker) and above (16384 and 32768 took 6% and
+# 16% more than 8192)
+CSV_CHUNK_ROWS = 1 << 11
 # bytes read at a time when digesting an output file; 1 MiB blocks read no
 # faster and raised simulate's peak RSS by about 2 MB
 DIGEST_BLOCK_BYTES = 1 << 16
@@ -176,8 +182,25 @@ def write_json(path: Path, obj: Any) -> None:
     path.write_text(json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n")
 
 
+def _sha256():
+    """A SHA-256 hasher: OpenSSL's where the process has loaded it already
+    (every run that imports numpy.random has, through secrets and hmac),
+    else the interpreter's built-in one, as random does for _sha512.  The
+    built-in is about 7x slower, but spares a lattice run mapping 3.4 MB of
+    libcrypto to hash a few kilobytes; the digest is the same."""
+    if "_hashlib" not in sys.modules:
+        for name in ("_sha2", "_sha256"):  # Python 3.12+, 3.10 and 3.11
+            try:
+                return __import__(name).sha256()
+            except ImportError:
+                pass
+    import hashlib
+
+    return hashlib.sha256()
+
+
 def _digest(path: Path) -> dict:
-    sha, size = hashlib.sha256(), 0
+    sha, size = _sha256(), 0
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(DIGEST_BLOCK_BYTES), b""):
             sha.update(block)

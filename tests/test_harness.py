@@ -281,6 +281,42 @@ class TestWriters:
         assert entry == {"name": "blocks.bin", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
         assert peak < 4 * DIGEST_BLOCK_BYTES
 
+    @pytest.mark.parametrize("openssl", [True, False], ids=["openssl", "builtin"])
+    @pytest.mark.parametrize("size", [0, 1, DIGEST_BLOCK_BYTES, 64 * DIGEST_BLOCK_BYTES + 17])
+    def test_digest_is_hashlibs_with_or_without_openssl(self, tmp_path, monkeypatch, openssl, size):
+        """Where OpenSSL is not loaded the digest comes from the interpreter's
+        built-in SHA-256, and it is the same."""
+        from frictionopt import harness
+
+        path = tmp_path / "data.bin"
+        data = np.random.default_rng(size).bytes(size)
+        path.write_bytes(data)
+        if not openssl:
+            monkeypatch.delitem(sys.modules, "_hashlib")
+        assert (type(harness._sha256()).__module__ == "_hashlib") == openssl
+        assert _digest(path) == {"name": "data.bin", "sha256": hashlib.sha256(data).hexdigest(), "bytes": size}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 2048, 8192])
+    def test_chunk_size_changes_no_byte(self, tmp_path, monkeypatch, chunk_rows, workers):
+        from frictionopt import harness
+
+        monkeypatch.setattr(harness, "CSV_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(3)
+        shape = (3, 7, 401)  # 8,421 rows: more than one chunk at every size
+        columns = [
+            np.broadcast_to(np.arange(shape[0])[:, None, None], shape),
+            np.broadcast_to(rng.random(shape[-1]), shape),
+            rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2],
+            rng.standard_normal(shape[::-1]).T,
+        ]
+        header = ["lead", "last", "strided", "transposed"]
+        path = tmp_path / "chunks.csv"
+        write_csv(path, header, columns, workers)
+        assert path.read_text() == reference_csv(header, zip(*[np.ravel(c) for c in columns]))
+        assert_no_child_left()
+
     def test_json_is_sorted_and_numpy_safe(self, tmp_path):
         path = tmp_path / "t.json"
         write_json(path, {"b": np.float64(0.5), "a": np.asarray([1, 2]), "c": np.inf})
@@ -967,7 +1003,7 @@ TWO_BS = [
     {"type": "black_scholes", "mu": 0.1, "sigma": 0.2},
     {"type": "black_scholes", "mu": -0.05, "sigma": 0.25},
 ]
-# a solve whose optimum trades and whose strategy.csv and ledger_worst.csv span two chunks
+# a solve whose optimum trades and whose strategy.csv and ledger_worst.csv span several chunks
 TRADING_SOLVE = make_doc(
     thetas=[TWO_BS[0], {"type": "black_scholes", "mu": 0.06, "sigma": 0.25}],
     grid={"horizon": 1.0, "steps": 5},

@@ -2,6 +2,7 @@
 for parsing a config, for a one- or two-thread ``simulate`` and for every
 command, and the CLI's one BLAS thread."""
 
+import hashlib
 import json
 import os
 import pkgutil
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import frictionopt
+from frictionopt.harness import CSV_CHUNK_ROWS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -81,8 +83,10 @@ def test_simulate_on_one_thread_loads_no_thread_pool(tmp_path):
 
 def test_simulate_on_two_threads_forks_csv_workers_without_multiprocessing(tmp_path):
     """At two threads and two usable CPUs, a forked worker formats some of
-    prices.csv's 3 chunks through os.fork and os.pipe, which need no
-    multiprocessing."""
+    prices.csv's chunks (9 of CSV_CHUNK_ROWS = 2048 rows) through os.fork
+    and os.pipe, which need no multiprocessing."""
+    rows = 2 * 2100 * 4
+    assert -(-rows // CSV_CHUNK_ROWS) > 1
     config = tmp_path / "run.json"
     config.write_text(json.dumps(dict(MC_CONFIG, noise={"kind": "mc", "paths": 2100})))
     out = tmp_path / "o"
@@ -92,7 +96,7 @@ def test_simulate_on_two_threads_forks_csv_workers_without_multiprocessing(tmp_p
         + PRINT_MODULES
     )
     loaded = fresh(code, str(config), str(out))
-    assert (out / "prices.csv").read_bytes().count(b"\n") == 1 + 2 * 2100 * 4
+    assert (out / "prices.csv").read_bytes().count(b"\n") == 1 + rows
     assert "multiprocessing" not in loaded
 
 
@@ -110,6 +114,30 @@ def test_no_command_loads_the_proof_tooling(tmp_path):
     codes, loaded = fresh(code, str(config), str(tmp_path / "o-"), *commands)
     assert codes == [0, 0, 0, 0]
     assert loaded == [False, False]
+
+
+def test_lattice_commands_digest_their_outputs_without_openssl(tmp_path):
+    """A lattice run never imports numpy.random, so nothing maps OpenSSL's
+    libcrypto; the manifest digests with the interpreter's own SHA-256, and
+    every digest is the one hashlib gives."""
+    config = tmp_path / "run.json"
+    thetas = [{"type": "black_scholes", "mu": 0.1, "sigma": 0.2}, {"type": "black_scholes", "mu": 0.05, "sigma": 0.25}]
+    config.write_text(json.dumps(dict(MC_CONFIG, noise={"kind": "lattice"}, thetas=thetas, optimizer={"iters": 3})))
+    code = (
+        "import json, sys; from frictionopt.cli import main; "
+        "codes = [main([c, '--config', sys.argv[1], '--out', sys.argv[2] + c]) for c in sys.argv[3:]]; "
+        "print(json.dumps([codes, sorted({'hashlib', '_hashlib'} & set(sys.modules))]))"
+    )
+    commands = ["duality", "solve"]
+    codes, loaded = fresh(code, str(config), str(tmp_path / "o-"), *commands)
+    assert codes == [0, 0]
+    assert loaded == []
+    for command in commands:
+        out = tmp_path / f"o-{command}"
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert len(outputs) == {"duality": 1, "solve": 4}[command]
+        for entry in outputs:
+            assert entry["sha256"] == hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
 
 
 def test_every_export_resolves_lazily():
