@@ -116,16 +116,6 @@ def _numbers(where: str, v: Any, length: Optional[int] = None) -> tuple[float, .
     return tuple(_number(f"{where}[{i}]", x) for i, x in enumerate(v))
 
 
-def _shrink(section: str, d: dict) -> Optional[float]:
-    """An optional band shrink factor: null, or a number in (0, 1)."""
-    if d.get("shrink") is None:
-        return None
-    c = _num(section, d, "shrink")
-    if not 0.0 < c < 1.0:
-        raise ConfigError(f"{section}.shrink must lie in (0, 1) or be null, got {c!r}")
-    return c
-
-
 def _int(section: str, d: dict, key: str, default: Optional[int] = None, least: Optional[int] = None) -> int:
     """An integer that is not a bool, and at least `least` when one is given."""
     v = d.get(key, default)
@@ -247,7 +237,7 @@ class OptimizerSettings:
 
 TOP_KEYS = {
     "seed", "threads", "out", "grid", "noise", "cost", "thetas", "utility",
-    "policy", "optimizer", "verify", "duality",
+    "policy", "optimizer", "verify",
 }
 
 
@@ -270,7 +260,6 @@ class RunConfig:
     long_only: bool
     optimizer: OptimizerSettings
     verify: dict
-    duality: dict
     echo: dict = field(repr=False)
 
     def build_noise(self) -> NoisePanel:
@@ -364,35 +353,18 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     optimizer = OptimizerSettings(iters=opt_spec.get("iters", 150), step0=_num("optimizer", opt_spec, "step0", 0.25))
 
     verify = doc.get("verify", {})
-    _require_keys("verify", verify, {"theta_index", "construction", "shrink", "level"})
+    _require_keys("verify", verify, {"theta_index", "construction", "shrink"})
     theta_index = _int("verify", verify, "theta_index", 0)
     if not (0 <= theta_index < len(thetas)):
         raise ConfigError("verify.theta_index out of range")
-    construction = verify.get("construction", "auto")
-    if construction not in ("auto", "girsanov", "lattice", "constant"):
-        raise ConfigError(f"verify.construction {construction!r} is not known")
-    if construction == "lattice" and (noise_kind != "lattice" or noise_drivers != 1):
-        raise ConfigError("verify.construction 'lattice' needs a single-driver lattice panel")
-    if "level" in verify and construction != "constant":
-        raise ConfigError(f"verify.level applies to the constant construction only, not {construction!r}")
-    if verify.get("shrink") is not None and construction == "constant":
-        raise ConfigError("verify.shrink does not apply to the constant construction")
-    level = _num("verify", verify, "level", 0.75) if construction == "constant" else None
-    if level is not None and level <= 0.0:
-        raise ConfigError(f"verify.level must be positive, got {level!r}")
-    verify_resolved = {
-        "theta_index": theta_index,
-        "construction": construction,
-        "shrink": _shrink("verify", verify),
-        "level": level,
-    }
-
-    duality = doc.get("duality", {})
-    _require_keys("duality", duality, {"inada_scales", "shrink"})
-    inada_scales = _numbers("duality.inada_scales", duality.get("inada_scales", [1.0, 4.0, 16.0]))
-    if not all(v > 0.0 for v in inada_scales):
-        raise ConfigError(f"duality.inada_scales must be a list of positive numbers, got {list(inada_scales)}")
-    duality_resolved = {"inada_scales": list(inada_scales), "shrink": _shrink("duality", duality)}
+    # verify-cps checks the model's registered system (cps.registered_cps),
+    # the one duality checks; the key stays so that configs naming it parse
+    if verify.get("construction", "auto") != "auto":
+        raise ConfigError(f"verify.construction must be 'auto', got {verify['construction']!r}")
+    shrink = None if verify.get("shrink") is None else _num("verify", verify, "shrink")
+    if shrink is not None and not 0.0 < shrink < 1.0:
+        raise ConfigError(f"verify.shrink must lie in (0, 1) or be null, got {shrink!r}")
+    verify_resolved = {"theta_index": theta_index, "shrink": shrink}
 
     echo = {
         "seed": seed,
@@ -409,7 +381,6 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
             "step0": optimizer.step0,
         },
         "verify": verify_resolved,
-        "duality": duality_resolved,
     }
     return RunConfig(
         seed=seed,
@@ -426,6 +397,5 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
         long_only=long_only,
         optimizer=optimizer,
         verify=verify_resolved,
-        duality=duality_resolved,
         echo=echo,
     )

@@ -22,12 +22,9 @@ from . import __version__
 from .accounting import CostSpec, Strategy, check_admissible_rplus, run_ledger
 from .config import RunConfig
 from .cps import (
-    PriceSystem,
     constant_cps,
     cps_certificate,
     entropy_membership,
-    girsanov_cps,
-    lattice_cps,
     registered_cps,
     verify_band,
     verify_martingale,
@@ -259,37 +256,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _build_price_system(cfg: RunConfig, stack: np.ndarray, noise) -> PriceSystem:
-    """The configured construction for model verify.theta_index, from the
-    family's price stack; auto takes the model's registered system
-    (cps.registered_cps), as duality does."""
-    k = cfg.verify["theta_index"]
-    model = cfg.thetas.models[k]
-    prices = stack[k]
-    construction = cfg.verify["construction"]
-    shrink = cfg.verify["shrink"]
-    if construction == "auto":
-        ps = registered_cps(model, prices, noise, cfg.cost.lam, shrink)
-        if ps is None:
-            raise NoCpsConstructibleError(f"no automatic construction for theta {k} on this panel")
-        return ps
-    if construction == "lattice":
-        return lattice_cps(prices, noise, shrink)
-    if construction == "girsanov":
-        return girsanov_cps(model, prices, noise, shrink)
-    return constant_cps(noise, cfg.verify["level"])
-
-
 def cmd_verify_cps(cfg: RunConfig) -> int:
-    """Construct a price system for one model and verify band, martingale
-    property and entropy membership; exit 3 when verification fails or a
-    nonexistence certificate fires."""
+    """Simulate model verify.theta_index and verify its registered price
+    system (cps.registered_cps, the one duality checks): band, martingale
+    property and entropy membership; exit 3 when verification fails, no
+    system can be built or a nonexistence certificate fires."""
     started = time.monotonic()
     out_dir = _prepare(cfg)
     noise = cfg.build_noise()
-    prices = simulate_panel(cfg.thetas, cfg.grid, noise, threads=cfg.threads)
     k = cfg.verify["theta_index"]
     model = cfg.thetas.models[k]
+    prices = simulate(model, cfg.grid, noise)
     cert = cps_certificate(model, cfg.cost.lam)
     result: dict[str, Any] = {"theta_index": k, "lambda": cfg.cost.lam, "certificate": cert}
     code = 0
@@ -298,12 +275,14 @@ def cmd_verify_cps(cfg: RunConfig) -> int:
         code = 3
     else:
         try:
-            ps = _build_price_system(cfg, prices, noise)
+            ps = registered_cps(model, prices, noise, cfg.cost.lam, cfg.verify["shrink"])
+            if ps is None:
+                raise NoCpsConstructibleError(f"no automatic construction for theta {k} on this panel")
         except NoCpsConstructibleError as exc:
             result["verdict"] = f"construction failed: {exc}"
             code = 3
         else:
-            band = verify_band(prices[k], ps, cfg.cost.lam)
+            band = verify_band(prices, ps, cfg.cost.lam)
             mart = verify_martingale(ps)
             entropy = entropy_membership(ps, lambda w: vector_conjugate(cfg.utility, w))
             result.update(
@@ -392,12 +371,12 @@ def cmd_duality(cfg: RunConfig) -> int:
     problem = cfg.build_problem()
     verdict = "no price system construction is registered for this family"
     try:
-        systems = default_price_systems(problem, cfg.duality["shrink"])
+        systems = default_price_systems(problem)
     except NoCpsConstructibleError as exc:
         systems, verdict = [], f"construction failed: {exc}"
     if systems:
         report = solve(problem, cfg.optimizer)
-        dual = duality_report(problem, report, systems, inada_scales=cfg.duality["inada_scales"])
+        dual = duality_report(problem, report, systems)
         result = {"best_value": report.best_value, **dataclasses.asdict(dual)}
     else:
         result = {"verdict": verdict, "all_ok": False}

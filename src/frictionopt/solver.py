@@ -455,11 +455,11 @@ def brute_force(
     )
 
 
-def default_price_systems(problem: RobustProblem, shrink: Optional[float] = None) -> list[tuple[int, PriceSystem]]:
+def default_price_systems(problem: RobustProblem) -> list[tuple[int, PriceSystem]]:
     """(model index, price system) for every model of the family that has a
     registered system on the problem's panel (cps.registered_cps)."""
     systems = (
-        registered_cps(model, problem.prices[k], problem.noise, problem.cost.lam, shrink)
+        registered_cps(model, problem.prices[k], problem.noise, problem.cost.lam)
         for k, model in enumerate(problem.thetas.models)
     )
     return [(k, ps) for k, ps in enumerate(systems) if ps is not None]

@@ -40,7 +40,6 @@ LATTICE_DOC = {
     "policy": {"class": "lattice-policy", "long_only": False},
     "optimizer": {"iters": 3, "step0": 0.25},
     "verify": {"theta_index": 0, "construction": "auto", "shrink": 0.99},
-    "duality": {"inada_scales": [1.0, 4.0], "shrink": None},
 }
 
 MC_DOC = {
@@ -57,8 +56,7 @@ MC_DOC = {
     ],
     "utility": {"name": "exp", "a": 1.0},
     "optimizer": {"iters": 2},
-    "verify": {"theta_index": 1, "construction": "constant", "level": 0.75},
-    "duality": {"inada_scales": [1.0]},
+    "verify": {"theta_index": 1},
 }
 
 # (section, key, default, cap): a resolved value above cap is out of budget

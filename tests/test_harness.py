@@ -73,6 +73,10 @@ def reference_csv(header, rows) -> str:
 
 PATH_BS = {"type": "path_dependent_bs", "mu": {"kind": "const", "value": 0.1}, "sigma": {"kind": "const", "value": 0.2}}
 FACTOR = {"type": "factor", "theta": [[0.1, 0.0], [0.0, 0.0]], "sigma": 0.2, "rho": [1.0, 0.0]}
+TWO_BS = [
+    {"type": "black_scholes", "mu": 0.1, "sigma": 0.2},
+    {"type": "black_scholes", "mu": -0.05, "sigma": 0.25},
+]
 
 
 class TestParseConfig:
@@ -94,8 +98,8 @@ class TestParseConfig:
         assert cfg.cost.x0 == 1.0
         assert cfg.build_problem().admissibility == "rplus"
         assert cfg.policy_class == "deterministic-schedule"
-        assert cfg.verify == {"theta_index": 0, "construction": "auto", "shrink": None, "level": None}
-        assert cfg.duality == {"inada_scales": [1.0, 4.0, 16.0], "shrink": None}
+        assert cfg.verify == {"theta_index": 0, "shrink": None}
+        assert not hasattr(cfg, "duality")
 
     def test_whole_line_utility_switches_admissibility(self):
         cfg = parse_config(make_doc(utility={"name": "exp"}, policy={"class": "deterministic-schedule"}))
@@ -186,8 +190,8 @@ class TestParseConfig:
             parse_config(make_doc(verify={"theta_index": 3}))
 
     def test_duality_levels_are_not_a_setting(self):
-        # each price system is bounded at its own best level
-        with pytest.raises(ConfigError, match=r"unknown key\(s\) in duality: \['ys'\]"):
+        # each price system is bounded at its own best level, and duality has no settings
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in config: \['duality'\]"):
             parse_config(make_doc(duality={"ys": [0.5, 1.0]}))
 
     def test_overrides_apply_when_set(self):
@@ -211,6 +215,15 @@ class TestParseConfig:
         assert problem.noise.kind == "lattice"
         assert problem.policy_class == "lattice-policy"
         assert problem.n_thetas == 1
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        cfg = parse_config(doc)
+        assert doc["verify"]["construction"] == "auto"
+        assert cfg.verify == {"theta_index": 0, "shrink": None}
 
 
 class TestWriters:
@@ -498,11 +511,22 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, over, error",
         [
-            ("duality", {"duality": {"ys": [1.0]}}, "unknown key(s) in duality: ['ys']"),
-            ("verify-cps", {"verify": {"construction": "constant", "shrink": 0.5}},
-             "verify.shrink does not apply to the constant construction"),
+            ("duality", {"duality": {"ys": [1.0]}}, "unknown key(s) in config: ['duality']"),
+            ("duality", {"duality": {"shrink": 0.99}}, "unknown key(s) in config: ['duality']"),
+            ("duality", {"duality": {"inada_scales": [1.0]}}, "unknown key(s) in config: ['duality']"),
+            ("duality", {"duality": {}}, "unknown key(s) in config: ['duality']"),
+            ("verify-cps", {"verify": {"construction": "lattice"}},
+             "verify.construction must be 'auto', got 'lattice'"),
+            ("verify-cps", {"verify": {"construction": "girsanov"}},
+             "verify.construction must be 'auto', got 'girsanov'"),
+            ("verify-cps", {"verify": {"construction": "constant"}},
+             "verify.construction must be 'auto', got 'constant'"),
+            ("verify-cps", {"verify": {"level": 0.75}}, "unknown key(s) in verify: ['level']"),
         ],
-        ids=["duality-ys", "verify-shrink-with-constant"],
+        ids=[
+            "duality-ys", "duality-shrink", "duality-inada-scales", "duality-empty", "verify-construction-lattice",
+            "verify-construction-girsanov", "verify-construction-constant", "verify-level",
+        ],
     )
     def test_a_setting_that_checks_or_changes_nothing_exits_2_at_parse_time(
         self, tmp_path, capsys, command, over, error
@@ -514,12 +538,10 @@ class TestCli:
         assert not out.exists()
 
     def test_informational_or_unresolved_settings_still_parse(self):
-        # the Inada rows check nothing, and whether auto resolves to the
-        # constant construction is known only once the panel is built
-        cfg = parse_config(make_doc(duality={"inada_scales": []}, verify={"shrink": 0.5}))
-        assert cfg.duality["inada_scales"] == [] and cfg.verify["shrink"] == 0.5
-        cfg = parse_config(make_doc(verify={"construction": "constant", "shrink": None}))
-        assert cfg.verify["shrink"] is None
+        # whether auto resolves to the constant construction, which ignores
+        # the shrink, is known only once the panel is built
+        cfg = parse_config(make_doc(verify={"construction": "auto", "shrink": 0.5}))
+        assert cfg.verify["shrink"] == 0.5
 
     @pytest.mark.parametrize("command", ["simulate", "verify-cps", "solve", "duality"])
     @pytest.mark.parametrize("x0", [0.0, -0.5])
@@ -786,6 +808,43 @@ class TestCli:
         systems = dict(default_price_systems(load_config(cfg_path).build_problem()))
         assert label == (systems[0].label if 0 in systems else None)
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"thetas": TWO_BS, "grid": {"horizon": 1.0, "steps": 2}},
+            {"thetas": TWO_BS, "grid": {"horizon": 1.0, "steps": 5}, "noise": {"kind": "mc", "paths": 50},
+             "policy": {}},
+        ],
+        ids=["lattice", "mc-black-scholes"],
+    )
+    def test_verify_cps_and_duality_check_one_system(self, tmp_path, over):
+        from frictionopt.solver import default_price_systems
+
+        systems = dict(default_price_systems(parse_config(make_doc(**over)).build_problem()))
+        assert sorted(systems) == [0, 1]
+        for k, ps in systems.items():
+            out = tmp_path / f"v{k}"
+            cfg_path = write_config(tmp_path, make_doc(verify={"theta_index": k}, **over))
+            assert main(["verify-cps", "--config", cfg_path, "--out", str(out)]) == 0
+            result = json.loads((out / "verify.json").read_text())
+            assert (result["label"], result["mu_level"]) == (ps.label, ps.mu_level)
+
+    def test_verify_cps_simulates_only_its_model(self, tmp_path, capsys):
+        # model 1 overflows, which fails simulate and duality at exit 2
+        doc = make_doc(thetas=TWO_BS[:1], noise={"kind": "mc", "paths": 50}, grid={"horizon": 1.0, "steps": 5},
+                       policy={})
+        wider = dict(doc, thetas=[TWO_BS[0], dict(TWO_BS[0], mu=1e300)])
+        written = []
+        for name, d in (("one", doc), ("two", wider)):
+            out = tmp_path / name
+            assert main(["verify-cps", "--config", write_config(tmp_path, d, f"{name}.json"), "--out", str(out)]) == 0
+            written.append((out / "verify.json").read_bytes())
+        assert written[1] == written[0]
+        cfg_path = write_config(tmp_path, dict(wider, verify={"theta_index": 1}), "model1.json")
+        assert main(["verify-cps", "--config", cfg_path, "--out", str(tmp_path / "m1")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verify_cps_exact_on_lattice(self, tmp_path):
         out = tmp_path / "v"
         code = main(["verify-cps", "--config", write_config(tmp_path, make_doc()), "--out", str(out)])
@@ -797,7 +856,6 @@ class TestCli:
     def test_duality_pipeline(self, tmp_path):
         doc = make_doc(
             cost={"lambda": 0.01, "x0": 3.0},
-            duality={"inada_scales": [1.0, 4.0]},
             optimizer={"iters": 20},
         )
         out = tmp_path / "d"
@@ -999,10 +1057,6 @@ class TestWorkBudget:
             parse_config(lattice)
 
 
-TWO_BS = [
-    {"type": "black_scholes", "mu": 0.1, "sigma": 0.2},
-    {"type": "black_scholes", "mu": -0.05, "sigma": 0.25},
-]
 # a solve whose optimum trades and whose strategy.csv and ledger_worst.csv span several chunks
 TRADING_SOLVE = make_doc(
     thetas=[TWO_BS[0], {"type": "black_scholes", "mu": 0.06, "sigma": 0.25}],

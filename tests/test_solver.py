@@ -586,9 +586,9 @@ class TestDefaultPriceSystems:
 
     def test_gaussian_uses_drift_removal(self):
         prob = gaussian_problem(steps=2, paths=16)
-        systems = default_price_systems(prob, shrink=0.9)
+        systems = default_price_systems(prob)
         assert len(systems) == 1
-        assert systems[0][1].mu_level == pytest.approx(0.1)
+        assert systems[0][1].mu_level == 0.0
         assert "girsanov" in systems[0][1].label
 
 
