@@ -42,22 +42,21 @@ class Strategy:
     cumulative-sell paths, with shape (rows, steps + 1): one row traded the
     same way on every path, or one row per path.  Column 0 is the block
     trade at time zero, so the position starts flat before it.  Settlement
-    broadcasts the rows against the prices.
+    broadcasts the rows against the prices, which must have steps + 1 points.
     """
 
-    grid: TimeGrid
     d_up: np.ndarray
     d_dn: np.ndarray
 
     def __post_init__(self) -> None:
         for name, arr in (("d_up", self.d_up), ("d_dn", self.d_dn)):
             a = np.array(arr, float)  # a copy: the caller's array stays writable
-            if a.ndim != 2 or a.shape[1] != self.grid.steps + 1:
-                raise ConfigError(f"{name} must have shape (rows, {self.grid.steps + 1})")
+            if a.ndim != 2:
+                raise ConfigError(f"{name} must have shape (rows, steps + 1)")
             check_jumps(name, a)
             object.__setattr__(self, name, _readonly(a))
-        if self.d_up.shape[0] != self.d_dn.shape[0]:
-            raise ConfigError("d_up and d_dn must have the same rows")
+        if self.d_up.shape != self.d_dn.shape:
+            raise ConfigError("d_up and d_dn must have the same shape")
 
     def position(self) -> np.ndarray:
         """Holdings per row and grid time, by the same left-to-right recursion
@@ -67,7 +66,7 @@ class Strategy:
     @classmethod
     def zero(cls, grid: TimeGrid, rows: int = 1) -> "Strategy":
         z = np.zeros((rows, grid.steps + 1))
-        return cls(grid, z, z.copy())
+        return cls(z, z.copy())
 
 
 def check_jumps(name: str, jumps: np.ndarray) -> None:

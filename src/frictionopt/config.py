@@ -18,7 +18,6 @@ from .accounting import CostSpec
 from .errors import ConfigError
 from .records import record
 from .scenario import (
-    MAX_LATTICE_SLOTS,
     ArctanDrift,
     BlackScholes,
     Factor,
@@ -29,6 +28,7 @@ from .scenario import (
     TimeGrid,
     gaussian_panel,
     lattice_panel,
+    lattice_paths,
 )
 from .utility import UtilitySpec, exp_utility, log_utility, power_utility, table_utility
 
@@ -41,15 +41,11 @@ if TYPE_CHECKING:
 MAX_WORK_BYTES = 1 << 30
 
 
-def _check_work_budget(steps: int, noise_kind: str, paths: int, drivers: int, models: int, policy_class: str) -> None:
+def _check_work_budget(steps: int, paths: int, drivers: int, models: int, policy_class: str) -> None:
     """Count what a command holds at its peak: the price stack, the noise
     panel, two arrays the size of one model's prices (a ledger's cash and
     liq, or the band check's buffers) and the time grid, and for a lattice
     policy also the codec's two index arrays and one decode's four arrays."""
-    if noise_kind == "lattice":
-        # lattice_panel refuses a tree with more slots
-        slots = steps * drivers
-        paths = 1 << slots if 0 < slots <= MAX_LATTICE_SLOTS else 0
     arrays = {
         f"price stack of {models} x {paths} x {steps + 1}": models * paths * (steps + 1),
         f"noise panel of {paths} x {steps} x {drivers}": paths * steps * drivers,
@@ -274,7 +270,6 @@ class RunConfig:
             cost=self.cost,
             thetas=self.thetas,
             utility=self.utility,
-            grid=self.grid,
             noise=self.build_noise(),
             policy_class=self.policy_class,
             long_only=self.long_only,
@@ -310,14 +305,13 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
 
     grid_spec = doc.get("grid", {})
     _require_keys("grid", grid_spec, {"horizon", "steps"})
-    horizon, steps = _num("grid", grid_spec, "horizon", 1.0), _int("grid", grid_spec, "steps", 50)
+    horizon, steps = _num("grid", grid_spec, "horizon", 1.0), _int("grid", grid_spec, "steps", 50, least=1)
 
     noise_spec = doc.get("noise", {})
     _require_keys("noise", noise_spec, {"kind", "paths", "drivers"})
     noise_kind = noise_spec.get("kind", "mc")
     if noise_kind not in ("mc", "lattice"):
         raise ConfigError(f"noise.kind must be 'mc' or 'lattice', got {noise_kind!r}")
-    # a lattice ignores paths: it enumerates every sign path of the grid
     noise_paths = _int("noise", noise_spec, "paths", 1000, least=1 if noise_kind == "mc" else None)
     noise_drivers = _int("noise", noise_spec, "drivers", 0)
 
@@ -345,7 +339,9 @@ def parse_config(doc: Any, overrides: Optional[dict] = None) -> RunConfig:
     long_only = policy_spec.get("long_only", False)
     if not isinstance(long_only, bool):
         raise ConfigError("policy.long_only must be a boolean")
-    _check_work_budget(steps, noise_kind, noise_paths, noise_drivers, len(thetas), policy_class)
+    if noise_kind == "lattice":  # a lattice ignores paths: it enumerates every sign path of the grid
+        noise_paths = lattice_paths(steps, noise_drivers)
+    _check_work_budget(steps, noise_paths, noise_drivers, len(thetas), policy_class)
     grid = TimeGrid(horizon, steps)
 
     opt_spec = doc.get("optimizer", {})

@@ -235,7 +235,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     started = time.monotonic()
     out_dir = _prepare(cfg)
     noise = cfg.build_noise()
-    prices = simulate_panel(cfg.thetas, cfg.grid, noise, threads=cfg.threads)
+    prices = simulate_panel(cfg.thetas, noise, threads=cfg.threads)
 
     models, paths, points = prices.shape
     write_csv(
@@ -266,7 +266,7 @@ def cmd_verify_cps(cfg: RunConfig) -> int:
     noise = cfg.build_noise()
     k = cfg.verify["theta_index"]
     model = cfg.thetas.models[k]
-    prices = simulate(model, cfg.grid, noise)
+    prices = simulate(model, noise)
     cert = cps_certificate(model, cfg.cost.lam)
     result: dict[str, Any] = {"theta_index": k, "lambda": cfg.cost.lam, "certificate": cert}
     code = 0
@@ -317,7 +317,7 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
             "best_value": report.best_value,
             "per_theta": report.per_theta,
             "argmin_theta": report.argmin_theta,
-            "n_params": report.n_params,
+            "n_params": report.best_params.size,
             "policy_class": problem.policy_class,
             "admissibility": problem.admissibility,
             "best_params": report.best_params,
@@ -332,7 +332,7 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
     # distinct values, so forked workers cost more CPU than they save in wall time
     strat = report.strategy
     columns = np.broadcast_arrays(
-        np.arange(problem.noise.paths)[:, None], np.arange(problem.grid.steps + 1), strat.d_up, strat.d_dn
+        np.arange(problem.noise.paths)[:, None], np.arange(problem.noise.grid.steps + 1), strat.d_up, strat.d_dn
     )
     path, time_index = columns[:2]
     write_csv(out_dir / "strategy.csv", ["path", "time_index", "d_up", "d_dn"], columns)
@@ -390,7 +390,7 @@ def cmd_selftest() -> int:
     """Small built-in battery touching every module; exit 3 on any failure."""
     grid = TimeGrid(1.0, 10)
     noise = gaussian_panel(grid, 64, 1, seed=1)
-    prices = simulate(ArctanDrift(), grid, noise)
+    prices = simulate(ArctanDrift(), noise)
     cert = cps_certificate(ArctanDrift(), 0.7)
     ledger = run_ledger(Strategy.zero(grid), prices, CostSpec(0.1, 1.0))
     checks = {

@@ -55,23 +55,25 @@ class NoisePanel:
     """
 
     kind: str
-    seed: int
     grid: TimeGrid
-    drivers: int
     increments: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in ("mc", "lattice"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.increments.shape != (self.paths, self.grid.steps, self.drivers):
-            raise ConfigError("increment array shape does not match grid/drivers")
+        if self.increments.ndim != 3 or self.increments.shape[1] != self.grid.steps:
+            raise ConfigError(f"increments must have shape (paths, {self.grid.steps}, drivers)")
         if abs(float(self.probs.sum()) - 1.0) > 1e-12:
             raise ConfigError("path probabilities must sum to 1")
 
     @property
     def paths(self) -> int:
         return self.increments.shape[0]
+
+    @property
+    def drivers(self) -> int:
+        return self.increments.shape[2]
 
 
 def gaussian_panel(grid: TimeGrid, paths: int, drivers: int = 1, seed: int = 0) -> NoisePanel:
@@ -100,7 +102,18 @@ def gaussian_panel(grid: TimeGrid, paths: int, drivers: int = 1, seed: int = 0) 
         inc[m] = gen.standard_normal((grid.steps, drivers))
     inc *= root_dt
     probs = np.full(paths, 1.0 / paths)
-    return NoisePanel("mc", seed, grid, drivers, _readonly(inc), _readonly(probs))
+    return NoisePanel("mc", grid, _readonly(inc), _readonly(probs))
+
+
+def lattice_paths(steps: int, drivers: int) -> int:
+    """Paths of a lattice on `steps` steps of `drivers` drivers, 2^(steps *
+    drivers); a tree of more than MAX_LATTICE_SLOTS increment slots is refused."""
+    slots = steps * drivers
+    if slots > MAX_LATTICE_SLOTS:
+        raise ConfigError(
+            f"lattice needs 2^{slots} paths; {MAX_LATTICE_SLOTS} increment slots is the supported maximum"
+        )
+    return 1 << slots
 
 
 def lattice_panel(grid: TimeGrid, drivers: int = 1) -> NoisePanel:
@@ -110,19 +123,15 @@ def lattice_panel(grid: TimeGrid, drivers: int = 1) -> NoisePanel:
     bit (sign +1 first); paths sharing a slot prefix therefore form contiguous
     blocks, which makes conditional expectations per tree node a reshape.
     """
+    n_paths = lattice_paths(grid.steps, drivers)
     slots = grid.steps * drivers
-    if slots > MAX_LATTICE_SLOTS:
-        raise ConfigError(
-            f"lattice needs 2^{slots} paths; {MAX_LATTICE_SLOTS} increment slots is the supported maximum"
-        )
-    n_paths = 1 << slots
     idx = np.arange(n_paths, dtype=np.uint64)[:, None]
     shifts = np.arange(slots - 1, -1, -1, dtype=np.uint64)[None, :]
     bits = (idx >> shifts) & 1
     signs = 1.0 - 2.0 * bits.astype(float)
     inc = signs.reshape(n_paths, grid.steps, drivers) * math.sqrt(grid.dt)
     probs = np.full(n_paths, 1.0 / n_paths)
-    return NoisePanel("lattice", 0, grid, drivers, _readonly(inc), _readonly(probs))
+    return NoisePanel("lattice", grid, _readonly(inc), _readonly(probs))
 
 
 def lattice_block(noise: NoisePanel, step: int) -> int:
@@ -139,8 +148,8 @@ class Model:
     drivers: int = 1
     s0: float = 1.0
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray) -> None:
-        """Write the prices on the panel into out, a (paths, steps + 1) view."""
+    def simulate(self, noise: NoisePanel, out: np.ndarray) -> None:
+        """Write the prices on the panel's grid into out, a (paths, steps + 1) view."""
         raise NotImplementedError
 
 
@@ -158,11 +167,11 @@ class BlackScholes(Model):
         if self.s0 <= 0.0:
             raise InvalidModelError(f"s0 must be positive, got {self.s0}")
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray) -> None:
+    def simulate(self, noise: NoisePanel, out: np.ndarray) -> None:
         out[:, 0] = self.s0
         logs = out[:, 1:]
         np.multiply(self.sigma, noise.increments[:, :, 0], out=logs)
-        np.add(logs, (self.mu - 0.5 * self.sigma**2) * grid.dt, out=logs)
+        np.add(logs, (self.mu - 0.5 * self.sigma**2) * noise.grid.dt, out=logs)
         np.cumsum(logs, axis=1, out=logs)
         np.exp(logs, out=logs)
         np.multiply(logs, self.s0, out=logs)
@@ -193,8 +202,8 @@ class PathDependentBS(Model):
         if not (0.0 < self.sigma_bounds[0] <= self.sigma_bounds[1]):
             raise InvalidModelError("sigma_bounds must be ordered and strictly positive")
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray) -> None:
-        dw = noise.increments[:, :, 0]
+    def simulate(self, noise: NoisePanel, out: np.ndarray) -> None:
+        grid, dw = noise.grid, noise.increments[:, :, 0]
         out[:, 0] = self.s0
         log_s = np.full(noise.paths, math.log(self.s0))
         for i in range(grid.steps):
@@ -239,14 +248,11 @@ class Factor(Model):
     def drivers(self) -> int:  # type: ignore[override]
         return 2
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray, factor: Optional[np.ndarray] = None) -> None:
-        """Write S into out, and Y into factor when one is given."""
-        th = self.theta
+    def simulate(self, noise: NoisePanel, out: np.ndarray) -> None:
+        th, grid = self.theta, noise.grid
         dw1 = noise.increments[:, :, 0]
         dw2 = noise.increments[:, :, 1]
         out[:, 0] = self.s0
-        if factor is not None:
-            factor[:, 0] = self.y0
         log_s = np.full(noise.paths, math.log(self.s0))
         yi = np.full(noise.paths, self.y0)
         for i in range(grid.steps):
@@ -257,8 +263,6 @@ class Factor(Model):
             drift_y = np.asarray(self.g_fn(yi), float) + self.rho[0] * load1 + self.rho[1] * load2
             yi = yi + drift_y * grid.dt + self.rho[0] * dw1[:, i] + self.rho[1] * dw2[:, i]
             out[:, i + 1] = np.exp(log_s)
-            if factor is not None:
-                factor[:, i + 1] = yi
 
 
 @record
@@ -275,12 +279,12 @@ class ArctanDrift(Model):
         if self.s0 != 1.0:
             raise InvalidModelError("the arctan family is pinned at s0 = 1")
 
-    def simulate(self, grid: TimeGrid, noise: NoisePanel, out: np.ndarray) -> None:
+    def simulate(self, noise: NoisePanel, out: np.ndarray) -> None:
         out[:, 0] = 0.0
         np.cumsum(noise.increments[:, :, 0], axis=1, out=out[:, 1:])
         np.arctan(out, out=out)
         np.divide(out, 2.0 * math.pi, out=out)
-        np.add(out, 1.0 + grid.times, out=out)
+        np.add(out, 1.0 + noise.grid.times, out=out)
 
 
 @record
@@ -297,21 +301,19 @@ class ThetaGrid:
         return len(self.models)
 
 
-def simulate(model: Model, grid: TimeGrid, noise: NoisePanel, out: Optional[np.ndarray] = None) -> np.ndarray:
+def simulate(model: Model, noise: NoisePanel, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Simulate one model on the shared panel into out, a (paths, steps + 1)
     view (a new array when None), and return it read-only."""
-    if noise.grid is not grid and not np.array_equal(noise.grid.times, grid.times):
-        raise ConfigError("noise panel was generated on a different time grid")
     if noise.drivers < model.drivers:
         raise ConfigError(
             f"model needs {model.drivers} driver(s) but the noise panel carries {noise.drivers}"
         )
     if out is None:
-        out = np.empty((noise.paths, grid.steps + 1))
+        out = np.empty((noise.paths, noise.grid.steps + 1))
     # an overflow shows as non-finite prices, which the check below rejects;
     # errstate is per thread, so simulate_panel's pool threads need it here
     with np.errstate(all="ignore"):
-        model.simulate(grid, noise, out)
+        model.simulate(noise, out)
     if not np.all(np.isfinite(out)):
         raise InvalidModelError("simulation produced non-finite prices")
     if np.any(out <= 0.0):
@@ -319,7 +321,7 @@ def simulate(model: Model, grid: TimeGrid, noise: NoisePanel, out: Optional[np.n
     return _readonly(out)
 
 
-def simulate_panel(thetas: ThetaGrid, grid: TimeGrid, noise: NoisePanel, threads: int = 1) -> np.ndarray:
+def simulate_panel(thetas: ThetaGrid, noise: NoisePanel, threads: int = 1) -> np.ndarray:
     """Simulate every candidate model on the same noise panel, returning the
     read-only price stack of shape (K, paths, steps + 1).
 
@@ -327,11 +329,11 @@ def simulate_panel(thetas: ThetaGrid, grid: TimeGrid, noise: NoisePanel, threads
     a preallocated block indexed by the model's position in the family.
     """
     k = len(thetas)
-    prices = np.empty((k, noise.paths, grid.steps + 1))
+    prices = np.empty((k, noise.paths, noise.grid.steps + 1))
 
     def run(idx: int) -> None:
         try:
-            simulate(thetas.models[idx], grid, noise, prices[idx])
+            simulate(thetas.models[idx], noise, prices[idx])
         except Exception as exc:
             raise type(exc)(f"theta index {idx}: {exc}") from exc
 

@@ -36,7 +36,7 @@ from .cps import (
 )
 from .errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from .records import record
-from .scenario import NoisePanel, ThetaGrid, TimeGrid, lattice_block, simulate_panel
+from .scenario import NoisePanel, ThetaGrid, lattice_block, simulate_panel
 from .utility import UtilitySpec, best_dual_level, growth_ok, scaled_value, vector_conjugate
 
 ARGMIN_TIE_TOL = 1e-12
@@ -57,7 +57,6 @@ class RobustProblem:
     cost: CostSpec
     thetas: ThetaGrid
     utility: UtilitySpec
-    grid: TimeGrid
     noise: NoisePanel
     policy_class: str = "deterministic-schedule"
     long_only: bool = False
@@ -70,7 +69,7 @@ class RobustProblem:
         check_capital(self.utility, self.cost.x0)
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        object.__setattr__(self, "prices", simulate_panel(self.thetas, self.grid, self.noise, threads=self.threads))
+        object.__setattr__(self, "prices", simulate_panel(self.thetas, self.noise, threads=self.threads))
         object.__setattr__(self, "codec", PolicyCodec(self))
 
     @property
@@ -108,10 +107,9 @@ class PolicyCodec:
     """
 
     def __init__(self, problem: RobustProblem):
-        self.grid = problem.grid
         noise = problem.noise
         self.paths = noise.paths
-        self.steps = problem.grid.steps
+        self.steps = noise.grid.steps
         if problem.policy_class == "deterministic-schedule":
             blocks = [self.paths] * max(self.steps - 1, 0)
             self.rows = 1
@@ -172,7 +170,7 @@ class PolicyCodec:
         # drop the position's flows before Strategy copies the rows, so a
         # decode peaks at the four row arrays the work budget counts
         d_up, d_dn = self.decode_rows(np.asarray(vec, float)[None])[:2]
-        return Strategy(self.grid, d_up[0], d_dn[0])
+        return Strategy(d_up[0], d_dn[0])
 
 
 @record
@@ -243,7 +241,6 @@ class SolveReport:
     per_theta: np.ndarray
     argmin_theta: int
     history: tuple
-    n_params: int
     strategy: Strategy
 
 
@@ -362,7 +359,6 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
         per_theta=best_res.per_theta,
         argmin_theta=best_res.argmin_theta,
         history=tuple(history),
-        n_params=codec.n_params,
         strategy=codec.decode(best_vec),
     )
 
@@ -397,7 +393,7 @@ def brute_force(
     """
     if problem.noise.kind != "lattice":
         raise ConfigError("the brute-force oracle runs on lattice panels only")
-    if problem.grid.steps > 3:
+    if problem.noise.grid.steps > 3:
         raise OracleTooLargeError("the brute-force oracle supports at most 3 steps")
     codec = problem.codec
     if dn_grid is None:

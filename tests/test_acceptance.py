@@ -65,14 +65,14 @@ def random_flat_strategy(grid, paths, rng, nonneg_h0=False):
         pos = (pos + d_up[:, i]) - d_dn[:, i]
     d_dn[:, -1] = np.maximum(pos, 0.0)
     d_up[:, -1] = np.maximum(-pos, 0.0)
-    return Strategy(grid, d_up, d_dn)
+    return Strategy(d_up, d_dn)
 
 
 def test_criterion_01_arctan_cps_thresholds():
     started = time.perf_counter()
     grid = TimeGrid(1.0, 50)
     noise = gaussian_panel(grid, 1000, 1, seed=7)
-    prices = simulate(ArctanDrift(), grid, noise)
+    prices = simulate(ArctanDrift(), noise)
 
     lam_high = 2.0 / 3.0
     ps = constant_cps(noise, 0.75)
@@ -155,7 +155,7 @@ def test_criterion_05_accounting_identities():
     started = time.perf_counter()
     grid = TimeGrid(1.0, 20)
     noise = gaussian_panel(grid, 1000, 1, seed=3)
-    prices = simulate(BlackScholes(0.05, 0.3), grid, noise)
+    prices = simulate(BlackScholes(0.05, 0.3), noise)
     lam, x0 = 0.1, 5.0
     cost = CostSpec(lam, x0)
     rng = np.random.default_rng(12)
@@ -172,7 +172,6 @@ def test_criterion_05_accounting_identities():
 
     # terminal-value linearity with the position closed: exact on a dyadic
     # fixture where every product and sum is a representable float
-    g3 = TimeGrid(1.0, 3)
     dy_prices = np.array([[1.0, 1.25, 0.75, 1.5], [1.0, 0.5, 1.75, 2.0]])
     a_up = np.array([[0.5, 0.25, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
     b_up = np.array([[0.25, 0.75, 0.5, 0.0], [0.25, 0.0, 0.25, 0.0]])
@@ -183,10 +182,10 @@ def test_criterion_05_accounting_identities():
         return d_dn
 
     dy_cost = CostSpec(0.5, 4.0)
-    a = Strategy(g3, a_up, flat(a_up))
-    b = Strategy(g3, b_up, flat(b_up))
+    a = Strategy(a_up, flat(a_up))
+    b = Strategy(b_up, flat(b_up))
     mid_up = (a_up + b_up) / 2.0
-    mid = Strategy(g3, mid_up, flat(mid_up))
+    mid = Strategy(mid_up, flat(mid_up))
     la, lb, lm = (run_ledger(s, dy_prices, dy_cost) for s in (a, b, mid))
     assert np.all(lm.position[:, -1] == 0.0)
     np.testing.assert_array_equal(lm.liq[:, -1], (la.liq[:, -1] + lb.liq[:, -1]) / 2.0)
@@ -194,7 +193,7 @@ def test_criterion_05_accounting_identities():
     # and to 1e-12 relative on the simulated panel
     sa = random_flat_strategy(grid, 1000, rng, nonneg_h0=True)
     sb = random_flat_strategy(grid, 1000, rng, nonneg_h0=True)
-    sm = Strategy(grid, (sa.d_up + sb.d_up) / 2.0, (sa.d_dn + sb.d_dn) / 2.0)
+    sm = Strategy((sa.d_up + sb.d_up) / 2.0, (sa.d_dn + sb.d_dn) / 2.0)
     la, lb, lm = (run_ledger(s, prices, cost) for s in (sa, sb, sm))
     np.testing.assert_allclose(lm.liq[:, -1], (la.liq[:, -1] + lb.liq[:, -1]) / 2.0, rtol=1e-12)
 
@@ -208,7 +207,7 @@ def _oracle_problem(mus):
     noise = lattice_panel(grid, 1)
     thetas = ThetaGrid(tuple(BlackScholes(m, 0.2) for m in mus))
     return RobustProblem(
-        CostSpec(0.01, 1.0), thetas, log_utility(), grid, noise, policy_class="lattice-policy"
+        CostSpec(0.01, 1.0), thetas, log_utility(), noise, policy_class="lattice-policy"
     )
 
 
@@ -244,7 +243,6 @@ def test_criterion_07_supermartingale_and_polarity():
             CostSpec(0.01, 1.0),
             ThetaGrid(tuple(BlackScholes(m, 0.2) for m in mus)),
             log_utility(),
-            grid,
             noise,
             policy_class="lattice-policy",
         )
@@ -264,10 +262,10 @@ def test_criterion_07_supermartingale_and_polarity():
     grid = TimeGrid(1.0, 5)
     lat = lattice_panel(grid, 1)
     model = BlackScholes(0.1, 0.2)
-    det = RobustProblem(CostSpec(0.01, 1.0), ThetaGrid((model,)), log_utility(), grid, lat)
+    det = RobustProblem(CostSpec(0.01, 1.0), ThetaGrid((model,)), log_utility(), lat)
     rep = solve(det, OptimizerSettings(iters=120, step0=0.5))
     mc_noise = gaussian_panel(grid, 100000, 1, seed=17)
-    mc = RobustProblem(CostSpec(0.01, 1.0), ThetaGrid((model,)), log_utility(), grid, mc_noise)
+    mc = RobustProblem(CostSpec(0.01, 1.0), ThetaGrid((model,)), log_utility(), mc_noise)
     strat = PolicyCodec(mc).decode(rep.best_params)
     ps = girsanov_cps(model, mc.prices[0], mc_noise)
     value, terminal = shadow_value(strat, mc.prices[0], ps.shadow, mc.cost)
@@ -295,7 +293,6 @@ def test_criterion_08_duality_bound_and_inada():
                 CostSpec(0.02, 3.0),
                 ThetaGrid((BlackScholes(0.1, 0.2),)),
                 log_utility(),
-                grid3,
                 lattice_panel(grid3, 1),
                 policy_class="lattice-policy",
             ),
@@ -310,7 +307,6 @@ def test_criterion_08_duality_bound_and_inada():
                 CostSpec(0.02, 3.0),
                 ThetaGrid((BlackScholes(0.1, 0.2), BlackScholes(0.05, 0.2))),
                 log_utility(),
-                grid5,
                 gaussian_panel(grid5, 1500, 1, seed=21),
             ),
             OptimizerSettings(iters=60, step0=0.5),
@@ -323,7 +319,6 @@ def test_criterion_08_duality_bound_and_inada():
                 CostSpec(0.02, 0.5),
                 ThetaGrid((BlackScholes(0.1, 0.2),)),
                 exp_utility(1.0),
-                grid3,
                 lattice_panel(grid3, 1),
             ),
             OptimizerSettings(iters=80, step0=0.5),
@@ -360,7 +355,6 @@ def test_criterion_09_robust_monotonicity_worst_theta():
         CostSpec(0.01, 1.0),
         ThetaGrid((BlackScholes(-0.1, 0.2), BlackScholes(0.1, 0.2))),
         log_utility(),
-        grid,
         noise,
         long_only=True,
     )

@@ -37,7 +37,7 @@ def random_strategy(grid, paths, rng, h0_scale=1.0, jump_scale=0.2, flatten=True
             pos = (pos + d_up[:, i]) - d_dn[:, i]
         d_dn[:, -1] = np.maximum(pos, 0.0)
         d_up[:, -1] = np.maximum(-pos, 0.0)
-    return Strategy(grid, d_up, d_dn)
+    return Strategy(d_up, d_dn)
 
 
 def sequential_ledger(strategy, prices, cost):
@@ -70,7 +70,7 @@ def rounding_fixture(h0, models=None):
     prices = rng.choice([1.0, 0.7, 1.3, 1e-3], size=shape) * rng.uniform(0.9, 1.1, size=shape)
     jumps = [rng.choice([0.0, 0.1, 1.0, 1e16], size=(64, g.steps + 1)) for _ in range(2)]
     jumps[0][:, 0], jumps[1][:, 0] = max(h0, 0.0), max(-h0, 0.0)
-    strat = Strategy(g, jumps[0], jumps[1])
+    strat = Strategy(jumps[0], jumps[1])
     cost = CostSpec(0.03, 1.0)
     cash = sequential_ledger(strat, prices, cost)[0]
     # the inputs do tell association orders apart
@@ -102,7 +102,7 @@ class TestRunLedger:
     def test_zero_strategy_identity(self):
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 50, 1, seed=0)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         led = run_ledger(Strategy.zero(g, 50), prices, CostSpec(0.1, 7.0))
         np.testing.assert_array_equal(led.cash, 7.0)
         np.testing.assert_array_equal(led.position, 0.0)
@@ -110,10 +110,9 @@ class TestRunLedger:
 
     def test_worked_round_trip(self):
         # x=10, lambda=0.01, S constant 2: buy 1 at t=0, sell at T
-        g = TimeGrid(1.0, 1)
         prices = np.full((1, 2), 2.0)
         d_dn = np.array([[0.0, 1.0]])
-        strat = Strategy(g, np.array([[1.0, 0.0]]), d_dn)
+        strat = Strategy(np.array([[1.0, 0.0]]), d_dn)
         led = run_ledger(strat, prices, CostSpec(0.01, 10.0))
         assert led.cash[0, 0] == 8.0
         assert led.cash[0, 1] == 9.98
@@ -123,9 +122,8 @@ class TestRunLedger:
         assert 10.0 - led.liq[0, 1] == pytest.approx(0.02, abs=1e-15)
 
     def test_short_side_settles_at_bid(self):
-        g = TimeGrid(1.0, 1)
         prices = np.full((1, 2), 2.0)
-        strat = Strategy(g, np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
+        strat = Strategy(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
         led = run_ledger(strat, prices, CostSpec(0.25, 10.0))
         # sell 1 at (1-lam)*2 = 1.5, buy back at 2
         assert led.cash[0, 0] == 11.5
@@ -136,12 +134,12 @@ class TestRunLedger:
         # buy 1 at t=0, sell at T, lambda = 2/3: liq_T = x - S_0 + S_T/3 >= x - 1 + 7/12
         g = TimeGrid(1.0, 50)
         noise = gaussian_panel(g, 1000, 1, seed=7)
-        prices = simulate(ArctanDrift(), g, noise)
+        prices = simulate(ArctanDrift(), noise)
         d_up = np.zeros((1000, 51))
         d_up[:, 0] = 1.0
         d_dn = np.zeros((1000, 51))
         d_dn[:, -1] = 1.0
-        strat = Strategy(g, d_up, d_dn)
+        strat = Strategy(d_up, d_dn)
         x = 2.0
         led = run_ledger(strat, prices, CostSpec(2.0 / 3.0, x))
         expected = x - prices[:, 0] + prices[:, -1] / 3.0
@@ -151,7 +149,7 @@ class TestRunLedger:
     def test_cash_conservation_identity(self):
         g = TimeGrid(1.0, 20)
         noise = gaussian_panel(g, 40, 1, seed=3)
-        prices = simulate(BlackScholes(0.05, 0.3), g, noise)
+        prices = simulate(BlackScholes(0.05, 0.3), noise)
         rng = np.random.default_rng(12)
         lam, x = 0.02, 5.0
         for _ in range(25):
@@ -163,7 +161,7 @@ class TestRunLedger:
     def test_cost_monotonicity(self):
         g = TimeGrid(1.0, 8)
         noise = gaussian_panel(g, 30, 1, seed=5)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         rng = np.random.default_rng(9)
         strat = random_strategy(g, 30, rng, h0_scale=0.0, flatten=True)
         led_lo = run_ledger(strat, prices, CostSpec(0.01, 3.0))
@@ -173,7 +171,7 @@ class TestRunLedger:
     def test_ledger_arrays_are_read_only_and_share_no_memory_with_the_prices(self):
         g = TimeGrid(1.0, 6)
         noise = gaussian_panel(g, 20, 1, seed=2)
-        stack = simulate_panel(ThetaGrid([BlackScholes(0.1, 0.2), ArctanDrift()]), g, noise)
+        stack = simulate_panel(ThetaGrid([BlackScholes(0.1, 0.2), ArctanDrift()]), noise)
         prices = stack[1].copy()
         strat = random_strategy(g, 20, np.random.default_rng(3))
         for given in (stack[1], prices):
@@ -200,7 +198,7 @@ class TestTerminalLinearity:
     def test_flat_terminal_position_makes_liq_equal_cash(self):
         g = TimeGrid(1.0, 6)
         noise = gaussian_panel(g, 25, 1, seed=2)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         rng = np.random.default_rng(4)
         strat = random_strategy(g, 25, rng, flatten=True)
         led = run_ledger(strat, prices, CostSpec(0.05, 4.0))
@@ -210,7 +208,6 @@ class TestTerminalLinearity:
     def test_midpoint_combination_bitwise_on_dyadic_fixture(self):
         # dyadic prices and jumps: every product and sum is exact, so the
         # ledger of (A+B)/2 hits the average of the ledgers bit for bit
-        g = TimeGrid(1.0, 3)
         prices = np.array([[1.0, 1.25, 0.75, 1.5], [1.0, 0.5, 1.75, 2.0]])
         lam = 0.5
         a_up = np.array([[0.0, 0.25, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
@@ -224,10 +221,10 @@ class TestTerminalLinearity:
             return d_dn
 
         cost = CostSpec(lam, 4.0)
-        a = Strategy(g, a_up, flatten(a_up))
-        b = Strategy(g, b_up, flatten(b_up))
+        a = Strategy(a_up, flatten(a_up))
+        b = Strategy(b_up, flatten(b_up))
         mid_up = (a_up + b_up) / 2.0
-        mid = Strategy(g, mid_up, flatten(mid_up))
+        mid = Strategy(mid_up, flatten(mid_up))
         led_a = run_ledger(a, prices, cost)
         led_b = run_ledger(b, prices, cost)
         led_mid = run_ledger(mid, prices, cost)
@@ -239,12 +236,12 @@ class TestTerminalLinearity:
         # cash_T is linear in the trade coordinates once h0 >= 0 on both legs
         g = TimeGrid(1.0, 8)
         noise = gaussian_panel(g, 64, 1, seed=11)
-        prices = simulate(BlackScholes(0.08, 0.25), g, noise)
+        prices = simulate(BlackScholes(0.08, 0.25), noise)
         rng = np.random.default_rng(21)
         cost = CostSpec(0.03, 5.0)
         a = random_strategy(g, 64, rng, flatten=True, nonneg_h0=True)
         b = random_strategy(g, 64, rng, flatten=True, nonneg_h0=True)
-        mid = Strategy(g, (a.d_up + b.d_up) / 2.0, (a.d_dn + b.d_dn) / 2.0)
+        mid = Strategy((a.d_up + b.d_up) / 2.0, (a.d_dn + b.d_dn) / 2.0)
         led_a = run_ledger(a, prices, cost)
         led_b = run_ledger(b, prices, cost)
         led_mid = run_ledger(mid, prices, cost)
@@ -256,7 +253,7 @@ class TestShadowValue:
     def test_zero_position_shadow_equals_cash(self):
         g = TimeGrid(1.0, 5)
         noise = gaussian_panel(g, 20, 1, seed=1)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         value, terminal = shadow_value(Strategy.zero(g, 20), prices, prices * 0.95, CostSpec(0.1, 3.0))
         np.testing.assert_array_equal(value, 3.0)
         np.testing.assert_array_equal(terminal, 3.0)
@@ -264,7 +261,7 @@ class TestShadowValue:
     def test_flat_terminal_shadow_equals_liq(self):
         g = TimeGrid(1.0, 6)
         noise = gaussian_panel(g, 30, 1, seed=8)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         rng = np.random.default_rng(5)
         strat = random_strategy(g, 30, rng, flatten=True)
         cost = CostSpec(0.05, 6.0)
@@ -275,7 +272,7 @@ class TestShadowValue:
     def test_band_shadow_dominates_liq_everywhere(self):
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 50, 1, seed=6)
-        prices = simulate(BlackScholes(0.05, 0.25), g, noise)
+        prices = simulate(BlackScholes(0.05, 0.25), noise)
         rng = np.random.default_rng(17)
         lam = 0.1
         for _ in range(10):
@@ -287,7 +284,7 @@ class TestShadowValue:
     def test_matches_the_recorded_ledger_bitwise(self):
         g = TimeGrid(1.0, 12)
         noise = gaussian_panel(g, 40, 1, seed=9)
-        prices = simulate(BlackScholes(0.08, 0.3), g, noise)
+        prices = simulate(BlackScholes(0.08, 0.3), noise)
         rng = np.random.default_rng(23)
         cost = CostSpec(0.07, 2.5)
         strat = random_strategy(g, 40, rng, flatten=False)
@@ -313,7 +310,7 @@ class TestShadowValue:
         # fall below liq; the in-band entries still dominate
         g = TimeGrid(1.0, 8)
         noise = gaussian_panel(g, 60, 1, seed=4)
-        prices = simulate(BlackScholes(0.05, 0.3), g, noise)
+        prices = simulate(BlackScholes(0.05, 0.3), noise)
         rng = np.random.default_rng(31)
         cost = CostSpec(0.1, 5.0)
         outside = rng.random(prices.shape) < 0.3
@@ -349,13 +346,12 @@ class TestAdmissibility:
 
     def test_overleveraged_block_is_flagged_with_coordinates(self):
         # x=1, H0=10 on S=1, lambda=0.5: cash_0 = -9 and liq_0 = -9 + 10*0.5 = -4
-        g = TimeGrid(1.0, 2)
         prices = np.ones((2, 3))
         d_up = np.zeros((2, 3))
         d_up[:, 0] = 10.0
         d_dn = np.zeros((2, 3))
         d_dn[:, -1] = 10.0
-        strat = Strategy(g, d_up, d_dn)
+        strat = Strategy(d_up, d_dn)
         led = run_ledger(strat, prices, CostSpec(0.5, 1.0))
         rep = check_admissible_rplus(led)
         assert not rep.admissible
@@ -364,13 +360,12 @@ class TestAdmissibility:
     def test_only_the_model_whose_price_falls_reports_the_violation(self):
         # two models on one strategy: only the second model's price drop at
         # t_1 on path 1 takes the liquidation value of H0 = 2 below zero
-        g = TimeGrid(1.0, 2)
         prices = np.array([np.ones((2, 3)), [[1.0, 1.0, 1.0], [1.0, 0.4, 1.0]]])
         d_up = np.zeros((2, 3))
         d_up[:, 0] = 2.0
         d_dn = np.zeros((2, 3))
         d_dn[:, -1] = 2.0
-        strat = Strategy(g, d_up, d_dn)
+        strat = Strategy(d_up, d_dn)
         rep = check_admissible_rplus(run_ledger(strat, prices[1], CostSpec(0.5, 1.5)))
         assert not rep.admissible
         assert rep.reason == "liquidation value went negative"
@@ -378,9 +373,8 @@ class TestAdmissibility:
         assert check_admissible_rplus(run_ledger(strat, prices[0], CostSpec(0.5, 1.5))).admissible
 
     def test_open_terminal_position_is_flagged(self):
-        g = TimeGrid(1.0, 2)
         prices = np.full((1, 3), 2.0)
-        strat = Strategy(g, np.array([[0.25, 0.0, 0.0]]), np.zeros((1, 3)))
+        strat = Strategy(np.array([[0.25, 0.0, 0.0]]), np.zeros((1, 3)))
         led = run_ledger(strat, prices, CostSpec(0.01, 10.0))
         rep = check_admissible_rplus(led)
         assert not rep.admissible

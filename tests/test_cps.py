@@ -28,14 +28,14 @@ from frictionopt.errors import ConfigError, ContractViolation, NoCpsConstructibl
 def arctan_fixture(paths=200, steps=20, seed=7):
     g = TimeGrid(1.0, steps)
     noise = gaussian_panel(g, paths, 1, seed=seed)
-    prices = simulate(ArctanDrift(), g, noise)
+    prices = simulate(ArctanDrift(), noise)
     return g, noise, prices
 
 
 def lattice_fixture(steps=6, mu=0.1, sigma=0.2):
     g = TimeGrid(1.0, steps)
     noise = lattice_panel(g, 1)
-    prices = simulate(BlackScholes(mu, sigma), g, noise)
+    prices = simulate(BlackScholes(mu, sigma), noise)
     return g, noise, prices
 
 
@@ -134,13 +134,13 @@ class TestGirsanovCps:
     def test_weights_are_renormalized_exactly(self):
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 500, 1, seed=3)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), g, noise), noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), noise), noise)
         assert float(np.dot(noise.probs, ps.weights)) == pytest.approx(1.0, abs=1e-14)
 
     def test_shadow_is_martingale_in_mc_mode(self):
         g = TimeGrid(1.0, 8)
         noise = gaussian_panel(g, 4000, 1, seed=5)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), g, noise), noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), noise), noise)
         rep = verify_martingale(ps)
         assert rep.mode == "mc"
         assert rep.passed
@@ -148,7 +148,7 @@ class TestGirsanovCps:
     def test_shrink_buys_strict_band_slack(self):
         g = TimeGrid(1.0, 6)
         noise = gaussian_panel(g, 100, 1, seed=1)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         ps = girsanov_cps(BlackScholes(0.1, 0.2), prices, noise, shrink=0.95)
         assert ps.mu_level == pytest.approx(0.05)
         rep = verify_band(prices, ps, 0.1)
@@ -157,7 +157,7 @@ class TestGirsanovCps:
     def test_rejects_degenerate_and_foreign_models(self):
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 10, 1, seed=0)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         with pytest.raises(NoCpsConstructibleError):
             girsanov_cps(BlackScholes(0.1, 0.0), prices, noise)
         with pytest.raises(NoCpsConstructibleError):
@@ -171,7 +171,7 @@ class TestGirsanovCps:
         noise = gaussian_panel(g, 200, 1, seed=0)
         model = BlackScholes(0.1, 0.002)
         with pytest.raises(NoCpsConstructibleError):
-            girsanov_cps(model, simulate(model, g, noise), noise)
+            girsanov_cps(model, simulate(model, noise), noise)
 
 
 class TestLatticeCps:
@@ -199,7 +199,7 @@ class TestLatticeCps:
     def test_rejects_gaussian_panels(self):
         g = TimeGrid(1.0, 3)
         noise = gaussian_panel(g, 8, 1, seed=0)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         with pytest.raises(ConfigError):
             lattice_cps(prices, noise)
 
@@ -230,7 +230,7 @@ class TestMartingaleRejection:
     def test_mc_mode_rejects_a_drifting_shadow(self):
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 2000, 1, seed=4)
-        prices = simulate(BlackScholes(2.0, 0.2), g, noise)
+        prices = simulate(BlackScholes(2.0, 0.2), noise)
         ps = PriceSystem(prices, np.ones(noise.paths), noise, 0.0)
         rep = verify_martingale(ps)
         assert rep.mode == "mc"
@@ -276,7 +276,7 @@ class TestSupermartingale:
     def test_mc_mode_flags_deterministic_drift_up(self):
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 50, 1, seed=2)
-        prices = simulate(BlackScholes(0.1, 0.2), g, noise)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
         ps = girsanov_cps(BlackScholes(0.1, 0.2), prices, noise)
         values = np.tile(noise.grid.times, (noise.paths, 1))
         rep = supermartingale_check(values, ps)
@@ -300,7 +300,7 @@ class TestEntropy:
         # E[-ln Z - 1] = (mu/sigma)^2 T / 2 - 1 for the drift-removal density
         g = TimeGrid(1.0, 10)
         noise = gaussian_panel(g, 20000, 1, seed=11)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), g, noise), noise)
+        ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), noise), noise)
         rep = entropy_membership(ps, lambda w: -np.log(w) - 1.0)
         assert rep.finite
         assert abs(rep.estimate - (-0.875)) <= 3.0 * rep.se

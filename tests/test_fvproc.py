@@ -219,20 +219,25 @@ def mixed_magnitude_jumps(rng, paths, n1):
 
 class TestStrategy:
     def test_validation(self):
-        g = TimeGrid(1.0, 2)
         bad = np.array([[0.0, -1.0, 0.0]])
         with pytest.raises(ConfigError):
-            Strategy(g, bad, np.zeros((1, 3)))
+            Strategy(bad, np.zeros((1, 3)))
         with pytest.raises(ConfigError):
-            Strategy(g, np.zeros((1, 3)), np.array([[math.inf, 0.0, 0.0]]))
+            Strategy(np.zeros((1, 3)), np.array([[math.inf, 0.0, 0.0]]))
+        # the legs are rows of one shape, whose width the prices must match
+        with pytest.raises(ConfigError, match="same shape"):
+            Strategy(np.zeros((1, 3)), np.zeros((1, 4)))
+        with pytest.raises(ConfigError, match="same shape"):
+            Strategy(np.zeros((2, 3)), np.zeros((1, 3)))
+        with pytest.raises(ConfigError, match=r"d_up must have shape \(rows, steps \+ 1\)"):
+            Strategy(np.zeros(3), np.zeros(3))
         # the time-zero trade is column 0
-        assert Strategy(g, np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3))).position()[0, 0] == 1.0
+        assert Strategy(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3))).position()[0, 0] == 1.0
 
     def test_position_recursion(self):
-        g = TimeGrid(1.0, 3)
         d_up = np.array([[1.0, 1.0, 0.0, 0.0]])
         d_dn = np.array([[0.0, 0.0, 0.5, 1.5]])
-        s = Strategy(g, d_up, d_dn)
+        s = Strategy(d_up, d_dn)
         np.testing.assert_array_equal(s.position(), [[1.0, 2.0, 1.5, 0.0]])
 
     @pytest.mark.parametrize("h0", [1e16, 0.1, -1e16, -0.0])
@@ -249,7 +254,7 @@ class TestStrategy:
 
     def test_the_callers_arrays_stay_writable_and_unshared(self):
         d_up, d_dn = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])
-        s = Strategy(TimeGrid(1.0, 2), d_up, d_dn)
+        s = Strategy(d_up, d_dn)
         assert d_up.flags.writeable and d_dn.flags.writeable
         assert not (s.d_up.flags.writeable or s.d_dn.flags.writeable)
         d_up[0, 1] = d_dn[0, 1] = 5.0

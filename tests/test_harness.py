@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,7 @@ class TestParseConfig:
             ({"threads": 0}, "config.threads must be at least 1, got 0"),
             ({"optimizer": {"iters": 0}}, "optimizer.iters must be at least 1, got 0"),
             ({"noise": {"kind": "mc", "paths": 0}, "policy": {}}, "noise.paths must be at least 1, got 0"),
+            ({"grid": {"horizon": 1.0, "steps": 0}}, "grid.steps must be at least 1, got 0"),
         ],
     )
     def test_integer_bounds_name_the_key(self, over, error):
@@ -168,7 +170,11 @@ class TestParseConfig:
         assert str(exc.value) == error
 
     def test_lattice_ignores_paths(self):
-        assert parse_config(make_doc(noise={"kind": "lattice", "paths": 0})).noise_paths == 0
+        # a lattice has every sign path of its grid, whatever paths says
+        for steps, drivers, paths in ((3, 1, 0), (3, 2, 1000), (20, 1, 4)):
+            noise = {"kind": "lattice", "paths": paths, "drivers": drivers}
+            cfg = parse_config(make_doc(grid={"horizon": 1.0, "steps": steps}, noise=noise, policy={}))
+            assert cfg.noise_paths == cfg.echo["noise"]["paths"] == 2 ** (steps * drivers)
 
     def test_driver_count_must_cover_the_family(self):
         factor = {
@@ -224,6 +230,16 @@ class TestParseConfig:
         cfg = parse_config(doc)
         assert doc["verify"]["construction"] == "auto"
         assert cfg.verify == {"theta_index": 0, "shrink": None}
+
+    def test_readme_library_example_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        section = (root / "README.md").read_text().split("## Library", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        value, argmin = run.stdout.split()
+        assert math.isfinite(float(value)) and argmin in ("0", "1")
 
 
 class TestWriters:
@@ -387,7 +403,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
         cfg = load_config(cfg_path)
-        prices = simulate_panel(cfg.thetas, cfg.grid, cfg.build_noise())
+        prices = simulate_panel(cfg.thetas, cfg.build_noise())
         assert prices.size > CSV_CHUNK_ROWS
         rows = (
             (k, m, i, cfg.grid.times[i], prices[k, m, i])
@@ -471,6 +487,7 @@ class TestCli:
             {"admissibility": "rplus"},
             {"noise": {"kind": "mc", "paths": 0}, "policy": {}},
             {"noise": {"kind": "mc", "paths": -3}, "policy": {}},
+            {"grid": {"horizon": 1.0, "steps": 23}, "noise": {"kind": "lattice"}},
         ],
         ids=[
             "mu_bounds-string", "sigma_bounds-short", "theta-string", "theta-flat", "rho-string",
@@ -481,7 +498,7 @@ class TestCli:
             "verify-shrink-nan", "verify-level-zero", "verify-level-negative", "verify-level-inf",
             "verify-level-with-auto", "verify-level-with-lattice", "verify-lattice-on-mc",
             "verify-lattice-on-factor", "verify-lattice-three-drivers", "mu-nan", "rho-minus-inf", "exp-a-inf",
-            "x0-huge-int", "admissibility-key", "mc-paths-zero", "mc-paths-negative",
+            "x0-huge-int", "admissibility-key", "mc-paths-zero", "mc-paths-negative", "lattice-23-steps",
         ],
     )
     def test_bad_values_exit_2_at_parse_time(self, tmp_path, capsys, over):
@@ -943,6 +960,14 @@ LATTICE_DUALITY_DOC = {
     "policy": {"class": "lattice-policy", "long_only": False},
     "optimizer": {"iters": 300, "step0": 1.0},
 }
+
+
+def test_a_lattice_manifest_echoes_its_real_path_count(tmp_path):
+    # the config gives no paths, whose default is 1000; the 2-step tree has 4
+    out = tmp_path / "d"
+    assert main(["duality", "--config", write_config(tmp_path, LATTICE_DUALITY_DOC), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["noise"] == {"kind": "lattice", "paths": 4, "drivers": 1}
 
 
 class TestStrategyCsv:

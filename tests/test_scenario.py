@@ -7,6 +7,7 @@ from frictionopt import (
     ArctanDrift,
     BlackScholes,
     Factor,
+    NoisePanel,
     PathDependentBS,
     ThetaGrid,
     TimeGrid,
@@ -92,6 +93,19 @@ class TestGaussianPanel:
         np.testing.assert_allclose(n.probs, 0.1)
 
 
+class TestNoisePanel:
+    def test_reads_paths_and_drivers_from_its_increments(self):
+        g = TimeGrid(1.0, 4)
+        n = NoisePanel("mc", g, np.zeros((5, 4, 3)), np.full(5, 0.2))
+        assert (n.paths, n.drivers) == (5, 3)
+        assert gaussian_panel(g, 6, 2, seed=1).drivers == lattice_panel(g, 2).drivers == 2
+
+    @pytest.mark.parametrize("shape", [(5, 3, 1), (5, 5, 1), (5, 4), (5, 4, 1, 1)])
+    def test_refuses_increments_off_its_grid(self, shape):
+        with pytest.raises(ConfigError, match=r"increments must have shape \(paths, 4, drivers\)"):
+            NoisePanel("mc", TimeGrid(1.0, 4), np.zeros(shape), np.full(5, 0.2))
+
+
 class TestLatticePanel:
     def test_exhaustive_signs(self):
         g = TimeGrid(1.0, 3)
@@ -120,7 +134,7 @@ class TestBlackScholes:
     def test_zero_vol_is_deterministic_exponential(self):
         g = TimeGrid(1.0, 25)
         n = gaussian_panel(g, 16, 1, seed=1)
-        s = simulate(BlackScholes(0.1, 0.0), g, n)
+        s = simulate(BlackScholes(0.1, 0.0), n)
         np.testing.assert_allclose(s[:, -1], math.exp(0.1), rtol=1e-14)
 
     def test_exact_log_step(self):
@@ -128,7 +142,7 @@ class TestBlackScholes:
         g = TimeGrid(1.0, 1)
         n = gaussian_panel(g, 5, 1, seed=2)
         mu, sig = 0.07, 0.3
-        s = simulate(BlackScholes(mu, sig), g, n)
+        s = simulate(BlackScholes(mu, sig), n)
         dw = n.increments[:, 0, 0]
         expected = np.exp((mu - 0.5 * sig**2) * g.dt + sig * dw)
         np.testing.assert_array_equal(s[:, 1], expected)
@@ -136,7 +150,7 @@ class TestBlackScholes:
     def test_weak_terminal_mean(self):
         g = TimeGrid(1.0, 10)
         n = gaussian_panel(g, 40000, 1, seed=7)
-        s = simulate(BlackScholes(0.05, 0.2), g, n)
+        s = simulate(BlackScholes(0.05, 0.2), n)
         term = s[:, -1]
         se = term.std(ddof=1) / math.sqrt(len(term))
         assert abs(term.mean() - math.exp(0.05)) < 3 * se
@@ -152,7 +166,7 @@ class TestArctanDrift:
     def test_terminal_bounds(self):
         g = TimeGrid(1.0, 50)
         n = gaussian_panel(g, 1000, 1, seed=7)
-        s = simulate(ArctanDrift(), g, n)
+        s = simulate(ArctanDrift(), n)
         assert s[:, -1].min() > 7.0 / 4.0
         assert s[:, -1].max() < 9.0 / 4.0
         # whole path band: t + 3/4 < S_t < t + 5/4
@@ -163,7 +177,7 @@ class TestArctanDrift:
     def test_initial_price_one(self):
         g = TimeGrid(1.0, 4)
         n = gaussian_panel(g, 10, 1, seed=0)
-        s = simulate(ArctanDrift(), g, n)
+        s = simulate(ArctanDrift(), n)
         np.testing.assert_array_equal(s[:, 0], 1.0)
 
 
@@ -172,8 +186,8 @@ class TestPathDependentBS:
         g = TimeGrid(1.0, 12)
         n = gaussian_panel(g, 30, 1, seed=4)
         pd = PathDependentBS(mu_fn=lambda t, past: 0.08, sigma_fn=lambda t, past: 0.25)
-        bs = simulate(BlackScholes(0.08, 0.25), g, n)
-        s = simulate(pd, g, n)
+        bs = simulate(BlackScholes(0.08, 0.25), n)
+        s = simulate(pd, n)
         np.testing.assert_allclose(s, bs, rtol=1e-12)
 
     def test_clamping_applies(self):
@@ -185,8 +199,8 @@ class TestPathDependentBS:
             mu_bounds=(-0.5, 0.5),
             sigma_bounds=(0.1, 0.4),
         )
-        s = simulate(wild, g, n)
-        capped = simulate(PathDependentBS(mu_fn=lambda t, past: 0.5, sigma_fn=lambda t, past: 0.4), g, n)
+        s = simulate(wild, n)
+        capped = simulate(PathDependentBS(mu_fn=lambda t, past: 0.5, sigma_fn=lambda t, past: 0.4), n)
         np.testing.assert_allclose(s, capped, rtol=1e-12)
 
     def test_coefficients_see_only_the_past(self):
@@ -197,7 +211,7 @@ class TestPathDependentBS:
             mu_fn=lambda t, past: seen.append(past.shape[1]) or 0.0,
             sigma_fn=lambda t, past: 0.2,
         )
-        simulate(pd, g, n)
+        simulate(pd, n)
         assert seen == [0, 1, 2, 3, 4]
 
 
@@ -212,11 +226,10 @@ class TestFactor:
             sigma=0.2,
             rho=(0.0, 0.0),
         )
-        s, y = np.empty((20, 11)), np.empty((20, 11))
-        f.simulate(g, n, s, y)
-        bs = simulate(BlackScholes(0.05, 0.2), g, n)
+        s = np.empty((20, 11))
+        f.simulate(n, s)
+        bs = simulate(BlackScholes(0.05, 0.2), n)
         np.testing.assert_allclose(s, bs, rtol=1e-12)
-        np.testing.assert_array_equal(y, 0.0)
 
     def test_theta_feeds_the_drift(self):
         g = TimeGrid(1.0, 10)
@@ -224,8 +237,8 @@ class TestFactor:
         base = dict(m_fn=lambda y: 0.0, g_fn=lambda y: 0.0, sigma=0.2, rho=(0.1, 0.1), y0=1.0)
         low = Factor(theta=((0.0, 0.0), (0.0, 0.0)), **base)
         high = Factor(theta=((0.5, 0.0), (0.0, 0.0)), **base)
-        s_low = simulate(low, g, n)
-        s_high = simulate(high, g, n)
+        s_low = simulate(low, n)
+        s_high = simulate(high, n)
         # positive drift loading on a positive factor raises prices pathwise at first step
         assert np.all(s_high[:, 1] > s_low[:, 1])
 
@@ -234,7 +247,7 @@ class TestFactor:
         n1 = gaussian_panel(g, 10, 1, seed=0)
         f = Factor(theta=((0.0, 0.0), (0.0, 0.0)), m_fn=lambda y: 0.0, g_fn=lambda y: 0.0, sigma=0.2, rho=(0.1, 0.1))
         with pytest.raises(ConfigError):
-            simulate(f, g, n1)
+            simulate(f, n1)
 
 
 class TestSimulatePanel:
@@ -243,15 +256,15 @@ class TestSimulatePanel:
         g = TimeGrid(1.0, 20)
         n = gaussian_panel(g, 4, 1, seed=42)
         thetas = ThetaGrid((BlackScholes(-0.1, 0.2), BlackScholes(0.1, 0.2)))
-        prices = simulate_panel(thetas, g, n)
+        prices = simulate_panel(thetas, n)
         assert np.all(prices[1][:, 1:] > prices[0][:, 1:])
 
     def test_threads_do_not_change_results(self):
         g = TimeGrid(1.0, 10)
         n = gaussian_panel(g, 100, 1, seed=3)
         thetas = ThetaGrid(tuple(BlackScholes(mu, 0.2) for mu in (-0.1, 0.0, 0.1, 0.2)))
-        p1 = simulate_panel(thetas, g, n, threads=1)
-        p8 = simulate_panel(thetas, g, n, threads=8)
+        p1 = simulate_panel(thetas, n, threads=1)
+        p8 = simulate_panel(thetas, n, threads=8)
         assert np.array_equal(p1, p8)
 
     def test_mixed_driver_families_share_a_panel(self):
@@ -259,21 +272,21 @@ class TestSimulatePanel:
         n = gaussian_panel(g, 16, 2, seed=1)
         f = Factor(theta=((0.0, 0.0), (0.0, 0.0)), m_fn=lambda y: 0.0, g_fn=lambda y: 0.0, sigma=0.2, rho=(0.1, 0.1))
         thetas = ThetaGrid((BlackScholes(0.1, 0.2), f))
-        assert simulate_panel(thetas, g, n).shape == (2, 16, 6)
+        assert simulate_panel(thetas, n).shape == (2, 16, 6)
 
     def test_returns_the_read_only_price_stack(self):
         g = TimeGrid(1.0, 4)
         n = gaussian_panel(g, 6, 1, seed=2)
         models = (BlackScholes(0.1, 0.2), BlackScholes(-0.05, 0.25))
-        prices = simulate_panel(ThetaGrid(models), g, n)
+        prices = simulate_panel(ThetaGrid(models), n)
         assert type(prices) is np.ndarray and prices.dtype == np.float64
         assert not prices.flags.writeable
         for k, model in enumerate(models):
-            assert prices[k].tobytes() == simulate(model, g, n).tobytes()
+            assert prices[k].tobytes() == simulate(model, n).tobytes()
 
     def test_error_carries_theta_index(self):
         g = TimeGrid(1.0, 5)
         n = gaussian_panel(g, 8, 1, seed=1)
         thetas = ThetaGrid((BlackScholes(0.1, 0.2), Factor(theta=((0.0, 0.0), (0.0, 0.0)), m_fn=lambda y: 0.0, g_fn=lambda y: 0.0, sigma=0.2, rho=(0.1, 0.1))))
         with pytest.raises(ConfigError, match="theta index 1"):
-            simulate_panel(thetas, g, n)
+            simulate_panel(thetas, n)

@@ -42,14 +42,14 @@ def lattice_problem(steps=2, lam=0.01, x0=1.0, mus=(0.1,), sigma=0.2, **kw):
     noise = lattice_panel(g, 1)
     thetas = ThetaGrid(tuple(BlackScholes(m, sigma) for m in mus))
     kw.setdefault("policy_class", "lattice-policy")
-    return RobustProblem(CostSpec(lam, x0), thetas, log_utility(), g, noise, **kw)
+    return RobustProblem(CostSpec(lam, x0), thetas, log_utility(), noise, **kw)
 
 
 def gaussian_problem(steps=4, paths=200, lam=0.01, x0=1.0, mus=(0.1,), sigma=0.2, seed=0, **kw):
     g = TimeGrid(1.0, steps)
     noise = gaussian_panel(g, paths, 1, seed=seed)
     thetas = ThetaGrid(tuple(BlackScholes(m, sigma) for m in mus))
-    return RobustProblem(CostSpec(lam, x0), thetas, log_utility(), g, noise, **kw)
+    return RobustProblem(CostSpec(lam, x0), thetas, log_utility(), noise, **kw)
 
 
 class TestRobustProblemValidation:
@@ -57,19 +57,19 @@ class TestRobustProblemValidation:
         g = TimeGrid(1.0, 2)
         noise = gaussian_panel(g, 8, 1, seed=0)
         thetas = ThetaGrid((BlackScholes(0.1, 0.2),))
-        assert RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), g, noise).admissibility == "rplus"
+        assert RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), noise).admissibility == "rplus"
         # a whole-line utility needs no positive capital
-        whole_line = RobustProblem(CostSpec(0.01, -1.0), thetas, exp_utility(), g, noise)
+        whole_line = RobustProblem(CostSpec(0.01, -1.0), thetas, exp_utility(), noise)
         assert whole_line.admissibility == "supermartingale"
         with pytest.raises(ConfigError):
-            RobustProblem(CostSpec(0.01, 0.0), thetas, log_utility(), g, noise)
+            RobustProblem(CostSpec(0.01, 0.0), thetas, log_utility(), noise)
 
     def test_rplus_needs_positive_capital(self):
         g = TimeGrid(1.0, 2)
         noise = gaussian_panel(g, 8, 1, seed=0)
         thetas = ThetaGrid((BlackScholes(0.1, 0.2),))
         with pytest.raises(ConfigError):
-            RobustProblem(CostSpec(0.01, -1.0), thetas, log_utility(), g, noise)
+            RobustProblem(CostSpec(0.01, -1.0), thetas, log_utility(), noise)
 
     def test_lattice_policy_needs_lattice_noise(self):
         with pytest.raises(ConfigError):
@@ -238,7 +238,7 @@ class TestObjective:
         # admissible, with log utility -inf
         g = TimeGrid(1.0, 1)
         thetas = ThetaGrid((BlackScholes(0.0, 0.0),))
-        prob = RobustProblem(CostSpec(0.5, 1.0), thetas, log_utility(), g, lattice_panel(g, 1), "lattice-policy")
+        prob = RobustProblem(CostSpec(0.5, 1.0), thetas, log_utility(), lattice_panel(g, 1), "lattice-policy")
         vec = np.array([2.0])
         res = objective(prob, vec)
         assert res.feasible and res.reason == "ok"
@@ -289,7 +289,7 @@ def referee_settle(problem, vecs):
     test_accounting.sequential_ledger."""
     terminal, positions, negative = [], [], []
     for vec in vecs:
-        strat = Strategy(problem.grid, *repeat_decode(problem.codec, vec))
+        strat = Strategy(*repeat_decode(problem.codec, vec))
         _, pos, liq = sequential_ledger(strat, problem.prices, problem.cost)
         terminal.append(liq[..., -1])
         positions.append(pos)
@@ -394,10 +394,10 @@ def adjoint_problem(utility_name, policy):
     kw = {"long_only": policy == "long-only"}
     if policy == "lattice":
         grid = TimeGrid(1.0, 2)
-        return RobustProblem(CostSpec(0.02, x0), thetas, utility, grid, lattice_panel(grid, 1),
+        return RobustProblem(CostSpec(0.02, x0), thetas, utility, lattice_panel(grid, 1),
                              policy_class="lattice-policy", **kw)
     grid = TimeGrid(1.0, 5)
-    return RobustProblem(CostSpec(0.02, x0), thetas, utility, grid, gaussian_panel(grid, 300, 1, seed=4), **kw)
+    return RobustProblem(CostSpec(0.02, x0), thetas, utility, gaussian_panel(grid, 300, 1, seed=4), **kw)
 
 
 @pytest.mark.parametrize("policy", ["deterministic", "long-only", "lattice"])
@@ -460,8 +460,8 @@ class TestSolve:
         prob = lattice_problem(steps=2)
         rep = solve(prob, OptimizerSettings(iters=15))
         assert len(rep.history) == 16
-        assert rep.n_params == PolicyCodec(prob).n_params
-        assert rep.strategy.grid is prob.grid
+        assert rep.best_params.size == PolicyCodec(prob).n_params
+        assert rep.strategy.d_up.shape == rep.strategy.d_dn.shape == (prob.codec.rows, prob.noise.grid.steps + 1)
 
     def test_memory_does_not_grow_with_iterations(self):
         # a 10-step lattice policy has 2045 parameters, so one vector held
@@ -646,7 +646,7 @@ def lattice_duality_family(utility):
     """The lattice-duality benchmark's 2-step lattice-policy family."""
     g = TimeGrid(1.0, 2)
     thetas = ThetaGrid((BlackScholes(0.10, 0.2), BlackScholes(0.05, 0.2)))
-    return RobustProblem(CostSpec(0.02, 3.0), thetas, utility, g, lattice_panel(g, 1), policy_class="lattice-policy")
+    return RobustProblem(CostSpec(0.02, 3.0), thetas, utility, lattice_panel(g, 1), policy_class="lattice-policy")
 
 
 def mc_trade_family(utility):
@@ -654,7 +654,7 @@ def mc_trade_family(utility):
     trades."""
     g = TimeGrid(1.0, 50)
     thetas = ThetaGrid((BlackScholes(0.10, 0.2), BlackScholes(0.06, 0.25)))
-    return RobustProblem(CostSpec(0.01, 1.0), thetas, utility, g, gaussian_panel(g, 1000, 1, seed=7))
+    return RobustProblem(CostSpec(0.01, 1.0), thetas, utility, gaussian_panel(g, 1000, 1, seed=7))
 
 
 def closed_form_bound(u, x0, w, probs):
@@ -739,7 +739,7 @@ def nested_panel(fine, steps):
     panel's increments inside that coarse step."""
     paths, fine_steps, drivers = fine.increments.shape
     inc = fine.increments.reshape(paths, steps, fine_steps // steps, drivers).sum(axis=2)
-    return NoisePanel("mc", fine.seed, TimeGrid(fine.grid.horizon, steps), drivers, inc, fine.probs)
+    return NoisePanel("mc", TimeGrid(fine.grid.horizon, steps), inc, fine.probs)
 
 
 def embed_schedule(params, steps, shift=0):
@@ -761,8 +761,7 @@ def test_a_schedule_keeps_its_value_on_the_refined_grid():
     thetas = ThetaGrid((BlackScholes(0.10, 0.2), BlackScholes(0.06, 0.25)))
 
     def family(steps):
-        grid = TimeGrid(1.0, steps)
-        return RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), grid, nested_panel(fine, steps))
+        return RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), nested_panel(fine, steps))
 
     for steps in (5, 10, 20, 40):
         coarse, refined = family(steps), family(2 * steps)
@@ -797,7 +796,7 @@ def test_objective_obeys_the_scaling_identity(utility_name, policy):
     else:
         grid = TimeGrid(1.0, 5)
         noise = gaussian_panel(grid, 300, 1, seed=4)
-    base = RobustProblem(CostSpec(0.02, x0), thetas, utility, grid, noise, **kw)
+    base = RobustProblem(CostSpec(0.02, x0), thetas, utility, noise, **kw)
     codec = PolicyCodec(base)
     rng = np.random.default_rng(5)
     for _ in range(4):
@@ -819,9 +818,9 @@ def concavity_problem(policy):
     thetas = ThetaGrid((BlackScholes(0.10, 0.2), BlackScholes(0.06, 0.25)))
     if policy == "mc":
         g = TimeGrid(1.0, 10)
-        return RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), g, gaussian_panel(g, 200, 1, seed=7))
+        return RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), gaussian_panel(g, 200, 1, seed=7))
     g = TimeGrid(1.0, 4)
-    return RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), g, lattice_panel(g, 1), policy_class=policy)
+    return RobustProblem(CostSpec(0.01, 1.0), thetas, log_utility(), lattice_panel(g, 1), policy_class=policy)
 
 
 @pytest.mark.parametrize("policy", ["mc", "deterministic-schedule", "lattice-policy"])
@@ -854,7 +853,7 @@ class TestScaledSolvesAgree:
     def test_criterion_8_exp_fixture(self):
         grid = TimeGrid(1.0, 3)
         base = RobustProblem(
-            CostSpec(0.02, 0.5), ThetaGrid((BlackScholes(0.1, 0.2),)), exp_utility(1.0), grid,
+            CostSpec(0.02, 0.5), ThetaGrid((BlackScholes(0.1, 0.2),)), exp_utility(1.0), 
             lattice_panel(grid, 1),
         )
         settings = OptimizerSettings(iters=80, step0=0.5)
