@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 bad configuration, 3 verification failure or any
 other engine error, 4 no feasible point.  Errors print one ``error:`` line on
 stderr, never a traceback.
 
-``--threads`` (or ENGINE_THREADS) is the engine's one parallelism control.
+``--threads`` (or ENGINE_THREADS) is the engine's one parallelism control:
+the number of processes that format simulate's prices.csv.
 Unless the user sets one of BLAS_THREAD_VARS, the CLI runs numpy's BLAS on
 one thread: set before numpy loads, this keeps OpenBLAS from starting an
 idle worker per core in every process, and keeps long dot products (which
@@ -63,9 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument(
-            "--threads", type=int, default=None, help="worker threads and CSV-formatting processes (or ENGINE_THREADS)"
-        )
+        p.add_argument("--threads", type=int, default=None, help="CSV-formatting processes (or ENGINE_THREADS)")
     return parser
 
 

@@ -273,7 +273,6 @@ class RunConfig:
             noise=self.build_noise(),
             policy_class=self.policy_class,
             long_only=self.long_only,
-            threads=self.threads,
         )
 
 

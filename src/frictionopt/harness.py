@@ -2,8 +2,8 @@
 directory of CSV/JSON outputs plus a manifest with content digests.
 
 Numeric outputs are byte-identical across reruns with the same config and
-across thread counts; the manifest additionally records wall time, which is
-the one field expected to vary.
+across --threads settings; the manifest additionally records wall time,
+which is the one field expected to vary.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     started = time.monotonic()
     out_dir = _prepare(cfg)
     noise = cfg.build_noise()
-    prices = simulate_panel(cfg.thetas, noise, threads=cfg.threads)
+    prices = simulate_panel(cfg.thetas, noise)
 
     models, paths, points = prices.shape
     write_csv(

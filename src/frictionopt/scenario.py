@@ -107,7 +107,10 @@ def gaussian_panel(grid: TimeGrid, paths: int, drivers: int = 1, seed: int = 0) 
 
 def lattice_paths(steps: int, drivers: int) -> int:
     """Paths of a lattice on `steps` steps of `drivers` drivers, 2^(steps *
-    drivers); a tree of more than MAX_LATTICE_SLOTS increment slots is refused."""
+    drivers); fewer than 1 driver, or a tree of more than MAX_LATTICE_SLOTS
+    increment slots, is refused."""
+    if drivers < 1:
+        raise ConfigError("drivers must be at least 1")
     slots = steps * drivers
     if slots > MAX_LATTICE_SLOTS:
         raise ConfigError(
@@ -311,7 +314,7 @@ def simulate(model: Model, noise: NoisePanel, out: Optional[np.ndarray] = None) 
     if out is None:
         out = np.empty((noise.paths, noise.grid.steps + 1))
     # an overflow shows as non-finite prices, which the check below rejects;
-    # errstate is per thread, so simulate_panel's pool threads need it here
+    # errstate is set here, not left to the CLI, for library callers too
     with np.errstate(all="ignore"):
         model.simulate(noise, out)
     if not np.all(np.isfinite(out)):
@@ -321,28 +324,14 @@ def simulate(model: Model, noise: NoisePanel, out: Optional[np.ndarray] = None) 
     return _readonly(out)
 
 
-def simulate_panel(thetas: ThetaGrid, noise: NoisePanel, threads: int = 1) -> np.ndarray:
+def simulate_panel(thetas: ThetaGrid, noise: NoisePanel) -> np.ndarray:
     """Simulate every candidate model on the same noise panel, returning the
-    read-only price stack of shape (K, paths, steps + 1).
-
-    The result is independent of the thread count: outputs are written into
-    a preallocated block indexed by the model's position in the family.
-    """
-    k = len(thetas)
-    prices = np.empty((k, noise.paths, noise.grid.steps + 1))
-
-    def run(idx: int) -> None:
+    read-only price stack of shape (K, paths, steps + 1); model k is written
+    into its slice k of one preallocated block."""
+    prices = np.empty((len(thetas), noise.paths, noise.grid.steps + 1))
+    for idx, model in enumerate(thetas.models):
         try:
-            simulate(thetas.models[idx], noise, prices[idx])
+            simulate(model, noise, prices[idx])
         except Exception as exc:
             raise type(exc)(f"theta index {idx}: {exc}") from exc
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging; only a pool needs it
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(k)))
-    else:
-        for idx in range(k):
-            run(idx)
     return _readonly(prices)

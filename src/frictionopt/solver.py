@@ -60,16 +60,13 @@ class RobustProblem:
     noise: NoisePanel
     policy_class: str = "deterministic-schedule"
     long_only: bool = False
-    threads: int = 1
     prices: np.ndarray = field(init=False, repr=False, compare=False)
     codec: PolicyCodec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_policy_class(self.policy_class, self.noise.kind)
         check_capital(self.utility, self.cost.x0)
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
-        object.__setattr__(self, "prices", simulate_panel(self.thetas, self.noise, threads=self.threads))
+        object.__setattr__(self, "prices", simulate_panel(self.thetas, self.noise))
         object.__setattr__(self, "codec", PolicyCodec(self))
 
     @property

@@ -182,7 +182,7 @@ OVERFLOWS = {
 @pytest.mark.parametrize("case", sorted(OVERFLOWS))
 def test_an_overflow_is_judged_by_its_check_without_a_warning(tmp_path, capsys, case, threads):
     # the explicit checks judge the overflowed values; numpy's warnings
-    # about them stay off stderr, on simulate_panel's pool threads too
+    # about them stay off stderr at every --threads setting
     command, over, expected = OVERFLOWS[case]
     code, lines = _run(tmp_path, capsys, dict(MC_DOC, threads=threads, **over), command, 0)
     assert code == expected

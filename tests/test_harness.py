@@ -1143,9 +1143,8 @@ def assert_no_child_left():
 
 @forking
 class TestCsvWorkers:
-    """--threads also sets how many processes format the chunks of
-    prices.csv; the bytes are the same at every count, and every worker is
-    reaped."""
+    """--threads sets how many processes format the chunks of prices.csv;
+    the bytes are the same at every count, and every worker is reaped."""
 
     @pytest.mark.parametrize(
         "command, doc, outputs",

@@ -17,6 +17,7 @@ from frictionopt import (
     simulate_panel,
 )
 from frictionopt.errors import ConfigError, InvalidModelError
+from frictionopt.scenario import lattice_paths
 
 
 def per_path_generator_panel(grid, paths, drivers, seed):
@@ -128,6 +129,16 @@ class TestLatticePanel:
     def test_size_guard(self):
         with pytest.raises(ConfigError):
             lattice_panel(TimeGrid(1.0, 30), 1)
+
+    @pytest.mark.parametrize("drivers", [0, -1])
+    def test_drivers_below_one_are_refused(self, drivers):
+        # the message gaussian_panel gives, from the rule the config parser reads too
+        with pytest.raises(ConfigError, match="^drivers must be at least 1$"):
+            lattice_paths(3, drivers)
+        with pytest.raises(ConfigError, match="^drivers must be at least 1$"):
+            lattice_panel(TimeGrid(1.0, 3), drivers)
+        with pytest.raises(ConfigError, match="^drivers must be at least 1$"):
+            gaussian_panel(TimeGrid(1.0, 3), 4, drivers)
 
 
 class TestBlackScholes:
@@ -258,14 +269,6 @@ class TestSimulatePanel:
         thetas = ThetaGrid((BlackScholes(-0.1, 0.2), BlackScholes(0.1, 0.2)))
         prices = simulate_panel(thetas, n)
         assert np.all(prices[1][:, 1:] > prices[0][:, 1:])
-
-    def test_threads_do_not_change_results(self):
-        g = TimeGrid(1.0, 10)
-        n = gaussian_panel(g, 100, 1, seed=3)
-        thetas = ThetaGrid(tuple(BlackScholes(mu, 0.2) for mu in (-0.1, 0.0, 0.1, 0.2)))
-        p1 = simulate_panel(thetas, n, threads=1)
-        p8 = simulate_panel(thetas, n, threads=8)
-        assert np.array_equal(p1, p8)
 
     def test_mixed_driver_families_share_a_panel(self):
         g = TimeGrid(1.0, 5)

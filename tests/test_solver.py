@@ -75,10 +75,6 @@ class TestRobustProblemValidation:
         with pytest.raises(ConfigError):
             gaussian_problem(policy_class="lattice-policy")
 
-    def test_thread_count_validated(self):
-        with pytest.raises(ConfigError):
-            gaussian_problem(threads=0)
-
 
 def repeat_decode(codec, vecs):
     """The signed time-zero parameter as a buy or a sell in column 0, a

@@ -1,6 +1,6 @@
 """Start-up budget: what a fresh interpreter loads for ``import frictionopt``,
-for parsing a config, for a one- or two-thread ``simulate`` and for every
-command, and the CLI's one BLAS thread."""
+for parsing a config and for every command at ``--threads`` 1 and 2, and
+the CLI's one BLAS thread."""
 
 import hashlib
 import json
@@ -67,18 +67,21 @@ def test_parsing_a_config_loads_neither_solver_nor_a_thread_pool(tmp_path):
     assert not {"frictionopt.solver", "frictionopt.cps", "concurrent.futures"} & set(loaded)
 
 
-def test_simulate_on_one_thread_loads_no_thread_pool(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["simulate", "verify-cps", "solve", "duality"])
+def test_no_command_starts_a_thread_pool(tmp_path, command, threads):
+    """--threads sizes only simulate's forked CSV workers: no command, at any
+    setting, loads concurrent.futures or the logging it imports."""
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(MC_CONFIG))
-    out = tmp_path / "o"
+    config.write_text(json.dumps(dict(MC_CONFIG, optimizer={"iters": 3})))
     code = (
         "import sys; from frictionopt.cli import main; "
-        "assert main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2], '--threads', '1']) == 0; "
+        "assert main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3], '--threads', sys.argv[4]]) == 0; "
         + PRINT_MODULES
     )
-    loaded = fresh(code, str(config), str(out))
-    assert (out / "prices.csv").is_file()
-    assert "concurrent.futures" not in loaded
+    loaded = fresh(code, command, str(config), str(tmp_path / "o"), threads)
+    assert (tmp_path / "o" / "manifest.json").is_file()
+    assert not {"concurrent.futures", "logging"} & set(loaded)
 
 
 def test_simulate_on_two_threads_forks_csv_workers_without_multiprocessing(tmp_path):
