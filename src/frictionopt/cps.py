@@ -82,27 +82,18 @@ def verify_band(prices: Array, ps: PriceSystem, lam: float) -> BandReport:
     return BandReport(holds=raw >= 0.0, strict=raw > 0.0, delta=max(raw, 0.0), worst=(int(m), int(i)))
 
 
-def girsanov_cps(
-    model: BlackScholes,
-    prices: Array,
-    noise: NoisePanel,
-    shrink: Optional[float] = None,
-) -> PriceSystem:
+def girsanov_cps(model: BlackScholes, prices: Array, noise: NoisePanel) -> PriceSystem:
     """Price system for a geometric Brownian model by drift removal.
 
     The weights are the terminal density exp(-(mu/sigma) W_T - (mu/sigma)^2 T / 2)
     evaluated on the panel (then renormalized to empirical mean one), under
     which the model's exactly-stepped log-Euler prices on the panel, prices,
-    are a martingale.  shrink, when
-    given, scales the shadow to c * S with c in (0, 1), buying strict band
-    slack on the upper side; mu_level records 1 - c.
+    are a martingale; the shadow is a read-only view of prices themselves.
     """
     if not isinstance(model, BlackScholes):
         raise NoCpsConstructibleError("drift-removal construction applies to the geometric Brownian family")
     if model.sigma == 0.0:
         raise NoCpsConstructibleError("deterministic model with drift admits no martingale shadow")
-    if shrink is not None and not (0.0 < shrink < 1.0):
-        raise ConfigError(f"shrink must lie in (0, 1), got {shrink}")
     a = model.mu / model.sigma
     w_t = noise.increments[:, :, 0].sum(axis=1)
     raw = np.exp(-a * w_t - 0.5 * a * a * noise.grid.horizon)
@@ -110,14 +101,12 @@ def girsanov_cps(
     if not (0.0 < total < math.inf):
         raise NoCpsConstructibleError(f"drift-removal density under- or overflows on this panel (mu/sigma = {a:g})")
     weights = raw / total
-    c = 1.0 if shrink is None else shrink
-    shadow = prices if shrink is None else c * prices
     return PriceSystem(
-        shadow=_readonly(shadow),
+        shadow=_readonly(np.asarray(prices, float).view()),
         weights=_readonly(weights),
         noise=noise,
-        mu_level=1.0 - c,
-        label=f"girsanov(mu={model.mu}, sigma={model.sigma}, shrink={shrink})",
+        mu_level=0.0,
+        label=f"girsanov(mu={model.mu}, sigma={model.sigma})",
     )
 
 
@@ -136,26 +125,23 @@ def constant_cps(noise: NoisePanel, level: float) -> PriceSystem:
     )
 
 
-def lattice_cps(prices: Array, noise: NoisePanel, shrink: Optional[float] = None) -> PriceSystem:
+def lattice_cps(prices: Array, noise: NoisePanel) -> PriceSystem:
     """Exact martingale measure for adapted prices on a binomial lattice.
 
     At each tree node the one-step conditional law puts mass q on the upper
     half and 1 - q on the lower half with q solving the node's martingale
-    equation for the (possibly shrunken) shadow c * S.  Weights multiply the
-    per-step likelihood ratios q / p_half along each path, so the shadow is a
-    martingale exactly, node by node.
+    equation for the prices, whose read-only view is the shadow.  Weights
+    multiply the per-step likelihood ratios q / p_half along each path, so
+    the shadow is a martingale exactly, node by node; so is any positive
+    multiple of it, whose q is the same.
     """
     if noise.kind != "lattice":
         raise ConfigError("exact construction needs a lattice panel")
     if noise.drivers != 1:
         raise NoCpsConstructibleError("exact lattice construction is single-driver")
-    prices = np.asarray(prices, float)
-    if prices.shape != (noise.paths, noise.grid.steps + 1):
+    shadow = np.asarray(prices, float)
+    if shadow.shape != (noise.paths, noise.grid.steps + 1):
         raise ConfigError("prices do not match the lattice panel")
-    if shrink is not None and not (0.0 < shrink < 1.0):
-        raise ConfigError(f"shrink must lie in (0, 1), got {shrink}")
-    c = 1.0 if shrink is None else shrink
-    shadow = c * prices
     n = noise.grid.steps
     m = noise.paths
     weights = np.ones(m)
@@ -181,11 +167,11 @@ def lattice_cps(prices: Array, noise: NoisePanel, shrink: Optional[float] = None
         raise ContractViolation("lattice weights failed to normalize")
     weights = weights / total
     return PriceSystem(
-        shadow=_readonly(shadow),
+        shadow=_readonly(shadow.view()),
         weights=_readonly(weights),
         noise=noise,
-        mu_level=1.0 - c,
-        label=f"lattice(shrink={shrink})",
+        mu_level=0.0,
+        label="lattice",
     )
 
 
@@ -391,14 +377,27 @@ def cps_certificate(model: Model, lam: float) -> Optional[CpsCertificate]:
 def registered_cps(
     model: Model, prices: Array, noise: NoisePanel, lam: float, shrink: Optional[float] = None
 ) -> Optional[PriceSystem]:
-    """A model's registered price system on its panel, or None: the node
+    """A model's registered price system on its panel, or None.
+
+    Where cps_certificate has a verdict it decides on any panel: the constant
+    shadow at its level if a system exists, else None.  Otherwise the node
     construction on lattices, drift removal for BlackScholes with sigma > 0,
-    else the constant shadow where cps_certificate says a system exists."""
-    if noise.kind == "lattice":
-        return lattice_cps(prices, noise, shrink)
-    if isinstance(model, BlackScholes) and model.sigma > 0.0:
-        return girsanov_cps(model, prices, noise, shrink)
+    else None.  shrink, when given, scales the chosen system's shadow by c in
+    (0, 1), buying strict band slack on the upper side; mu_level records 1 - c.
+    """
+    if shrink is not None and not (0.0 < shrink < 1.0):
+        raise ConfigError(f"shrink must lie in (0, 1), got {shrink}")
     cert = cps_certificate(model, lam)
-    if cert is not None and cert.exists:
-        return constant_cps(noise, cert.shadow_level)
-    return None
+    if cert is not None:
+        ps = constant_cps(noise, cert.shadow_level) if cert.exists else None
+    elif noise.kind == "lattice":
+        ps = lattice_cps(prices, noise)
+    elif isinstance(model, BlackScholes) and model.sigma > 0.0:
+        ps = girsanov_cps(model, prices, noise)
+    else:
+        ps = None
+    if ps is None or shrink is None:
+        return ps
+    return PriceSystem(
+        shadow=_readonly(shrink * ps.shadow), weights=ps.weights, noise=noise, mu_level=1.0 - shrink, label=ps.label
+    )

@@ -269,18 +269,16 @@ def cmd_verify_cps(cfg: RunConfig) -> int:
     prices = simulate(model, noise)
     cert = cps_certificate(model, cfg.cost.lam)
     result: dict[str, Any] = {"theta_index": k, "lambda": cfg.cost.lam, "certificate": cert}
-    code = 0
-    if cert is not None and not cert.exists:
-        result["verdict"] = "no consistent price system exists at this cost level"
-        code = 3
+    code = 3
+    try:
+        ps = registered_cps(model, prices, noise, cfg.cost.lam, cfg.verify["shrink"])
+    except NoCpsConstructibleError as exc:
+        result["verdict"] = f"construction failed: {exc}"
     else:
-        try:
-            ps = registered_cps(model, prices, noise, cfg.cost.lam, cfg.verify["shrink"])
-            if ps is None:
-                raise NoCpsConstructibleError(f"no automatic construction for theta {k} on this panel")
-        except NoCpsConstructibleError as exc:
-            result["verdict"] = f"construction failed: {exc}"
-            code = 3
+        if cert is not None and not cert.exists:
+            result["verdict"] = "no consistent price system exists at this cost level"
+        elif ps is None:
+            result["verdict"] = f"construction failed: no automatic construction for theta {k} on this panel"
         else:
             band = verify_band(prices, ps, cfg.cost.lam)
             mart = verify_martingale(ps)

@@ -377,13 +377,9 @@ MAX_BRUTE_COMBOS = 1_000_000
 BRUTE_CHUNK_ROWS = 1 << 13
 
 
-def brute_force(
-    problem: RobustProblem,
-    h0_grid: Sequence[float],
-    up_grid: Sequence[float],
-    dn_grid: Optional[Sequence[float]] = None,
-) -> BruteForceReport:
-    """Exact enumeration of the robust objective over a parameter product grid.
+def brute_force(problem: RobustProblem, h0_grid: Sequence[float], up_grid: Sequence[float]) -> BruteForceReport:
+    """Exact enumeration of the robust objective over a parameter product grid:
+    h0_grid for the time-zero trade and up_grid for every buy and sell increment.
 
     Requires a lattice panel (so expectations are exact sums) and at most
     three trading steps; the combination count must stay within 10^6.
@@ -393,14 +389,8 @@ def brute_force(
     if problem.noise.grid.steps > 3:
         raise OracleTooLargeError("the brute-force oracle supports at most 3 steps")
     codec = problem.codec
-    if dn_grid is None:
-        dn_grid = up_grid
-    axes: list[np.ndarray] = [np.asarray(h0_grid, float)]
-    for _ in range(codec.n_side):
-        axes.append(np.asarray(up_grid, float))
-    if not codec.long_only:
-        for _ in range(codec.n_side):
-            axes.append(np.asarray(dn_grid, float))
+    sides = codec.n_side if codec.long_only else 2 * codec.n_side
+    axes = [np.asarray(h0_grid, float)] + [np.asarray(up_grid, float)] * sides
     if any(np.any(a[1:] < a[:-1]) for a in axes):
         raise ConfigError("grids must be sorted ascending")
     if any(np.any(a < 0.0) for a in axes[1:]):
@@ -509,7 +499,6 @@ def duality_report(
     problem: RobustProblem,
     report: SolveReport,
     price_systems: Sequence[tuple[int, PriceSystem]],
-    inada_scales: Sequence[float] = (1.0, 4.0, 16.0),
 ) -> DualityReport:
     """Diagnostics relating the solved primal value to dual quantities.
 
@@ -522,9 +511,9 @@ def duality_report(
     are judged by cps.within (exact on lattice panels; a row where V is
     infinite at every level has an infinite bound and holds); and the
     utility must grow sublinearly (utility.growth_ok).  For information,
-    the values at scaled endowments k x0 come from the exact identities of
-    utility.scaled_value, with value / (k x0) as ratio: None where the
-    utility has no identity, ratio None at zero wealth.
+    the values at the endowments k x0, k = 1, 4 and 16, come from the exact
+    identities of utility.scaled_value, with value / (k x0) as ratio: None
+    where the utility has no identity, ratio None at zero wealth.
     """
     noise = problem.noise
     rows = []
@@ -548,10 +537,10 @@ def duality_report(
         # release this model's walk before the next model's runs
         del value, terminal
     inada_rows = []
-    for s in inada_scales:
+    for s in (1.0, 4.0, 16.0):
         val = scaled_value(problem.utility, report.best_value, x0, s)
         ratio = None if val is None or x0 * s == 0.0 else val / (x0 * s)
-        inada_rows.append(InadaRow(float(s), x0 * s, val, ratio))
+        inada_rows.append(InadaRow(s, x0 * s, val, ratio))
     grows = growth_ok(problem.utility)
     all_ok = sm_ok and grows and all(r.ok for r in rows) and all(p.ok for p in pol)
     return DualityReport(tuple(rows), tuple(pol), tuple(inada_rows), sm_ok, grows, all_ok)

@@ -282,8 +282,6 @@ def test_criterion_07_supermartingale_and_polarity():
 
 def test_criterion_08_duality_bound_and_inada():
     started = time.perf_counter()
-    scales = (1.0, 4.0, 16.0)
-
     fixtures = []
     grid3 = TimeGrid(1.0, 3)
     fixtures.append(
@@ -327,7 +325,7 @@ def test_criterion_08_duality_bound_and_inada():
 
     for name, problem, settings in fixtures:
         rep = solve(problem, settings)
-        dual = duality_report(problem, rep, default_price_systems(problem), inada_scales=scales)
+        dual = duality_report(problem, rep, default_price_systems(problem))
         assert all(r.ok for r in dual.rows), name
         assert all(p.ok for p in dual.polarity), name
         assert dual.supermartingale_ok, name

@@ -16,12 +16,13 @@ from frictionopt import (
     lattice_cps,
     lattice_panel,
     polarity_gap,
+    registered_cps,
     simulate,
     supermartingale_check,
     verify_band,
     verify_martingale,
 )
-from frictionopt.cps import TOL, Z_MAX, within
+from frictionopt.cps import TOL, Z_MAX, standard_error, within
 from frictionopt.errors import ConfigError, ContractViolation, NoCpsConstructibleError
 
 
@@ -145,15 +146,6 @@ class TestGirsanovCps:
         assert rep.mode == "mc"
         assert rep.passed
 
-    def test_shrink_buys_strict_band_slack(self):
-        g = TimeGrid(1.0, 6)
-        noise = gaussian_panel(g, 100, 1, seed=1)
-        prices = simulate(BlackScholes(0.1, 0.2), noise)
-        ps = girsanov_cps(BlackScholes(0.1, 0.2), prices, noise, shrink=0.95)
-        assert ps.mu_level == pytest.approx(0.05)
-        rep = verify_band(prices, ps, 0.1)
-        assert rep.strict
-
     def test_rejects_degenerate_and_foreign_models(self):
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 10, 1, seed=0)
@@ -162,8 +154,6 @@ class TestGirsanovCps:
             girsanov_cps(BlackScholes(0.1, 0.0), prices, noise)
         with pytest.raises(NoCpsConstructibleError):
             girsanov_cps(ArctanDrift(), prices, noise)
-        with pytest.raises(ConfigError):
-            girsanov_cps(BlackScholes(0.1, 0.2), prices, noise, shrink=1.5)
 
     def test_density_underflow_is_no_construction(self):
         # mu/sigma = 50: exp(-a W_T - a^2 T / 2) underflows to 0 on every path
@@ -183,13 +173,6 @@ class TestLatticeCps:
         assert rep.passed
         assert rep.max_defect <= 1e-12
 
-    def test_shrink_preserves_exactness(self):
-        g, noise, prices = lattice_fixture()
-        ps = lattice_cps(prices, noise, shrink=0.97)
-        assert ps.mu_level == pytest.approx(0.03)
-        np.testing.assert_array_equal(ps.shadow, 0.97 * prices)
-        assert verify_martingale(ps).max_defect <= 1e-12
-
     def test_weights_form_a_probability(self):
         g, noise, prices = lattice_fixture()
         ps = lattice_cps(prices, noise)
@@ -208,6 +191,67 @@ class TestLatticeCps:
         g, noise, prices = lattice_fixture(steps=2, mu=2.0, sigma=0.1)
         with pytest.raises(NoCpsConstructibleError):
             lattice_cps(prices, noise)
+
+
+class TestRegisteredCps:
+    def test_shrink_buys_strict_band_slack(self):
+        g = TimeGrid(1.0, 6)
+        noise = gaussian_panel(g, 100, 1, seed=1)
+        prices = simulate(BlackScholes(0.1, 0.2), noise)
+        ps = registered_cps(BlackScholes(0.1, 0.2), prices, noise, 0.1, shrink=0.95)
+        assert ps.mu_level == pytest.approx(0.05)
+        assert ps.label == "girsanov(mu=0.1, sigma=0.2)"
+        rep = verify_band(prices, ps, 0.1)
+        assert rep.strict
+
+    def test_shrink_preserves_exactness(self):
+        g, noise, prices = lattice_fixture()
+        ps = registered_cps(BlackScholes(0.1, 0.2), prices, noise, 0.1, shrink=0.97)
+        assert (ps.mu_level, ps.label) == (pytest.approx(0.03), "lattice")
+        np.testing.assert_array_equal(ps.shadow, 0.97 * prices)
+        assert verify_martingale(ps).max_defect <= 1e-12
+
+    @pytest.mark.parametrize("shrink", [0.0, 1.0, 1.5, -0.5])
+    def test_rejects_shrink_outside_the_unit_interval(self, shrink):
+        g, noise, prices = lattice_fixture(steps=2)
+        with pytest.raises(ConfigError, match="shrink must lie in"):
+            registered_cps(BlackScholes(0.1, 0.2), prices, noise, 0.1, shrink=shrink)
+
+    @pytest.mark.parametrize("kind", ["mc", "lattice"])
+    def test_the_certificate_decides_first_on_any_panel(self, kind):
+        g = TimeGrid(1.0, 4)
+        noise = lattice_panel(g, 1) if kind == "lattice" else gaussian_panel(g, 50, 1, seed=2)
+        prices = simulate(ArctanDrift(), noise)
+        ps = registered_cps(ArctanDrift(), prices, noise, 0.7)
+        assert (ps.label, ps.mu_level) == ("constant", 0.0)
+        np.testing.assert_array_equal(ps.shadow, 0.75)
+        assert verify_band(prices, ps, 0.7).strict and verify_martingale(ps).passed
+        assert registered_cps(ArctanDrift(), prices, noise, 0.3) is None
+
+    def test_shrink_scales_the_constant_shadow(self):
+        g, noise, prices = arctan_fixture()
+        ps = registered_cps(ArctanDrift(), prices, noise, 0.7, shrink=0.95)
+        assert (ps.label, ps.mu_level) == ("constant", pytest.approx(0.05))
+        np.testing.assert_array_equal(ps.shadow, 0.95 * 0.75)
+        assert verify_band(prices, ps, 0.7).strict
+        # 0.375 sits below the bid 0.3 S wherever S > 1.25
+        assert not verify_band(prices, registered_cps(ArctanDrift(), prices, noise, 0.7, shrink=0.5), 0.7).holds
+
+    def test_models_without_a_construction_get_none(self):
+        g = TimeGrid(1.0, 4)
+        noise = gaussian_panel(g, 20, 1, seed=0)
+        model = BlackScholes(0.1, 0.0)
+        assert registered_cps(model, simulate(model, noise), noise, 0.1, shrink=0.9) is None
+
+    @pytest.mark.parametrize("kind", ["mc", "lattice"])
+    def test_a_construction_leaves_the_callers_prices_writable(self, kind):
+        g = TimeGrid(1.0, 3)
+        noise = lattice_panel(g, 1) if kind == "lattice" else gaussian_panel(g, 20, 1, seed=0)
+        model = BlackScholes(0.1, 0.2)
+        prices = np.array(simulate(model, noise))
+        ps = girsanov_cps(model, prices, noise) if kind == "mc" else lattice_cps(prices, noise)
+        assert np.shares_memory(ps.shadow, prices)
+        assert prices.flags.writeable and not ps.shadow.flags.writeable
 
 
 class TestMartingaleRejection:
@@ -349,6 +393,12 @@ class TestPolarity:
         rep = polarity_gap(np.full(16, 3.0), ps, x0=2.0, y=1.0)
         assert not rep.satisfied
         assert rep.lhs > rep.bound
+
+
+class TestStandardError:
+    def test_one_monte_carlo_path_has_zero_standard_error(self):
+        noise = gaussian_panel(TimeGrid(1.0, 2), 1, 1, seed=0)
+        assert standard_error(np.array([2.5]), noise) == 0.0
 
 
 class TestWithin:

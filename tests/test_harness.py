@@ -555,8 +555,8 @@ class TestCli:
         assert not out.exists()
 
     def test_informational_or_unresolved_settings_still_parse(self):
-        # whether auto resolves to the constant construction, which ignores
-        # the shrink, is known only once the panel is built
+        # cps.registered_cps scales whichever system it chooses, the constant
+        # shadow included, so every shrink in (0, 1) changes what is checked
         cfg = parse_config(make_doc(verify={"construction": "auto", "shrink": 0.5}))
         assert cfg.verify["shrink"] == 0.5
 
@@ -710,14 +710,17 @@ class TestCli:
         entropy = json.loads((out / "verify.json").read_text())["entropy"]
         assert entropy["finite"] is False and entropy["estimate"] == "inf"
 
-    def test_duality_without_a_price_system_writes_a_verdict(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "over", [{"noise": {"kind": "mc", "paths": 50}, "policy": {}}, {}], ids=["mc", "lattice"]
+    )
+    def test_duality_without_a_price_system_writes_a_verdict(self, tmp_path, capsys, over):
+        # at lambda 0.3 the arctan certificate proves that no system exists
         doc = make_doc(
             thetas=[{"type": "arctan_drift"}],
             cost={"lambda": 0.3, "x0": 1.0},
-            noise={"kind": "mc", "paths": 50},
             grid={"horizon": 1.0, "steps": 5},
-            policy={},
             optimizer={"iters": 2},
+            **over,
         )
         verdict = duality_verdict(tmp_path, capsys, doc)
         assert verdict == "no price system construction is registered for this family"
@@ -801,6 +804,76 @@ class TestCli:
         assert result["band"]["holds"] is True
         assert result["martingale"]["passed"] is True
 
+    @pytest.mark.parametrize("shrink, code, strict", [(0.95, 0, True), (0.5, 3, False)])
+    def test_verify_shrink_scales_the_constant_shadow(self, tmp_path, shrink, code, strict):
+        doc = make_doc(
+            thetas=[{"type": "arctan_drift"}],
+            cost={"lambda": 0.7, "x0": 1.0},
+            noise={"kind": "mc", "paths": 50},
+            grid={"horizon": 1.0, "steps": 10},
+            policy={},
+            verify={"shrink": shrink},
+        )
+        out = tmp_path / "v"
+        assert main(["verify-cps", "--config", write_config(tmp_path, doc), "--out", str(out)]) == code
+        result = json.loads((out / "verify.json").read_text())
+        assert (result["label"], result["mu_level"]) == ("constant", pytest.approx(1.0 - shrink))
+        assert (result["band"]["holds"], result["band"]["strict"]) == (strict, strict)
+        assert result["verdict"] == ("verified" if code == 0 else "verification failed")
+
+    def test_arctan_on_a_lattice_is_decided_by_its_certificate(self, tmp_path, capsys):
+        # at lambda 0.7 the constant shadow 3/4 is the system on any panel;
+        # the node construction finds no martingale weights for these prices
+        doc = make_doc(thetas=[{"type": "arctan_drift"}], cost={"lambda": 0.7, "x0": 1.0})
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["verify-cps", "--config", cfg_path, "--out", str(tmp_path / "v")]) == 0
+        result = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert (result["verdict"], result["label"], result["martingale"]["mode"]) == ("verified", "constant", "lattice")
+        assert main(["duality", "--config", cfg_path, "--out", str(tmp_path / "d")]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "d" / "duality.json").read_text())["all_ok"] is True
+
+    @pytest.mark.parametrize("command", ["solve", "duality", "verify-cps"])
+    def test_power_utility_runs(self, tmp_path, capsys, command):
+        doc = make_doc(utility={"name": "power", "p": 0.5})
+        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+        assert (code, capsys.readouterr().err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "utility, error",
+        [
+            ({"name": "power"}, "missing required key(s) in utility: ['p']"),
+            ({"name": "power", "p": 1.5}, "power exponent must lie in (0, 1), got 1.5"),
+        ],
+        ids=["missing-p", "p-above-1"],
+    )
+    def test_bad_power_utility_exits_2_at_parse_time(self, tmp_path, capsys, utility, error):
+        out = tmp_path / "o"
+        code = main(["solve", "--config", write_config(tmp_path, make_doc(utility=utility)), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {error}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step0, steps", [(100.0, [0.0, 100.0 / 2**8]), (1e300, [0.0, 0.0, 0.0, 0.0])])
+    def test_solve_halves_a_step_that_leaves_the_domain(self, tmp_path, step0, steps):
+        # on the README config a first step of 100 leaves the admissible set
+        # and eight halvings bring it back; no halving of 1e300 does, so the
+        # iterate stays at the zero strategy with step 0
+        doc = make_doc(
+            seed=7,
+            grid={"horizon": 1.0, "steps": 50},
+            noise={"kind": "mc", "paths": 1000},
+            thetas=TWO_BS,
+            policy={"class": "deterministic-schedule", "long_only": False},
+            optimizer={"iters": 3, "step0": step0},
+        )
+        out = tmp_path / "s"
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
+        assert [float(r[3]) for r in rows[: len(steps)]] == steps
+        if step0 == 1e300:
+            assert json.loads((out / "report.json").read_text())["best_value"] == 0.0
+            assert {float(r[1]) for r in rows} == {0.0}
+
     @pytest.mark.parametrize(
         "over",
         [
@@ -810,14 +883,17 @@ class TestCli:
             {"thetas": [{"type": "arctan_drift"}], "cost": {"lambda": 0.7, "x0": 1.0}},
             {"thetas": [{"type": "arctan_drift"}], "cost": {"lambda": 0.3, "x0": 1.0}},
             {"thetas": [FACTOR]},
+            {"thetas": [{"type": "arctan_drift"}], "cost": {"lambda": 0.7, "x0": 1.0}, "noise": {"kind": "lattice"}},
+            {"thetas": [{"type": "arctan_drift"}], "cost": {"lambda": 0.3, "x0": 1.0}, "noise": {"kind": "lattice"}},
         ],
-        ids=["lattice", "bs", "bs-sigma-0", "arctan-0.7", "arctan-0.3", "factor"],
+        ids=["lattice", "bs", "bs-sigma-0", "arctan-0.7", "arctan-0.3", "factor", "lattice-arctan-0.7",
+             "lattice-arctan-0.3"],
     )
     def test_verify_cps_auto_picks_the_duality_system(self, tmp_path, over):
         from frictionopt.solver import default_price_systems
 
         if over:
-            over = dict(over, noise={"kind": "mc", "paths": 50}, grid={"horizon": 1.0, "steps": 5}, policy={})
+            over = {"noise": {"kind": "mc", "paths": 50}, "grid": {"horizon": 1.0, "steps": 5}, "policy": {}, **over}
         cfg_path = write_config(tmp_path, make_doc(**over))
         out = tmp_path / "v"
         main(["verify-cps", "--config", cfg_path, "--out", str(out)])

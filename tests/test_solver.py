@@ -592,7 +592,7 @@ class TestDualityReport:
     def test_lattice_bounds_hold_exactly(self):
         prob = lattice_problem(steps=2, x0=3.0)
         rep = solve(prob, OptimizerSettings(iters=40))
-        dual = duality_report(prob, rep, default_price_systems(prob), inada_scales=(1.0, 4.0))
+        dual = duality_report(prob, rep, default_price_systems(prob))
         assert dual.all_ok
         assert dual.supermartingale_ok
         assert len(dual.rows) == 1
@@ -605,10 +605,10 @@ class TestDualityReport:
     def test_row_counts_scale_with_systems(self):
         prob = lattice_problem(steps=2, x0=3.0, mus=(0.1, -0.1))
         rep = solve(prob, OptimizerSettings(iters=10))
-        dual = duality_report(prob, rep, default_price_systems(prob), inada_scales=(1.0,))
+        dual = duality_report(prob, rep, default_price_systems(prob))
         assert len(dual.rows) == 2
         assert len(dual.polarity) == 2
-        assert len(dual.inada) == 1
+        assert len(dual.inada) == 3
 
     def test_scaled_rows_come_from_the_identities(self):
         prob = lattice_problem(steps=2, x0=3.0)
