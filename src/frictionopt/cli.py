@@ -27,13 +27,12 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_V
 import numpy as np  # noqa: E402
 
 from .config import load_config  # noqa: E402
-from .errors import ConfigError, EngineError, NoFeasiblePointError  # noqa: E402
+from .errors import ConfigError, EngineError  # noqa: E402
 from .harness import cmd_duality, cmd_selftest, cmd_simulate, cmd_solve, cmd_verify_cps  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
-EXIT_INFEASIBLE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,9 +87,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return command[args.command](cfg)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ConfigError):
-            return EXIT_CONFIG
-        return EXIT_INFEASIBLE if isinstance(exc, NoFeasiblePointError) else EXIT_VERIFY
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -175,21 +175,7 @@ def lattice_cps(prices: Array, noise: NoisePanel) -> PriceSystem:
     )
 
 
-@record
-class MartingaleReport:
-    """Step-by-step martingale verification of the shadow under Q.
-
-    In lattice mode every node's conditional expectation must match exactly
-    (within TOL); in mc mode each step's weighted mean increment must sit
-    within Z_MAX standard errors of zero."""
-
-    passed: bool
-    mode: str
-    max_defect: float
-    max_z: float
-
-
-# slack every verdict forgives for rounding
+# slack every verdict forgives for rounding, relative to the magnitude judged
 TOL = 1e-10
 # standard errors by which a Monte Carlo estimate may exceed its bound
 Z_MAX = 3.0
@@ -211,34 +197,31 @@ def standard_error(values: Array, noise: NoisePanel) -> float:
     return math.sqrt(var / (n_eff - 1.0))
 
 
-def within(value: float, bound: float, se: float) -> bool:
-    """The verdict value <= bound, forgiving Z_MAX standard errors and TOL.
-    A value of +inf or nan fails whatever its standard error."""
-    return value < math.inf and value <= bound + Z_MAX * se + TOL
+def within(value: float, bound: float, se: float, scale: float = 0.0) -> bool:
+    """The verdict value <= bound, forgiving Z_MAX standard errors and
+    TOL * max(1, |bound|, scale), where scale is the magnitude of the
+    quantities value was computed from.  A value of +inf or nan fails
+    whatever its standard error."""
+    return value < math.inf and value <= bound + Z_MAX * se + TOL * max(1.0, abs(bound), scale)
 
 
-def _step_drifts(values: Array, ps: PriceSystem) -> list:
-    """Drift under Q of a value process (paths, steps + 1) over each step, in
-    the mode of the panel kind.
+@record
+class DriftReport:
+    """Step-by-step drift of a value process under Q, each step judged by
+    within(rise, 0, se, scale): rise is |drift| for the martingale check and
+    the signed drift for the supermartingale check, and scale the largest
+    |X| at the step's two times (a time where X is not finite counts 0).
 
-    In lattice mode step i gives the exact E_Q[X_{i+1} | node] - X_i per tree
-    node; in mc mode it gives the weighted mean increment E_P[w (X_{i+1} - X_i)]
-    together with its standard error.
-    """
-    noise = ps.noise
-    drifts: list = []
-    if noise.kind == "lattice":
-        qp = ps.q_probs
-        for i in range(values.shape[1] - 1):
-            block = lattice_block(noise, i)
-            num = (qp * values[:, i + 1]).reshape(-1, block).sum(axis=1)
-            den = qp.reshape(-1, block).sum(axis=1)
-            drifts.append(num / den - values[::block, i])
-    else:
-        for i in range(values.shape[1] - 1):
-            inc = ps.weights * (values[:, i + 1] - values[:, i])
-            drifts.append((float(np.dot(noise.probs, inc)), standard_error(inc, noise)))
-    return drifts
+    In lattice mode a step's rise is the largest over its tree nodes of the
+    exact E_Q[X_{i+1} | node] - X_i, with se 0; in mc mode it is the weighted
+    mean increment E_P[w (X_{i+1} - X_i)] with its standard error, and max_z
+    counts the largest rise in standard errors (0 on lattices).  max_drift
+    is the largest rise judged."""
+
+    passed: bool
+    mode: str
+    max_drift: float
+    max_z: float
 
 
 def _z(rise: float, se: float) -> float:
@@ -249,42 +232,45 @@ def _z(rise: float, se: float) -> float:
     return rise / se if 0.0 < se < math.inf and rise < math.inf else math.inf
 
 
-def verify_martingale(ps: PriceSystem) -> MartingaleReport:
-    drifts = _step_drifts(ps.shadow, ps)
-    if ps.noise.kind == "lattice":
-        defect = max([0.0] + [float(np.max(np.abs(d))) for d in drifts])
-        return MartingaleReport(passed=defect <= TOL, mode=ps.noise.kind, max_defect=defect, max_z=0.0)
-    max_z = max([0.0] + [_z(abs(mean), se) for mean, se in drifts])
-    return MartingaleReport(passed=max_z <= Z_MAX, mode=ps.noise.kind, max_defect=float("nan"), max_z=max_z)
+def _drift_report(values: Array, ps: PriceSystem, two_sided: bool) -> DriftReport:
+    """The DriftReport of values (paths, steps + 1) under ps; two_sided
+    judges |drift| instead of the signed drift."""
+    noise = ps.noise
+    qp = ps.q_probs
+    mags = np.maximum(values.max(axis=0), -values.min(axis=0))
+    mags[~np.isfinite(mags)] = 0.0
+    passed, worst, max_z = True, -math.inf, 0.0
+    for i in range(values.shape[1] - 1):
+        if noise.kind == "lattice":
+            block = lattice_block(noise, i)
+            num = (qp * values[:, i + 1]).reshape(-1, block).sum(axis=1)
+            den = qp.reshape(-1, block).sum(axis=1)
+            drift = num / den - values[::block, i]
+            rise, se = float(np.max(np.abs(drift) if two_sided else drift)), 0.0
+        else:
+            inc = ps.weights * (values[:, i + 1] - values[:, i])
+            drift = float(np.dot(noise.probs, inc))
+            rise, se = abs(drift) if two_sided else drift, standard_error(inc, noise)
+            max_z = max(max_z, _z(rise, se))
+        passed = within(rise, 0.0, se, float(max(mags[i], mags[i + 1]))) and passed
+        worst = max(worst, rise)
+    return DriftReport(passed=passed, mode=noise.kind, max_drift=worst, max_z=max_z)
 
 
-@record
-class SupermartingaleReport:
-    """Supermartingale verification of a value process under Q: conditional
-    means may only decrease.  Lattice mode checks every node exactly; mc mode
-    allows each step's increase up to Z_MAX standard errors."""
-
-    passed: bool
-    mode: str
-    max_rise: float
-    max_z: float
+def verify_martingale(ps: PriceSystem) -> DriftReport:
+    return _drift_report(ps.shadow, ps, two_sided=True)
 
 
-def supermartingale_check(values: Array, ps: PriceSystem) -> SupermartingaleReport:
+def supermartingale_check(values: Array, ps: PriceSystem) -> DriftReport:
     values = np.asarray(values, float)
     if values.shape != ps.shadow.shape:
         raise ConfigError("value process must match the shadow array shape")
-    drifts = _step_drifts(values, ps)
     if ps.noise.kind == "lattice":
         for i in range(values.shape[1] - 1):
             spread = values[:, i].reshape(-1, lattice_block(ps.noise, i))
             if float(np.max(spread.max(axis=1) - spread.min(axis=1))) > 1e-9:
                 raise ContractViolation("value process is not adapted to the lattice filtration")
-        worst = max([-math.inf] + [float(np.max(d)) for d in drifts])
-        return SupermartingaleReport(passed=worst <= TOL, mode=ps.noise.kind, max_rise=worst, max_z=0.0)
-    worst = max([-math.inf] + [mean for mean, _ in drifts])
-    max_z = max([0.0] + [_z(mean, se) for mean, se in drifts])
-    return SupermartingaleReport(passed=max_z <= Z_MAX, mode=ps.noise.kind, max_rise=worst, max_z=max_z)
+    return _drift_report(values, ps, two_sided=False)
 
 
 @record

@@ -38,7 +38,7 @@ class IndeterminateError(EngineError):
 
 
 class NoFeasiblePointError(EngineError):
-    """The solver could not find any admissible strategy, including the zero strategy."""
+    """The brute-force oracle found no admissible point on its grid."""
 
 
 class OracleTooLargeError(EngineError):

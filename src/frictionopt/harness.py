@@ -344,7 +344,7 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
 
 def cmd_solve(cfg: RunConfig) -> int:
     """Solve the robust problem and write report, history, strategy and the
-    worst-model ledger; exit 4 when no admissible point exists."""
+    worst-model ledger."""
     started = time.monotonic()
     out_dir = _prepare(cfg)
     problem = cfg.build_problem()

@@ -27,6 +27,8 @@ import numpy as np
 from .accounting import CostSpec, Strategy, check_jumps, position_recursion, settle, shadow_value
 from .config import OptimizerSettings, check_capital, check_policy_class
 from .cps import (
+    DriftReport,
+    PolarityReport,
     PriceSystem,
     polarity_gap,
     registered_cps,
@@ -315,8 +317,6 @@ def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSetting
     codec = problem.codec
     cur = codec.zero()
     cur_res = objective(problem, cur)
-    if not cur_res.feasible:
-        raise NoFeasiblePointError("the zero strategy is already inadmissible")
 
     def evaluate(vec: np.ndarray) -> ObjectiveResult:
         if vec.tobytes() == cur.tobytes():
@@ -450,7 +450,9 @@ def default_price_systems(problem: RobustProblem) -> list[tuple[int, PriceSystem
 
 @record
 class DualityRow:
-    """Model theta_index's primal value u_hat against the bound v_hat + x0 y at level y."""
+    """Model theta_index's primal value u_hat against the bound v_hat + x0 y at
+    level y, with the polarity check of its terminal payoff at that level and
+    the supermartingale check of its shadow value process."""
 
     theta_index: int
     y: float
@@ -459,18 +461,8 @@ class DualityRow:
     bound: float
     se: float
     ok: bool
-
-
-@record
-class PolarityRow:
-    """Model theta_index's polarity check E[X y w] = lhs <= bound = x0 y at level y."""
-
-    theta_index: int
-    y: float
-    lhs: float
-    bound: float
-    se: float
-    ok: bool
+    polarity: PolarityReport
+    supermartingale: DriftReport
 
 
 @record
@@ -488,9 +480,7 @@ class DualityReport:
     """The rows and verdicts of duality_report."""
 
     rows: tuple[DualityRow, ...]
-    polarity: tuple[PolarityRow, ...]
     inada: tuple[InadaRow, ...]
-    supermartingale_ok: bool
     growth_ok: bool
     all_ok: bool
 
@@ -502,27 +492,25 @@ def duality_report(
 ) -> DualityReport:
     """Diagnostics relating the solved primal value to dual quantities.
 
-    Each model with a registered price system is valued in one walk: its
-    shadow value process must be a supermartingale under the system; at
-    the system's best dual level y (utility.best_dual_level) the primal
-    value must stay below E[V(y w)] + x0 y, the tightest bound the system
-    gives, and the terminal payoff must satisfy the polarity bound
-    E[X y w] <= x0 y, which scales with y, so one level checks it; both
-    are judged by cps.within (exact on lattice panels; a row where V is
-    infinite at every level has an infinite bound and holds); and the
-    utility must grow sublinearly (utility.growth_ok).  For information,
+    Each model with a registered price system is valued in one walk and
+    gets one row: its shadow value process must be a supermartingale under
+    the system; at the system's best dual level y (utility.best_dual_level)
+    the primal value must stay below E[V(y w)] + x0 y, the tightest bound
+    the system gives, and the terminal payoff must satisfy the polarity
+    bound E[X y w] <= x0 y, which scales with y, so one level checks it;
+    all three are judged by cps.within (exact on lattice panels; a row
+    where V is infinite at every level has an infinite bound and holds);
+    and the utility must grow sublinearly (utility.growth_ok).  For information,
     the values at the endowments k x0, k = 1, 4 and 16, come from the exact
     identities of utility.scaled_value, with value / (k x0) as ratio: None
     where the utility has no identity, ratio None at zero wealth.
     """
     noise = problem.noise
     rows = []
-    pol = []
-    sm_ok = True
     x0 = problem.cost.x0
     for k, ps in price_systems:
         value, terminal = shadow_value(report.strategy, problem.prices[k], ps.shadow, problem.cost)
-        sm_ok = supermartingale_check(value, ps).passed and sm_ok
+        sm = supermartingale_check(value, ps)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_se = standard_error(problem.utility(terminal), noise)
         u_hat = float(report.per_theta[k])
@@ -531,9 +519,8 @@ def duality_report(
         v_hat = float(np.dot(noise.probs, vvals))
         se = math.hypot(u_se, standard_error(vvals, noise))
         bound = v_hat + x0 * y
-        rows.append(DualityRow(k, y, u_hat, v_hat, bound, se, within(u_hat, bound, se)))
         pg = polarity_gap(terminal, ps, x0, y)
-        pol.append(PolarityRow(k, y, pg.lhs, pg.bound, pg.se, pg.satisfied))
+        rows.append(DualityRow(k, y, u_hat, v_hat, bound, se, within(u_hat, bound, se), pg, sm))
         # release this model's walk before the next model's runs
         del value, terminal
     inada_rows = []
@@ -542,5 +529,5 @@ def duality_report(
         ratio = None if val is None or x0 * s == 0.0 else val / (x0 * s)
         inada_rows.append(InadaRow(s, x0 * s, val, ratio))
     grows = growth_ok(problem.utility)
-    all_ok = sm_ok and grows and all(r.ok for r in rows) and all(p.ok for p in pol)
-    return DualityReport(tuple(rows), tuple(pol), tuple(inada_rows), sm_ok, grows, all_ok)
+    all_ok = grows and all(r.ok and r.polarity.satisfied and r.supermartingale.passed for r in rows)
+    return DualityReport(tuple(rows), tuple(inada_rows), grows, all_ok)

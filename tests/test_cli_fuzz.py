@@ -193,8 +193,9 @@ def test_an_overflow_is_judged_by_its_check_without_a_warning(tmp_path, capsys, 
         text = (tmp_path / "o0" / "duality.json").read_text()
         assert "nan" not in text
         # the polarity row's left side overflows to inf: it fails, although its standard error is inf too
-        [row] = json.loads(text)["polarity"]
-        assert (row["lhs"], row["se"], row["ok"]) == ("inf", "inf", False)
+        [row] = json.loads(text)["rows"]
+        pol = row["polarity"]
+        assert (pol["lhs"], pol["se"], pol["satisfied"]) == ("inf", "inf", False)
 
 
 MULTI_DRIVER_LATTICES = {

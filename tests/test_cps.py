@@ -33,10 +33,10 @@ def arctan_fixture(paths=200, steps=20, seed=7):
     return g, noise, prices
 
 
-def lattice_fixture(steps=6, mu=0.1, sigma=0.2):
+def lattice_fixture(steps=6, mu=0.1, sigma=0.2, s0=1.0):
     g = TimeGrid(1.0, steps)
     noise = lattice_panel(g, 1)
-    prices = simulate(BlackScholes(mu, sigma), noise)
+    prices = simulate(BlackScholes(mu, sigma, s0), noise)
     return g, noise, prices
 
 
@@ -171,7 +171,17 @@ class TestLatticeCps:
         rep = verify_martingale(ps)
         assert rep.mode == "lattice"
         assert rep.passed
-        assert rep.max_defect <= 1e-12
+        assert rep.max_drift <= 1e-12
+
+    @pytest.mark.parametrize("steps", [2, 10])
+    @pytest.mark.parametrize("s0", [1e6, 1e9])
+    def test_exact_system_verifies_at_large_prices(self, s0, steps):
+        # the node drifts are rounding of the prices' size (1.2e-10 at s0 1e6
+        # on 2 steps), which the slack relative to the prices forgives
+        g, noise, prices = lattice_fixture(steps=steps, s0=s0)
+        rep = verify_martingale(lattice_cps(prices, noise))
+        assert rep.passed
+        assert rep.max_drift <= 1e-15 * prices.max() * steps
 
     def test_weights_form_a_probability(self):
         g, noise, prices = lattice_fixture()
@@ -209,7 +219,7 @@ class TestRegisteredCps:
         ps = registered_cps(BlackScholes(0.1, 0.2), prices, noise, 0.1, shrink=0.97)
         assert (ps.mu_level, ps.label) == (pytest.approx(0.03), "lattice")
         np.testing.assert_array_equal(ps.shadow, 0.97 * prices)
-        assert verify_martingale(ps).max_defect <= 1e-12
+        assert verify_martingale(ps).max_drift <= 1e-12
 
     @pytest.mark.parametrize("shrink", [0.0, 1.0, 1.5, -0.5])
     def test_rejects_shrink_outside_the_unit_interval(self, shrink):
@@ -258,9 +268,10 @@ class TestMartingaleRejection:
     """Shadows that are not Q-martingales: drifting prices under the base
     measure itself (weights identically one)."""
 
-    def test_lattice_mode_rejects_a_drifting_shadow(self):
+    @pytest.mark.parametrize("s0", [1.0, 1e6, 1e9])
+    def test_lattice_mode_rejects_a_drifting_shadow(self, s0):
         mu, sigma = 0.1, 0.2
-        g, noise, prices = lattice_fixture(steps=4, mu=mu, sigma=sigma)
+        g, noise, prices = lattice_fixture(steps=4, mu=mu, sigma=sigma, s0=s0)
         ps = PriceSystem(prices, np.ones(noise.paths), noise, 0.0)
         rep = verify_martingale(ps)
         assert rep.mode == "lattice"
@@ -268,13 +279,14 @@ class TestMartingaleRejection:
         # one step from a node at S multiplies by exp((mu - sigma^2/2) dt) and
         # by e^{+-sigma sqrt(dt)} with probability 1/2 each
         factor = math.exp((mu - 0.5 * sigma**2) * g.dt) * math.cosh(sigma * math.sqrt(g.dt)) - 1.0
-        assert rep.max_defect == pytest.approx(abs(factor) * prices[:, :-1].max(), rel=1e-9)
-        assert rep.max_defect > 1e-10
+        assert rep.max_drift == pytest.approx(abs(factor) * prices[:, :-1].max(), rel=1e-9)
+        assert rep.max_drift > 1e-10 * prices.max()
 
-    def test_mc_mode_rejects_a_drifting_shadow(self):
+    @pytest.mark.parametrize("s0", [1.0, 1e6, 1e9])
+    def test_mc_mode_rejects_a_drifting_shadow(self, s0):
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 2000, 1, seed=4)
-        prices = simulate(BlackScholes(2.0, 0.2), noise)
+        prices = simulate(BlackScholes(2.0, 0.2, s0), noise)
         ps = PriceSystem(prices, np.ones(noise.paths), noise, 0.0)
         rep = verify_martingale(ps)
         assert rep.mode == "mc"
@@ -283,6 +295,7 @@ class TestMartingaleRejection:
         z = np.abs(inc.mean(axis=0)) * math.sqrt(noise.paths) / inc.std(axis=0, ddof=1)
         assert rep.max_z == pytest.approx(z.max(), rel=1e-9)
         assert rep.max_z > 3.0
+        assert rep.max_drift == pytest.approx(np.abs(inc.mean(axis=0)).max(), rel=1e-9)
 
 
 class TestSupermartingale:
@@ -291,7 +304,7 @@ class TestSupermartingale:
         ps = lattice_cps(prices, noise)
         rep = supermartingale_check(ps.shadow, ps)
         assert rep.passed
-        assert abs(rep.max_rise) <= 1e-12
+        assert abs(rep.max_drift) <= 1e-12
 
     def test_decreasing_process_passes(self):
         g, noise, prices = lattice_fixture(steps=3)
@@ -299,7 +312,7 @@ class TestSupermartingale:
         values = np.tile(-noise.grid.times, (noise.paths, 1))
         rep = supermartingale_check(values, ps)
         assert rep.passed
-        assert rep.max_rise == pytest.approx(-g.dt)
+        assert rep.max_drift == pytest.approx(-g.dt)
 
     def test_increasing_process_fails(self):
         g, noise, prices = lattice_fixture(steps=3)
@@ -307,7 +320,32 @@ class TestSupermartingale:
         values = np.tile(noise.grid.times, (noise.paths, 1))
         rep = supermartingale_check(values, ps)
         assert not rep.passed
-        assert rep.max_rise == pytest.approx(g.dt)
+        assert rep.max_drift == pytest.approx(g.dt)
+
+    @pytest.mark.parametrize("rise, ok", [(0.25, True), (1e6, False)])
+    def test_rises_are_judged_relative_to_the_values(self, rise, ok):
+        # 0.25 on values of 1e15 is rounding (2.5e-16 relative); 1e6 is a
+        # relative rise of 1e-9, ten times the slack
+        g, noise, prices = lattice_fixture(steps=3)
+        ps = lattice_cps(prices, noise)
+        values = np.full((noise.paths, g.steps + 1), 1e15)
+        values[:, -1] += rise
+        rep = supermartingale_check(values, ps)
+        # the node sums of values near 1e15 round in steps of 0.125
+        assert rep.passed is ok
+        assert rep.max_drift == pytest.approx(rise, abs=0.5)
+
+    def test_an_infinite_value_earns_no_rounding_slack(self):
+        # the -inf node drifts to -inf; the others rise by 1e-3, judged
+        # against the absolute slack, not an infinite one
+        g, noise, prices = lattice_fixture(steps=3)
+        ps = lattice_cps(prices, noise)
+        values = np.zeros((noise.paths, g.steps + 1))
+        values[:, -1] = 1e-3
+        values[0, -1] = -np.inf
+        rep = supermartingale_check(values, ps)
+        assert not rep.passed
+        assert rep.max_drift == pytest.approx(1e-3)
 
     def test_non_adapted_process_is_a_contract_violation(self):
         g, noise, prices = lattice_fixture(steps=3)
@@ -428,6 +466,23 @@ class TestWithin:
     )
     def test_finite_verdicts(self, value, bound, se, ok):
         assert within(value, bound, se) is ok
+
+    @pytest.mark.parametrize(
+        "value, bound, scale, ok",
+        [
+            (1e6 + 0.5e-4, 1e6, 0.0, True),
+            (1e6 + 2e-4, 1e6, 0.0, False),
+            (-1e6 + 0.5e-4, -1e6, 0.0, True),
+            (0.5e-4, 0.0, 1e6, True),
+            (2e-4, 0.0, 1e6, False),
+            (0.5e-4, 0.0, 0.0, False),
+            (0.5 * TOL, 0.0, 0.5, True),
+            (2 * TOL, 0.0, 0.5, False),
+        ],
+    )
+    def test_the_rounding_slack_scales_with_what_it_judges(self, value, bound, scale, ok):
+        # TOL * max(1, |bound|, scale): absolute below magnitude 1
+        assert within(value, bound, 0.0, scale) is ok
 
 
 class TestCertificate:

@@ -93,7 +93,7 @@ def examples() -> dict:
     made = [
         config, config.grid, config.cost, config.utility, config.optimizer, config.thetas, *config.thetas.models,
         problem.noise, problem, report, report.strategy, objective(problem, report.best_params), ps, dual,
-        dual.rows[0], dual.polarity[0], dual.inada[0], ledger, check_admissible_rplus(ledger),
+        dual.rows[0], dual.inada[0], ledger, check_admissible_rplus(ledger),
         verify_band(problem.prices[0], ps, 0.01), verify_martingale(ps), supermartingale_check(value, ps),
         entropy_membership(ps, lambda w: -np.log(w) - 1.0), polarity_gap(terminal, ps, 1.0, 1.0),
         cps_certificate(ArctanDrift(), 0.42), check_assumptions(exp_utility(1.0)), path, enum, rho(path, path, enum),
@@ -108,7 +108,7 @@ def init_arguments(obj) -> dict:
 
 
 def test_every_record_class_has_an_example(examples):
-    assert len(RECORDS) == 37
+    assert len(RECORDS) == 35
     assert sorted(examples, key=lambda cls: cls.__qualname__) == RECORDS
 
 

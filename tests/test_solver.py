@@ -594,10 +594,10 @@ class TestDualityReport:
         rep = solve(prob, OptimizerSettings(iters=40))
         dual = duality_report(prob, rep, default_price_systems(prob))
         assert dual.all_ok
-        assert dual.supermartingale_ok
         assert len(dual.rows) == 1
         for row in dual.rows:
-            assert row.se == 0.0
+            assert row.supermartingale.passed and row.supermartingale.mode == "lattice"
+            assert row.se == row.polarity.se == 0.0
             assert row.u_hat <= row.bound + 1e-10
         ratios = [r.ratio for r in dual.inada]
         assert ratios == sorted(ratios, reverse=True)
@@ -606,8 +606,7 @@ class TestDualityReport:
         prob = lattice_problem(steps=2, x0=3.0, mus=(0.1, -0.1))
         rep = solve(prob, OptimizerSettings(iters=10))
         dual = duality_report(prob, rep, default_price_systems(prob))
-        assert len(dual.rows) == 2
-        assert len(dual.polarity) == 2
+        assert [r.theta_index for r in dual.rows] == [0, 1]
         assert len(dual.inada) == 3
 
     def test_scaled_rows_come_from_the_identities(self):
@@ -719,10 +718,10 @@ class TestBestDualLevel:
         prob = SWEEP_FIXTURES[name]()
         systems = default_price_systems(prob)
         dual = duality_report(prob, solve(prob, OptimizerSettings(iters=2)), systems)
-        assert len(dual.rows) == len(dual.polarity) == len(systems) == 2
-        for row, pol, (_, ps) in zip(dual.rows, dual.polarity, systems):
+        assert len(dual.rows) == len(systems) == 2
+        for row, (_, ps) in zip(dual.rows, systems):
             assert row.bound <= sweep_bound(prob.utility, prob.cost.x0, ps.weights, prob.noise.probs) + 1e-12
-            assert row.ok and pol.ok and pol.y == row.y
+            assert row.ok and row.polarity.satisfied and row.polarity.bound == prob.cost.x0 * row.y
             # every fixed level misses a table's window, and the bound is
             # finite exactly where the window is not empty
             if name.endswith("window-table"):
