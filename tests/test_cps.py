@@ -366,6 +366,20 @@ class TestSupermartingale:
         assert not rep.passed
 
 
+    @pytest.mark.parametrize("rise, ok", [(0.25, True), (1e6, False)])
+    def test_mc_rises_are_judged_relative_to_the_values(self, rise, ok):
+        # every path rises by the same amount, so the step's standard error
+        # is 0 and only the rounding slack, relative to 1e15, can forgive it
+        g = TimeGrid(1.0, 4)
+        noise = gaussian_panel(g, 50, 1, seed=2)
+        ps = constant_cps(noise, 1.0)
+        values = np.full((noise.paths, g.steps + 1), 1e15)
+        values[:, -1] += rise
+        rep = supermartingale_check(values, ps)
+        assert rep.mode == "mc"
+        assert rep.passed is ok
+        assert rep.max_drift == rise and rep.max_z == math.inf
+
     def test_mc_mode_fails_an_undefined_drift(self):
         g = TimeGrid(1.0, 4)
         noise = gaussian_panel(g, 50, 1, seed=2)

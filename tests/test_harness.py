@@ -772,6 +772,15 @@ class TestCli:
         assert result["band"]["holds"] is True
         assert result["martingale"]["passed"] is True
 
+    def test_verify_cps_on_an_mc_panel_writes_a_finite_drift(self, tmp_path):
+        doc = make_doc(noise={"kind": "mc", "paths": 200}, grid={"horizon": 1.0, "steps": 5}, policy={})
+        out = tmp_path / "v"
+        assert main(["verify-cps", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        martingale = json.loads((out / "verify.json").read_text())["martingale"]
+        assert (martingale["passed"], martingale["mode"]) == (True, "mc")
+        assert isinstance(martingale["max_drift"], float) and 0.0 <= martingale["max_drift"] < math.inf
+        assert 0.0 <= martingale["max_z"] <= 3.0
+
     @pytest.mark.parametrize("shrink, code, strict", [(0.95, 0, True), (0.5, 3, False)])
     def test_verify_shrink_scales_the_constant_shadow(self, tmp_path, shrink, code, strict):
         doc = make_doc(
@@ -950,6 +959,21 @@ class TestCli:
         [row] = result["rows"]
         assert row["polarity"]["satisfied"] is True
         assert row["supermartingale"]["passed"] is True and row["supermartingale"]["mode"] == "lattice"
+
+    def test_duality_json_nests_each_models_checks_in_its_row(self, tmp_path):
+        doc = make_doc(
+            thetas=[dict(BASE_DOC["thetas"][0], mu=mu) for mu in (0.1, -0.1)],
+            cost={"lambda": 0.01, "x0": 3.0},
+        )
+        out = tmp_path / "d"
+        assert main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        result = json.loads((out / "duality.json").read_text())
+        assert "polarity" not in result and "supermartingale_ok" not in result
+        assert [row["theta_index"] for row in result["rows"]] == [0, 1]
+        for row in result["rows"]:
+            assert row["polarity"]["bound"] == pytest.approx(3.0 * row["y"], rel=1e-15)
+            assert row["supermartingale"]["mode"] == "lattice"
+            assert row["ok"] and row["polarity"]["satisfied"] and row["supermartingale"]["passed"]
 
     def test_duality_on_the_readme_config_exits_0(self, tmp_path, capsys):
         # log(k)/k rises on (0, e), so a ratio verdict failed this config at

@@ -31,6 +31,8 @@ from frictionopt import (
     table_utility,
 )
 from frictionopt import solver as solver_module
+from frictionopt.accounting import shadow_value
+from frictionopt.cps import polarity_gap, supermartingale_check
 from frictionopt.errors import ConfigError, NoFeasiblePointError, OracleTooLargeError
 from frictionopt.solver import _supergradient
 from frictionopt.utility import scaled_value, vector_conjugate
@@ -608,6 +610,17 @@ class TestDualityReport:
         dual = duality_report(prob, rep, default_price_systems(prob))
         assert [r.theta_index for r in dual.rows] == [0, 1]
         assert len(dual.inada) == 3
+
+    def test_each_row_carries_its_own_models_checks(self):
+        prob = lattice_problem(steps=2, x0=3.0, mus=(0.1, -0.1))
+        rep = solve(prob, OptimizerSettings(iters=10))
+        systems = default_price_systems(prob)
+        dual = duality_report(prob, rep, systems)
+        for row, (k, ps) in zip(dual.rows, systems):
+            value, terminal = shadow_value(rep.strategy, prob.prices[k], ps.shadow, prob.cost)
+            assert row.theta_index == k
+            assert row.supermartingale == supermartingale_check(value, ps)
+            assert row.polarity == polarity_gap(terminal, ps, prob.cost.x0, row.y)
 
     def test_scaled_rows_come_from_the_identities(self):
         prob = lattice_problem(steps=2, x0=3.0)
