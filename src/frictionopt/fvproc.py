@@ -23,7 +23,7 @@ from .errors import (
 )
 from .records import record
 from .scenario import TimeGrid, _readonly
-from .utility import Array, UtilitySpec, _bracket, _ternary_max, check_assumptions, conjugate
+from .utility import Array, UtilitySpec, _bracket, _ternary_max, check_assumptions, vector_conjugate
 
 
 @record
@@ -221,42 +221,23 @@ class YoungPair:
     delta2_finite: bool
 
 
-def _left_derivative_at_zero(u: UtilitySpec, tol: float = 1e-9) -> float:
-    """One-sided difference quotient (U(0) - U(-h)) / h with Richardson step
-    refinement, halting when successive extrapolations settle."""
-    u0 = float(u(np.asarray([0.0]))[0])
-
-    def quot(h: float) -> float:
-        return (u0 - float(u(np.asarray([-h]))[0])) / h
-
-    h = 1e-2
-    prev = 2.0 * quot(h / 2.0) - quot(h)
-    for _ in range(20):
-        h *= 0.5
-        cur = 2.0 * quot(h / 2.0) - quot(h)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
-
-
 def young_pair(u: UtilitySpec) -> YoungPair:
     """Build the complementary Young pair of a whole-line utility."""
-    report = check_assumptions(u)
-    if not report.passed:
-        raise AssumptionViolationError(f"utility fails structural checks: {report.failures}")
-    beta = _left_derivative_at_zero(u)
+    failures = check_assumptions(u)
+    if failures:
+        raise AssumptionViolationError(f"utility fails structural checks: {failures}")
+    # U' just left of 0, where a knot at 0 would give the mean of its two slopes
+    beta = float(u.deriv(np.asarray([math.nextafter(0.0, -1.0)]))[0])
     if not (beta > 0.0 and math.isfinite(beta)):
         raise AssumptionViolationError(f"left derivative at zero must be positive, got {beta}")
-    v_beta = conjugate(u, beta)
+    v_beta = float(vector_conjugate(u, np.asarray([beta]))[0])
 
     def phi(y: Array) -> Array:
         y = np.asarray(y, float)
         out = np.zeros_like(y)
         above = y > beta
         if np.any(above):
-            vals = np.asarray([conjugate(u, float(t)) - v_beta for t in y[above]])
-            out[above] = np.maximum(vals, 0.0)
+            out[above] = np.maximum(vector_conjugate(u, y[above]) - v_beta, 0.0)
         return out
 
     def phi_star(x: Array) -> Array:

@@ -32,17 +32,15 @@ def __init__(self, *args, **kwargs) -> None:
         if name in values:
             raise _argument_error(cls, f"got multiple values for argument {name!r}")
         values[name] = value
-    for name, init, default, factory in cls._record_fields:
+    for name, init, default in cls._record_fields:
         if init and name in values:
             value = values.pop(name)
-        elif factory is not MISSING:
-            value = factory()
         elif init and default is not MISSING:
             value = default
         elif init:
             raise _argument_error(cls, f"missing 1 required positional argument: {name!r}")
         else:
-            continue  # init=False without a factory: __post_init__ or the class default supplies it
+            continue  # init=False: __post_init__ or the class default supplies it
         _set(self, name, value)
     if values:
         raise _argument_error(cls, f"got an unexpected keyword argument {next(iter(values))!r}")
@@ -79,7 +77,7 @@ def record(cls: type) -> type:
     """Declare cls a frozen record: its annotated fields, as a dataclass's."""
     dataclasses.dataclass(cls, init=False, repr=False, eq=False)
     fields = dataclasses.fields(cls)
-    cls._record_fields = tuple((f.name, f.init, f.default, f.default_factory) for f in fields)
+    cls._record_fields = tuple((f.name, f.init, f.default) for f in fields)
     cls._record_init = tuple(f.name for f in fields if f.init)
     cls._record_repr = tuple(f.name for f in fields if f.repr)
     cls._record_compare = tuple(f.name for f in fields if f.compare)

@@ -2,16 +2,18 @@
 meets the growth and structural assumptions of the duality theory.
 
 Utilities are concave and nondecreasing, either on the positive axis (log,
-power) or on the whole line (bounded exponential-type).  The conjugate is
-V(y) = sup_x (U(x) - x y), computed by ternary search on the concave map
-x -> U(x) - x y; the same searches find a price system's best dual level
-(best_dual_level).  The Orlicz-space objects built from them live in fvproc.
+power) or on the whole line (bounded exponential-type).  Each factory builds
+the utility's closed forms: U, U', the conjugate V(y) = sup_x (U(x) - x y),
+the asymptotic elasticity and the identity that scales an optimal value with
+the endowment.  conjugate() computes V by ternary search on the concave map
+x -> U(x) - x y instead, and the tests hold every closed form to it; the same
+searches find a price system's best dual level (best_dual_level).  The
+Orlicz-space objects built from them live in fvproc.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,21 +26,24 @@ Array = np.ndarray
 
 @record
 class UtilitySpec:
-    """A concave nondecreasing utility with its domain convention.
+    """A concave nondecreasing utility with its domain convention and closed
+    forms.
 
     domain is "positive" for utilities defined on (0, inf) (extended by -inf
-    at nonpositive wealth) or "real" for whole-line utilities.  fn must accept
-    numpy arrays, and so must derivative and analytic_conjugate when given:
-    derivative is U' (the solver's supergradient), analytic_conjugate is V in
-    closed form (vector_conjugate's fast route; conjugate() always searches).
+    at nonpositive wealth) or "real" for whole-line utilities.  fn is U, deriv
+    is U' (the solver's supergradient) and conj is V; each takes and returns
+    numpy arrays.  elasticity is the asymptotic elasticity
+    lim sup x U'(x) / U(x) as x grows (nan when unknown).  rescale(v, x0, k),
+    when given, is the optimal value at endowment k x0 from the value v at x0.
     """
 
     name: str
     domain: str
     fn: Callable[[Array], Array]
-    params: dict = field(default_factory=dict)
-    analytic_conjugate: Optional[Callable[[Array], Array]] = None
-    derivative: Optional[Callable[[Array], Array]] = None
+    deriv: Callable[[Array], Array]
+    conj: Callable[[Array], Array]
+    elasticity: float = math.nan
+    rescale: Optional[Callable[[float, float, float], float]] = None
 
     def __post_init__(self) -> None:
         if self.domain not in ("positive", "real"):
@@ -46,15 +51,6 @@ class UtilitySpec:
 
     def __call__(self, x: Array) -> Array:
         return self.fn(np.asarray(x, float))
-
-    def deriv(self, x: Array) -> Array:
-        """U'(x): the closed form when the utility carries one, otherwise a
-        central difference of U with a step relative to |x|."""
-        x = np.asarray(x, float)
-        if self.derivative is not None:
-            return self.derivative(x)
-        h = 1e-6 * np.maximum(np.abs(x), 1.0)
-        return (self(x + h) - self(x - h)) / (2.0 * h)
 
 
 def log_utility() -> UtilitySpec:
@@ -65,7 +61,10 @@ def log_utility() -> UtilitySpec:
     def deriv(x: Array) -> Array:
         return np.where(x > 0.0, 1.0 / np.where(x > 0.0, x, 1.0), np.inf)
 
-    return UtilitySpec("log", "positive", fn, {}, analytic_conjugate=lambda y: -np.log(y) - 1.0, derivative=deriv)
+    return UtilitySpec(
+        "log", "positive", fn, deriv, lambda y: -np.log(y) - 1.0, elasticity=0.0,
+        rescale=lambda v, x0, k: v + math.log(k),
+    )
 
 
 def power_utility(p: float) -> UtilitySpec:
@@ -83,7 +82,7 @@ def power_utility(p: float) -> UtilitySpec:
     def conj(y: Array) -> Array:
         return (1.0 / p - 1.0) * np.power(y, p / (p - 1.0))
 
-    return UtilitySpec("power", "positive", fn, {"p": p}, analytic_conjugate=conj, derivative=deriv)
+    return UtilitySpec("power", "positive", fn, deriv, conj, elasticity=p, rescale=lambda v, x0, k: k**p * v)
 
 
 def exp_utility(a: float = 1.0) -> UtilitySpec:
@@ -103,7 +102,11 @@ def exp_utility(a: float = 1.0) -> UtilitySpec:
         # sup_x (1 - e^{-ax} - xy) at x = -ln(y/a)/a
         return 1.0 - y / a + (y / a) * np.log(y / a)
 
-    return UtilitySpec("exp", "real", fn, {"a": a}, analytic_conjugate=conj, derivative=deriv)
+    def rescale(v: float, x0: float, k: float) -> float:
+        with np.errstate(over="ignore"):
+            return float(1.0 - np.exp(-a * (k - 1.0) * x0) * (1.0 - v))
+
+    return UtilitySpec("exp", "real", fn, deriv, conj, rescale=rescale)
 
 
 def table_utility(xs: Sequence[float], us: Sequence[float]) -> UtilitySpec:
@@ -160,8 +163,8 @@ def table_utility(xs: Sequence[float], us: Sequence[float]) -> UtilitySpec:
             unbounded |= y > slopes[0]
         return np.where(unbounded, np.inf, out)
 
-    params = {"x": x.tolist(), "u": u.tolist()}
-    return UtilitySpec("custom-table", domain, fn, params, analytic_conjugate=conj, derivative=deriv)
+    # a positive last slope makes U grow linearly: elasticity 1; flat, 0
+    return UtilitySpec("custom-table", domain, fn, deriv, conj, elasticity=1.0 if slopes[-1] > 0.0 else 0.0)
 
 
 def scaled_value(u: UtilitySpec, value: float, x0: float, k: float) -> Optional[float]:
@@ -172,34 +175,14 @@ def scaled_value(u: UtilitySpec, value: float, x0: float, k: float) -> Optional[
     None for a utility without such an identity."""
     if k == 1.0:
         return value
-    if u.name == "log":
-        return value + math.log(k)
-    if u.name == "power":
-        return k ** u.params["p"] * value
-    if u.name == "exp":
-        with np.errstate(over="ignore"):
-            return float(1.0 - np.exp(-u.params["a"] * (k - 1.0) * x0) * (1.0 - value))
-    return None
-
-
-def asymptotic_elasticity(u: UtilitySpec) -> float:
-    """lim sup x U'(x) / U(x) as x grows, for positive-axis utilities: 0 for
-    log, p for power; 1 for a table whose last knot slope is positive, 0 for
-    one that ends flat.  nan when unknown."""
-    if u.name == "log":
-        return 0.0
-    if u.name == "power":
-        return u.params["p"]
-    if u.name == "custom-table":
-        return 1.0 if u.params["u"][-1] > u.params["u"][-2] else 0.0
-    return math.nan
+    return None if u.rescale is None else u.rescale(value, x0, k)
 
 
 def growth_ok(u: UtilitySpec) -> bool:
     """The growth condition under which optimal strategies exist: asymptotic
     elasticity below 1 on the positive axis (Kramkov & Schachermayer), the
     structural checks of check_assumptions on the whole line."""
-    return check_assumptions(u).passed if u.domain == "real" else asymptotic_elasticity(u) < 1.0
+    return not check_assumptions(u) if u.domain == "real" else u.elasticity < 1.0
 
 
 _BRACKET_CAP = 1e120
@@ -269,7 +252,8 @@ def best_dual_level(u: UtilitySpec, weights: Array, probs: Array, x0: float) -> 
     """
     with np.errstate(all="ignore"):
         slope_lo, slope_hi = u.deriv(np.asarray([np.inf, -np.inf]))
-    # max and min keep the float range where an end is nan (no closed-form U')
+    # max and min keep the window inside the normal floats: U'(inf) is 0 and
+    # U'(-inf) inf for log, power and exp
     y_lo = float(max(_TINY, slope_lo) / np.min(weights))
     y_hi = float(min(_HUGE, slope_hi) / np.max(weights))
     if not y_lo < y_hi:
@@ -290,47 +274,38 @@ def best_dual_level(u: UtilitySpec, weights: Array, probs: Array, x0: float) -> 
 
 
 def vector_conjugate(u: UtilitySpec, points: Array) -> Array:
-    """V on an array of points: closed form when the utility carries one,
-    otherwise the scalar search at each point."""
+    """V on an array of strictly positive points, by the utility's closed form."""
     pts = np.asarray(points, float)
     if np.any(pts <= 0.0):
         raise ConjugateUnboundedError("vectorized conjugate needs strictly positive points")
-    if u.analytic_conjugate is not None:
-        return np.asarray(u.analytic_conjugate(pts), float)
-    return np.asarray([conjugate(u, float(t)) for t in pts.ravel()]).reshape(pts.shape)
+    return np.asarray(u.conj(pts), float)
 
 
-@record
-class AssumptionReport:
-    """Structural checks for whole-line utilities: bounded above, U(0) = 0,
-    nondecreasing and concave on probes, and U(x)/x increasing toward
-    -infinity; failures names each check that fails."""
-
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return len(self.failures) == 0
-
-
-def check_assumptions(u: UtilitySpec) -> AssumptionReport:
+def check_assumptions(u: UtilitySpec) -> tuple[str, ...]:
+    """Structural checks for whole-line utilities: U(0) = 0, nondecreasing
+    and concave on probes (judged from U' there), bounded above (U'(inf) = 0
+    and a small rise far right), and U(x)/x increasing toward -infinity,
+    where U reaching -inf counts as a rise.  Returns the name of each check
+    that fails; empty when all pass."""
     if u.domain != "real":
         raise ConfigError("assumption checks apply to whole-line utilities")
     failures = []
     probes = np.asarray([-1e3, -1e2, -10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 1e2, 1e3])
-    vals = np.asarray(u(probes), float)
-    if abs(float(u(np.asarray([0.0]))[0])) != 0.0:
+    with np.errstate(all="ignore"):
+        slopes = np.asarray(u.deriv(probes), float)
+        top = float(u.deriv(np.asarray([np.inf]))[0])
+        tail = float(u(np.asarray([1e8]))[0]) - float(u(np.asarray([1e6]))[0])
+        xs = np.asarray([-10.0, -1e2, -1e3])
+        vals = np.asarray(u(xs), float)
+        ratios = vals / xs
+    if float(u(np.asarray([0.0]))[0]) != 0.0:
         failures.append("U(0) != 0")
-    if not np.all(np.diff(vals) >= -1e-12):
+    if not np.all(slopes >= 0.0):
         failures.append("not nondecreasing")
-    slopes = np.diff(vals) / np.diff(probes)
-    if not np.all(np.diff(slopes) <= 1e-9):
+    if not np.all(slopes[1:] <= slopes[:-1] + 1e-9):
         failures.append("not concave on probes")
-    tail = float(u(np.asarray([1e8]))[0]) - float(u(np.asarray([1e6]))[0])
-    if not tail <= 1e-6 * 1e8:
+    if not (top <= 0.0 and tail <= 1e-6 * 1e8):
         failures.append("appears unbounded above")
-    xs = np.asarray([-10.0, -1e2, -1e3])
-    ratios = np.asarray(u(xs), float) / xs
-    if not np.all(np.diff(ratios) > 0.0):
+    if not np.all((ratios[1:] > ratios[:-1]) | (vals[1:] == -np.inf)):
         failures.append("U(x)/x not increasing along x -> -inf probes")
-    return AssumptionReport(failures=tuple(failures))
+    return tuple(failures)

@@ -1063,6 +1063,25 @@ def test_a_lattice_manifest_echoes_its_real_path_count(tmp_path):
     assert manifest["config"]["noise"] == {"kind": "lattice", "paths": 4, "drivers": 1}
 
 
+@pytest.mark.parametrize(
+    "utility, grows",
+    [
+        ({"name": "exp", "a": 7.2}, True),
+        ({"name": "custom-table", "x": [-2.0, -1.0, 0.0, 1.0, 2.0], "u": [-5.0, -2.0, 0.0, 1.0, 1.000001]}, False),
+    ],
+    ids=["exp-overflowing-far-left", "table-rising-forever"],
+)
+def test_duality_judges_whole_line_growth_by_the_utility(tmp_path, capsys, utility, grows):
+    # every row holds either way; exp at a = 7.2 overflows U at the far-left
+    # probes but is bounded, while the table's last slope 1e-6 never flattens
+    out, doc = tmp_path / "d", dict(LATTICE_DUALITY_DOC, utility=utility)
+    code = main(["duality", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0 if grows else 3, "")
+    result = json.loads((out / "duality.json").read_text())
+    assert all(row["ok"] for row in result["rows"])
+    assert result["growth_ok"] is result["all_ok"] is grows
+
+
 class TestStrategyCsv:
     """strategy.csv holds every trade, the time-zero one in its time_index 0
     rows: per path, the running sum of d_up - d_dn in the recursion's order

@@ -2,6 +2,7 @@
 the frozen dataclass it replaced, and the dataclasses functions accept it."""
 
 import dataclasses
+import math
 import pkgutil
 from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
 from importlib import import_module
@@ -21,7 +22,6 @@ from frictionopt import (
     UtilitySpec,
     brute_force,
     check_admissible_rplus,
-    check_assumptions,
     converges_at_continuity_points,
     cps_certificate,
     default_price_systems,
@@ -96,7 +96,7 @@ def examples() -> dict:
         dual.rows[0], dual.inada[0], ledger, check_admissible_rplus(ledger),
         verify_band(problem.prices[0], ps, 0.01), verify_martingale(ps), supermartingale_check(value, ps),
         entropy_membership(ps, lambda w: -np.log(w) - 1.0), polarity_gap(terminal, ps, 1.0, 1.0),
-        cps_certificate(ArctanDrift(), 0.42), check_assumptions(exp_utility(1.0)), path, enum, rho(path, path, enum),
+        cps_certificate(ArctanDrift(), 0.42), path, enum, rho(path, path, enum),
         komlos, converges_at_continuity_points(komlos.averages, komlos.candidate, 1e-9), pair,
         delta2_ratio(pair.phi), brute_force(lattice, [0.0, 1.0], [0.0]),
     ]
@@ -108,7 +108,7 @@ def init_arguments(obj) -> dict:
 
 
 def test_every_record_class_has_an_example(examples):
-    assert len(RECORDS) == 35
+    assert len(RECORDS) == 34
     assert sorted(examples, key=lambda cls: cls.__qualname__) == RECORDS
 
 
@@ -185,12 +185,11 @@ def test_scalar_records_compare_and_hash_by_their_fields():
     assert repr(CostSpec(0.01, 1.0)) == "CostSpec(lam=0.01, x0=1.0)"
 
 
-def test_defaults_and_factories_fill_omitted_fields():
+def test_defaults_fill_omitted_fields():
     settings = OptimizerSettings(step0=0.5)
     assert (settings.iters, settings.step0) == (150, 0.5)
-    a, b = (UtilitySpec("u", "real", abs) for _ in range(2))
-    assert a.params == {} and a.params is not b.params
-    assert (a.analytic_conjugate, a.derivative) == (None, None)
+    u = UtilitySpec("u", "real", abs, abs, abs)
+    assert math.isnan(u.elasticity) and u.rescale is None
     match BlackScholes(0.1, 0.2):
         case BlackScholes(mu, sigma, s0):
             assert (mu, sigma, s0) == (0.1, 0.2, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,13 +24,18 @@ from frictionopt.errors import (
     ConjugateUnboundedError,
     IndeterminateError,
 )
-from frictionopt.utility import asymptotic_elasticity, growth_ok, scaled_value
+from frictionopt.utility import growth_ok, scaled_value
 
 YS = [0.25, 0.5, 1.0, 2.0, 4.0]
 
 
 def linear_utility():
-    return UtilitySpec("linear", "real", lambda x: np.asarray(x, float))
+    return UtilitySpec("linear", "real", lambda x: x, np.ones_like, lambda y: np.where(y == 1.0, 0.0, np.inf))
+
+
+def sqrt_utility():
+    """U = sqrt(x) with its closed forms, but no elasticity or scaling identity."""
+    return UtilitySpec("sqrt", "positive", np.sqrt, lambda x: 0.5 / np.sqrt(x), lambda y: 0.25 / y)
 
 
 class TestConjugate:
@@ -79,15 +85,6 @@ class TestVectorConjugate:
             assert got.shape == pts.shape
             expected = np.asarray([scalar(float(t)) for t in pts.ravel()]).reshape(pts.shape)
             np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0, err_msg=u.name)
-
-    def test_numeric_route_maps_the_search(self):
-        # same log utility but with the closed form withheld, forcing the
-        # scalar search at each point
-        base = log_utility()
-        u = UtilitySpec("log-numeric", "positive", base.fn)
-        pts = np.linspace(0.5, 2.0, 9)
-        got = vector_conjugate(u, pts)
-        np.testing.assert_allclose(got, -np.log(pts) - 1.0, atol=1e-8)
 
     def test_rejects_nonpositive_points(self):
         with pytest.raises(ConjugateUnboundedError):
@@ -146,9 +143,8 @@ class TestDeriv:
             power_utility(0.4),
             exp_utility(1.5),
             table_utility([0.2, 0.6, 1.2, 2.5], [-1.0, 0.0, 0.5, 0.8]),
-            UtilitySpec("log-no-closed-form", "positive", log_utility().fn),
         ],
-        ids=["log", "power", "exp", "custom-table", "fallback"],
+        ids=["log", "power", "exp", "custom-table"],
     )
     def test_matches_central_difference_of_u(self, u):
         h = 1e-6 * self.XS
@@ -169,27 +165,26 @@ class TestDeriv:
 
 
 class TestYoungPair:
-    def test_beta_is_slope_at_zero(self):
-        pair = young_pair(exp_utility(1.0))
-        assert pair.beta == pytest.approx(1.0, abs=1e-6)
-        assert pair.v_at_beta == pytest.approx(0.0, abs=1e-8)
-
-    def test_beta_scales_with_rate(self):
-        pair = young_pair(exp_utility(3.0))
-        assert pair.beta == pytest.approx(3.0, abs=1e-5)
+    @pytest.mark.parametrize("a", [1.0, 3.0, 7.2])
+    def test_beta_is_the_rate_exactly(self, a):
+        pair = young_pair(exp_utility(a))
+        assert pair.beta == a
+        assert pair.v_at_beta == 0.0
 
     def test_phi_vanishes_below_beta(self):
         pair = young_pair(exp_utility(1.0))
-        np.testing.assert_array_equal(pair.phi(np.asarray([0.0, 0.25, 0.9, pair.beta])), 0.0)
-        # the analytic kink sits within 1e-6 of the numerical beta, so the
-        # value there is at worst a conjugate residue of order tol**2
-        assert abs(pair.phi(np.asarray([1.0]))[0]) < 1e-12
+        np.testing.assert_array_equal(pair.phi(np.asarray([0.0, 0.25, 0.9, 1.0])), 0.0)
 
     def test_phi_equals_shifted_conjugate_above_beta(self):
         pair = young_pair(exp_utility(1.0))
         ys = np.asarray([1.5, 2.0, 4.0, 10.0])
         expected = ys * np.log(ys) - ys + 1.0
-        np.testing.assert_allclose(pair.phi(ys), expected, atol=1e-7)
+        np.testing.assert_allclose(pair.phi(ys), expected, rtol=1e-15, atol=0.0)
+
+    def test_table_beta_is_the_slope_below_zero(self):
+        # a knot at 0 between slopes 3 and 1, where U' reads their mean, 2
+        pair = young_pair(table_utility([-2.0, -1.0, 0.0, 1.0, 2.0], [-7.0, -3.0, 0.0, 1.0, 1.0]))
+        assert pair.beta == 3.0
 
     def test_phi_star_is_reflected_utility_bitwise(self):
         pair = young_pair(exp_utility(1.0))
@@ -279,24 +274,27 @@ class TestLuxemburgNorm:
 
 
 class TestAssumptions:
-    def test_exp_utility_passes(self):
-        rep = check_assumptions(exp_utility(1.0))
-        assert rep.passed
-        assert rep.failures == ()
+    @pytest.mark.parametrize("a", [1e-6, 1.0, 7.0, 7.2, 50.0, 1e300])
+    def test_exp_utility_passes_at_every_rate(self, a):
+        # past a = 7.1, U(-100) and U(-1000) overflow to -inf
+        assert check_assumptions(exp_utility(a)) == ()
+        assert growth_ok(exp_utility(a))
 
     def test_linear_utility_fails_boundedness(self):
-        rep = check_assumptions(linear_utility())
-        assert not rep.passed
-        assert "appears unbounded above" in rep.failures
+        assert "appears unbounded above" in check_assumptions(linear_utility())
+
+    def test_table_rising_ever_so_slowly_fails_boundedness(self):
+        # the last slope 1e-6 rises only 1 between the tail probes 1e6 and 1e8
+        rising = table_utility([-2.0, -1.0, 0.0, 1.0, 2.0], [-5.0, -2.0, 0.0, 1.0, 1.000001])
+        assert check_assumptions(rising) == ("appears unbounded above",)
+        assert not growth_ok(rising)
+        flat = table_utility([-2.0, -1.0, 0.0, 1.0, 2.0], [-5.0, -2.0, 0.0, 1.0, 1.0])
+        assert check_assumptions(flat) == ()
 
     def test_shifted_utility_fails_normalization(self):
-        def fn(x):
-            with np.errstate(over="ignore"):
-                return 2.0 - np.exp(-np.asarray(x, float))
-
-        u = UtilitySpec("shifted", "real", fn)
-        rep = check_assumptions(u)
-        assert "U(0) != 0" in rep.failures
+        base = exp_utility(1.0)
+        u = dataclasses.replace(base, name="shifted", fn=lambda x: base(x) + 1.0, conj=lambda y: base.conj(y) + 1.0)
+        assert check_assumptions(u) == ("U(0) != 0",)
 
     def test_positive_domain_rejected(self):
         with pytest.raises(ConfigError):
@@ -329,15 +327,15 @@ class TestTableUtility:
 
 class TestGrowth:
     def test_asymptotic_elasticity_of_closed_forms(self):
-        assert asymptotic_elasticity(log_utility()) == 0.0
-        assert asymptotic_elasticity(power_utility(0.4)) == 0.4
+        assert log_utility().elasticity == 0.0
+        assert power_utility(0.4).elasticity == 0.4
 
     def test_table_elasticity_reads_the_last_knot_slope(self):
         rising = table_utility([0.1, 1.0, 4.0], [-2.0, 0.0, 1.0])
         flat = table_utility([0.5, 1.0, 2.0, 4.0], [-1.0, 0.0, 0.5, 0.5])
-        assert asymptotic_elasticity(rising) == 1.0
+        assert rising.elasticity == 1.0
         assert not growth_ok(rising)
-        assert asymptotic_elasticity(flat) == 0.0
+        assert flat.elasticity == 0.0
         assert growth_ok(flat)
 
     def test_growth_verdicts(self):
@@ -346,8 +344,8 @@ class TestGrowth:
         assert growth_ok(exp_utility(1.0))
         # whole line: the structural checks decide, and a linear U is unbounded above
         assert not growth_ok(linear_utility())
-        unknown = UtilitySpec("sqrt", "positive", np.sqrt)
-        assert math.isnan(asymptotic_elasticity(unknown))
+        unknown = sqrt_utility()
+        assert math.isnan(unknown.elasticity)
         assert not growth_ok(unknown)
 
 
@@ -362,7 +360,7 @@ class TestScaledValue:
 
     def test_utilities_without_an_identity_give_none(self):
         assert scaled_value(table_utility([0.5, 1.0], [0.0, 1.0]), 0.3, 1.0, 4.0) is None
-        assert scaled_value(UtilitySpec("sqrt", "positive", np.sqrt), 0.3, 1.0, 4.0) is None
+        assert scaled_value(sqrt_utility(), 0.3, 1.0, 4.0) is None
 
     def test_exp_is_a_translation(self):
         # at x0 = 0 every endowment is the same, so the value does not move
