@@ -1,11 +1,12 @@
 """Command line entry point.
 
 Exit codes: 0 success, 2 bad configuration, 3 verification failure or any
-other engine error, 4 no feasible point.  Errors print one ``error:`` line on
-stderr, never a traceback.
+other engine error.  Errors print one ``error:`` line on stderr, never a
+traceback.
 
-``--threads`` (or ENGINE_THREADS) is the engine's one parallelism control:
-the number of processes that format simulate's prices.csv.
+``--threads``, else the config's ``threads``, is the engine's one
+parallelism control: the number of processes that format simulate's
+prices.csv.
 Unless the user sets one of BLAS_THREAD_VARS, the CLI runs numpy's BLAS on
 one thread: set before numpy loads, this keeps OpenBLAS from starting an
 idle worker per core in every process, and keeps long dot products (which
@@ -30,7 +31,6 @@ from .config import load_config  # noqa: E402
 from .errors import ConfigError, EngineError  # noqa: E402
 from .harness import cmd_duality, cmd_selftest, cmd_simulate, cmd_solve, cmd_verify_cps  # noqa: E402
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None, help="CSV-formatting processes (or ENGINE_THREADS)")
+        p.add_argument("--threads", type=int, default=None, help="CSV-formatting processes (overrides config)")
     return parser
 
 
@@ -71,19 +71,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
         return cmd_selftest()
-    threads = args.threads
-    if threads is None and os.environ.get("ENGINE_THREADS"):
-        try:
-            threads = int(os.environ["ENGINE_THREADS"])
-        except ValueError:
-            print("error: ENGINE_THREADS must be an integer", file=sys.stderr)
-            return EXIT_CONFIG
     command = {"simulate": cmd_simulate, "verify-cps": cmd_verify_cps, "solve": cmd_solve, "duality": cmd_duality}
     try:
         # an overflow ends in an explicit check's error, so numpy's warnings
         # about it would only break the one-line stderr contract
         with np.errstate(all="ignore"):
-            cfg = load_config(args.config, overrides={"seed": args.seed, "threads": threads, "out": args.out})
+            cfg = load_config(args.config, overrides={"seed": args.seed, "threads": args.threads, "out": args.out})
             return command[args.command](cfg)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,20 +197,32 @@ def standard_error(values: Array, noise: NoisePanel) -> float:
     return math.sqrt(var / (n_eff - 1.0))
 
 
-def within(value: float, bound: float, se: float, scale: float = 0.0) -> bool:
-    """The verdict value <= bound, forgiving Z_MAX standard errors and
+def within(value: float, bound: float, se: float, scale: float = 0.0, z: float = Z_MAX) -> bool:
+    """The verdict value <= bound, forgiving z standard errors and
     TOL * max(1, |bound|, scale), where scale is the magnitude of the
     quantities value was computed from.  A value of +inf or nan fails
     whatever its standard error."""
-    return value < math.inf and value <= bound + Z_MAX * se + TOL * max(1.0, abs(bound), scale)
+    return value < math.inf and value <= bound + z * se + TOL * max(1.0, abs(bound), scale)
+
+
+def drift_z(steps: int) -> float:
+    """The z at which each of a Monte Carlo panel's steps is judged,
+    -Phi^-1(Phi(-Z_MAX) / steps) and never below Z_MAX: a true martingale
+    then fails some step's check at most as often as it fails one step's at
+    Z_MAX (3 at one step, 3.40 at 4 steps, 4.04 at 50)."""
+    from statistics import NormalDist  # loaded by Monte Carlo drift checks only
+
+    phi = NormalDist()
+    return max(Z_MAX, -phi.inv_cdf(phi.cdf(-Z_MAX) / steps))
 
 
 @record
 class DriftReport:
     """Step-by-step drift of a value process under Q, each step judged by
-    within(rise, 0, se, scale): rise is |drift| for the martingale check and
-    the signed drift for the supermartingale check, and scale the largest
-    |X| at the step's two times (a time where X is not finite counts 0).
+    within(rise, 0, se, scale, z): rise is |drift| for the martingale check
+    and the signed drift for the supermartingale check, scale the largest
+    |X| at the step's two times (a time where X is not finite counts 0), and
+    z is drift_z(steps) in mc mode.
 
     In lattice mode a step's rise is the largest over its tree nodes of the
     exact E_Q[X_{i+1} | node] - X_i, with se 0; in mc mode it is the weighted
@@ -239,8 +251,10 @@ def _drift_report(values: Array, ps: PriceSystem, two_sided: bool) -> DriftRepor
     qp = ps.q_probs
     mags = np.maximum(values.max(axis=0), -values.min(axis=0))
     mags[~np.isfinite(mags)] = 0.0
+    steps = values.shape[1] - 1
+    z = Z_MAX if noise.kind == "lattice" else drift_z(steps)
     passed, worst, max_z = True, -math.inf, 0.0
-    for i in range(values.shape[1] - 1):
+    for i in range(steps):
         if noise.kind == "lattice":
             block = lattice_block(noise, i)
             num = (qp * values[:, i + 1]).reshape(-1, block).sum(axis=1)
@@ -252,7 +266,7 @@ def _drift_report(values: Array, ps: PriceSystem, two_sided: bool) -> DriftRepor
             drift = float(np.dot(noise.probs, inc))
             rise, se = abs(drift) if two_sided else drift, standard_error(inc, noise)
             max_z = max(max_z, _z(rise, se))
-        passed = within(rise, 0.0, se, float(max(mags[i], mags[i + 1]))) and passed
+        passed = within(rise, 0.0, se, float(max(mags[i], mags[i + 1])), z) and passed
         worst = max(worst, rise)
     return DriftReport(passed=passed, mode=noise.kind, max_drift=worst, max_z=max_z)
 

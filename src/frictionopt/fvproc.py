@@ -244,7 +244,8 @@ def young_pair(u: UtilitySpec) -> YoungPair:
         x = np.asarray(x, float)
         return -u(-x)
 
-    d2 = delta2_ratio(phi)
+    # phi is 0 up to beta, so the doubling grid starts there
+    d2 = delta2_ratio(phi, beta * np.geomspace(1.0, 1e6, 121))
     return YoungPair(beta=beta, v_at_beta=v_beta, phi=phi, phi_star=phi_star, delta2_finite=d2.finite)
 
 

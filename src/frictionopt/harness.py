@@ -242,13 +242,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
         out_dir / "prices.csv",
         ["theta_index", "path", "time_index", "time", "price"],
         np.broadcast_arrays(
-            np.arange(models)[:, None, None], np.arange(paths)[:, None], np.arange(points), cfg.grid.times, prices
+            np.arange(models)[:, None, None], np.arange(paths)[:, None], np.arange(points), noise.grid.times, prices
         ),
         workers=cfg.threads,
     )
     summary = {
         "paths": noise.paths,
-        "steps": cfg.grid.steps,
+        "steps": noise.grid.steps,
         "thetas": len(cfg.thetas),
         "terminal_means": [float(np.dot(noise.probs, prices[k][:, -1])) for k in range(len(cfg.thetas))],
     }

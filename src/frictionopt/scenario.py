@@ -50,22 +50,21 @@ class NoisePanel:
 
     increments has shape (paths, steps, drivers); entry (m, i, j) is the
     increment of driver j over (t_i, t_{i+1}] on path m, with variance dt
-    under the path weights in probs.  kind is "mc" for equally weighted
-    Gaussian sampling and "lattice" for the exhaustive two-point tree.
+    under the path weights in probs, 1 / paths on every path.  kind is "mc"
+    for Gaussian sampling and "lattice" for the exhaustive two-point tree.
     """
 
     kind: str
     grid: TimeGrid
     increments: np.ndarray
-    probs: np.ndarray
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("mc", "lattice"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.increments.ndim != 3 or self.increments.shape[1] != self.grid.steps:
-            raise ConfigError(f"increments must have shape (paths, {self.grid.steps}, drivers)")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
-            raise ConfigError("path probabilities must sum to 1")
+        if self.increments.ndim != 3 or self.increments.shape[1] != self.grid.steps or self.paths < 1:
+            raise ConfigError(f"increments must have shape (paths, {self.grid.steps}, drivers) with paths >= 1")
+        object.__setattr__(self, "probs", _readonly(np.full(self.paths, 1.0 / self.paths)))
 
     @property
     def paths(self) -> int:
@@ -101,8 +100,7 @@ def gaussian_panel(grid: TimeGrid, paths: int, drivers: int = 1, seed: int = 0) 
         bits.state = fresh
         inc[m] = gen.standard_normal((grid.steps, drivers))
     inc *= root_dt
-    probs = np.full(paths, 1.0 / paths)
-    return NoisePanel("mc", grid, _readonly(inc), _readonly(probs))
+    return NoisePanel("mc", grid, _readonly(inc))
 
 
 def lattice_paths(steps: int, drivers: int) -> int:
@@ -133,8 +131,7 @@ def lattice_panel(grid: TimeGrid, drivers: int = 1) -> NoisePanel:
     bits = (idx >> shifts) & 1
     signs = 1.0 - 2.0 * bits.astype(float)
     inc = signs.reshape(n_paths, grid.steps, drivers) * math.sqrt(grid.dt)
-    probs = np.full(n_paths, 1.0 / n_paths)
-    return NoisePanel("lattice", grid, _readonly(inc), _readonly(probs))
+    return NoisePanel("lattice", grid, _readonly(inc))
 
 
 def lattice_block(noise: NoisePanel, step: int) -> int:

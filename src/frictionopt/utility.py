@@ -91,8 +91,9 @@ def exp_utility(a: float = 1.0) -> UtilitySpec:
         raise ConfigError(f"exp utility needs a finite a > 0, got {a}")
 
     def fn(x: Array) -> Array:
+        # expm1 keeps the digits of U where a x is tiny
         with np.errstate(over="ignore"):
-            return 1.0 - np.exp(-a * x)
+            return -np.expm1(-a * x)
 
     def deriv(x: Array) -> Array:
         with np.errstate(over="ignore"):

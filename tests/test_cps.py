@@ -22,7 +22,7 @@ from frictionopt import (
     verify_band,
     verify_martingale,
 )
-from frictionopt.cps import TOL, Z_MAX, standard_error, within
+from frictionopt.cps import TOL, Z_MAX, drift_z, standard_error, within
 from frictionopt.errors import ConfigError, ContractViolation, NoCpsConstructibleError
 
 
@@ -144,6 +144,15 @@ class TestGirsanovCps:
         ps = girsanov_cps(BlackScholes(0.1, 0.2), simulate(BlackScholes(0.1, 0.2), noise), noise)
         rep = verify_martingale(ps)
         assert rep.mode == "mc"
+        assert rep.passed
+
+    def test_a_true_system_passes_above_three_standard_errors(self):
+        # one of this panel's 4 steps drifts by 3.09 standard errors, inside
+        # the 4-step threshold of 3.40 that keeps the one-step false-alarm rate
+        noise = gaussian_panel(TimeGrid(1.0, 4), 200, 1, seed=11)
+        model = BlackScholes(0.1, 0.2)
+        rep = verify_martingale(girsanov_cps(model, simulate(model, noise), noise))
+        assert Z_MAX < rep.max_z < drift_z(4)
         assert rep.passed
 
     def test_rejects_degenerate_and_foreign_models(self):
@@ -453,6 +462,17 @@ class TestStandardError:
         assert standard_error(np.array([2.5]), noise) == 0.0
 
 
+class TestDriftZ:
+    def test_one_step_keeps_z_max(self):
+        assert drift_z(1) == Z_MAX
+
+    @pytest.mark.parametrize("steps, z", [(4, 3.40), (50, 4.04)])
+    def test_more_steps_share_the_one_step_false_alarm_rate(self, steps, z):
+        assert drift_z(steps) == pytest.approx(z, abs=5e-3)
+        one_step = math.erfc(Z_MAX / math.sqrt(2.0))
+        assert steps * math.erfc(drift_z(steps) / math.sqrt(2.0)) == pytest.approx(one_step, rel=1e-9)
+
+
 class TestWithin:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize(
@@ -497,6 +517,10 @@ class TestWithin:
     def test_the_rounding_slack_scales_with_what_it_judges(self, value, bound, scale, ok):
         # TOL * max(1, |bound|, scale): absolute below magnitude 1
         assert within(value, bound, 0.0, scale) is ok
+
+    @pytest.mark.parametrize("z, ok", [(Z_MAX, False), (4.0, True)])
+    def test_z_sets_the_standard_errors_forgiven(self, z, ok):
+        assert within(1.0 + 3.5 * 0.1, 1.0, 0.1, z=z) is ok
 
 
 class TestCertificate:

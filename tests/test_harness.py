@@ -716,16 +716,13 @@ class TestCli:
         verdict = duality_verdict(tmp_path, capsys, doc)
         assert verdict.startswith("construction failed: martingale weights left (0, 1)")
 
-    def test_engine_threads_env(self, tmp_path, monkeypatch, capsys):
+    def test_the_environment_does_not_set_the_worker_count(self, tmp_path, monkeypatch):
+        # --threads, else the config's threads (default 1), is the only source
         doc = make_doc(noise={"kind": "mc", "paths": 4}, policy={})
-        cfg_path = write_config(tmp_path, doc)
-        monkeypatch.setenv("ENGINE_THREADS", "not-a-number")
-        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o1")]) == 2
-        capsys.readouterr()
         monkeypatch.setenv("ENGINE_THREADS", "2")
-        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o2")]) == 0
-        manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
-        assert manifest["config"]["threads"] == 2
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["threads"] == 1
 
     def test_verify_cps_nonexistence_exits_3(self, tmp_path):
         doc = make_doc(

@@ -156,6 +156,7 @@ class TestEveryRecord:
 def test_hidden_fields_are_the_derived_and_echoed_ones():
     hidden = {(cls.__qualname__, f.name) for cls in RECORDS for f in fields(cls) if not f.repr}
     assert hidden == {
+        ("NoisePanel", "probs"),
         ("RationalEnumeration", "points"),
         ("RobustProblem", "codec"),
         ("RobustProblem", "prices"),

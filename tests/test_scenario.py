@@ -97,14 +97,20 @@ class TestGaussianPanel:
 class TestNoisePanel:
     def test_reads_paths_and_drivers_from_its_increments(self):
         g = TimeGrid(1.0, 4)
-        n = NoisePanel("mc", g, np.zeros((5, 4, 3)), np.full(5, 0.2))
+        n = NoisePanel("mc", g, np.zeros((5, 4, 3)))
         assert (n.paths, n.drivers) == (5, 3)
         assert gaussian_panel(g, 6, 2, seed=1).drivers == lattice_panel(g, 2).drivers == 2
 
-    @pytest.mark.parametrize("shape", [(5, 3, 1), (5, 5, 1), (5, 4), (5, 4, 1, 1)])
+    @pytest.mark.parametrize("shape", [(5, 3, 1), (5, 5, 1), (5, 4), (5, 4, 1, 1), (0, 4, 1)])
     def test_refuses_increments_off_its_grid(self, shape):
         with pytest.raises(ConfigError, match=r"increments must have shape \(paths, 4, drivers\)"):
-            NoisePanel("mc", TimeGrid(1.0, 4), np.zeros(shape), np.full(5, 0.2))
+            NoisePanel("mc", TimeGrid(1.0, 4), np.zeros(shape))
+
+    @pytest.mark.parametrize("paths", [1, 3, 10])
+    def test_weighs_every_path_equally(self, paths):
+        n = NoisePanel("mc", TimeGrid(1.0, 2), np.zeros((paths, 2, 1)))
+        assert n.probs.tolist() == np.full(paths, 1.0 / paths).tolist()
+        assert not n.probs.flags.writeable
 
 
 class TestLatticePanel:

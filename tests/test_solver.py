@@ -745,7 +745,7 @@ def nested_panel(fine, steps):
     panel's increments inside that coarse step."""
     paths, fine_steps, drivers = fine.increments.shape
     inc = fine.increments.reshape(paths, steps, fine_steps // steps, drivers).sum(axis=2)
-    return NoisePanel("mc", TimeGrid(fine.grid.horizon, steps), inc, fine.probs)
+    return NoisePanel("mc", TimeGrid(fine.grid.horizon, steps), inc)
 
 
 def embed_schedule(params, steps, shift=0):

@@ -189,7 +189,7 @@ class TestYoungPair:
     def test_phi_star_is_reflected_utility_bitwise(self):
         pair = young_pair(exp_utility(1.0))
         xs = np.asarray([0.0, 0.5, 1.0, 2.0, 5.0])
-        np.testing.assert_array_equal(pair.phi_star(xs), np.exp(xs) - 1.0)
+        np.testing.assert_array_equal(pair.phi_star(xs), np.expm1(xs))
 
     def test_biconjugation_recovers_phi(self):
         pair = young_pair(exp_utility(1.0))
@@ -197,8 +197,10 @@ class TestYoungPair:
         back = np.asarray([orlicz_conjugate(pair.phi_star, float(y)) for y in ys])
         np.testing.assert_allclose(back, pair.phi(ys), atol=1e-7)
 
-    def test_delta2_flag_set_for_exp_pair(self):
-        assert young_pair(exp_utility(1.0)).delta2_finite
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e6, 1e300])
+    def test_delta2_flag_set_for_exp_pair(self, a):
+        # phi is 0 up to beta = a, so the doubling grid must start there
+        assert young_pair(exp_utility(a)).delta2_finite
 
     def test_rejects_utility_failing_assumptions(self):
         with pytest.raises(AssumptionViolationError):
@@ -274,9 +276,10 @@ class TestLuxemburgNorm:
 
 
 class TestAssumptions:
-    @pytest.mark.parametrize("a", [1e-6, 1.0, 7.0, 7.2, 50.0, 1e300])
+    @pytest.mark.parametrize("a", [1e-12, 1e-10, 1e-6, 1.0, 7.0, 7.2, 50.0, 1e300])
     def test_exp_utility_passes_at_every_rate(self, a):
-        # past a = 7.1, U(-100) and U(-1000) overflow to -inf
+        # past a = 7.1, U(-100) and U(-1000) overflow to -inf; below a = 1e-9,
+        # 1 - exp(-a x) would lose the digits that U(x)/x rises by
         assert check_assumptions(exp_utility(a)) == ()
         assert growth_ok(exp_utility(a))
 
