@@ -22,7 +22,7 @@ from .scenario import ArctanDrift, BlackScholes, Model, NoisePanel, _readonly, l
 Array = np.ndarray
 
 
-@record
+@record(eq=False)
 class PriceSystem:
     """Shadow prices (paths, steps + 1) and measure weights (paths,) on the
     noise panel they were built on, and the bandwidth margin mu_level in
@@ -30,7 +30,7 @@ class PriceSystem:
 
     Weights are normalized: their mean under the panel probabilities is 1
     within 1e-12, and every weight is strictly positive (equivalent change
-    of measure).
+    of measure).  A system equals only itself and hashes by id.
     """
 
     shadow: Array

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -35,44 +35,79 @@ from .solver import default_price_systems, duality_report, solve
 from .utility import conjugate, log_utility, vector_conjugate
 
 
-# rows formatted and written at a time; a chunk's strings take about 280
+# rows formatted and written at a time; a chunk's strings take about 260
 # bytes a row of prices.csv.  write_csv on simulate's 204k-row prices.csv,
-# in process on a 2-core host:
+# in process on a 2-core host whose speed varied by a third from run to
+# run (two runs, each the median of 7):
 #   chunk rows   CPU, 1 worker   CPU, 2 workers   tracemalloc peak
-#   2048         225 ms          275 ms           0.47 MB
-#   8192         235 ms          267 ms           1.82 MB
-# CPU is flat from 2048 to 8192 rows and rises below (1024 rows took 287 ms
-# and 512 took 310 ms on 1 worker) and above (16384 and 32768 took 6% and
-# 16% more than 8192)
+#   1024         230-235 ms      234-287 ms       0.30 MB
+#   2048         164-178 ms      187-295 ms       0.53 MB
+#   8192         169 ms          234-258 ms       1.89 MB
+# CPU is flat from 2048 to 8192 rows and rises below
 CSV_CHUNK_ROWS = 1 << 11
 # bytes read at a time when digesting an output file; 1 MiB blocks read no
 # faster and raised simulate's peak RSS by about 2 MB
 DIGEST_BLOCK_BYTES = 1 << 16
+# the cells of rows lo .. lo + CSV_CHUNK_ROWS of one column
+CellSource = Callable[[int], list[str]]
 
 
-def _csv_cells(column: np.ndarray) -> np.ndarray:
-    """The cells of one column as an object array of strings, formatting each
-    distinct value once: booleans as true/false, integers with str, anything
-    else as a float's shortest exact repr, so files are stable across
-    platforms.  Floats are told apart by bit pattern, which keeps -0.0 apart
-    from 0.0 and formats every NaN payload as nan."""
+def _keyed(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable[[Any], str]]:
+    """The column as the values to format, integer keys that tell their
+    cells apart, and the formatter of one value: booleans as true/false,
+    integers with str, anything else as a float's shortest exact repr, so
+    files are stable across platforms.  Floats are keyed by bit pattern,
+    which keeps -0.0 apart from 0.0 and every NaN payload formats as nan."""
     if column.dtype == np.bool_:
-        keys, fmt = column.view(np.uint8), ("false", "true").__getitem__
-    elif column.dtype.kind in "iu":
-        keys, fmt = column, str
-    else:
-        column = column.astype(np.float64)
-        keys, fmt = column.view(np.int64), float.__repr__
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = np.array(list(map(fmt, column[first].tolist())), dtype=object)
-    return distinct.take(inverse)
+        return column, column.view(np.uint8), ("false", "true").__getitem__
+    if column.dtype.kind in "iu":
+        return column, column, str
+    column = column.astype(np.float64, copy=False)
+    return column, column.view(np.int64), float.__repr__
+
+
+def _csv_cells(column: np.ndarray, runs: bool) -> list[str]:
+    """The cells of one contiguous 1-D column.  A cell depends only on its
+    value, so with runs each run of equal values is formatted once; without,
+    every value is formatted in turn.  Neither sorts: a process's first
+    numpy sort or np.unique maps 0.2 to 0.5 MB more of numpy's code."""
+    column, keys, fmt = _keyed(column)
+    if not runs:
+        return list(map(fmt, column.tolist()))
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    cells = np.array(list(map(fmt, column[starts].tolist())), dtype=object)
+    return cells.repeat(np.diff(starts, append=keys.size)).tolist()
+
+
+def _cell_source(column: np.ndarray) -> CellSource:
+    """One column's cell source, by a rule fixed once per file.  A broadcast
+    column (zero strides, as np.broadcast_arrays makes) whose compact base,
+    every zero-stride axis cut to length 1, fits a chunk has that base
+    formatted once, and each chunk copies its cells out of an object view
+    broadcast from it.  Any other column is formatted chunk by chunk, by
+    runs where its first chunk holds at most half as many runs of equal
+    values as values."""
+    base = column[tuple(slice(1) if s == 0 else slice(None) for s in column.strides)]
+    if base.size < column.size and base.size <= CSV_CHUNK_ROWS:
+        cells = np.array(_csv_cells(base.ravel(), False), dtype=object).reshape(base.shape)
+        cells = np.broadcast_to(cells, column.shape)
+        return lambda lo: cells.flat[lo : lo + CSV_CHUNK_ROWS].tolist()
+    keys = _keyed(column.flat[:CSV_CHUNK_ROWS])[1]
+    runs = 2 * (np.count_nonzero(keys[1:] != keys[:-1]) + 1) <= keys.size
+    return lambda lo: _csv_cells(column.flat[lo : lo + CSV_CHUNK_ROWS], runs)
+
+
+def _csv_chunk(sources: Sequence[CellSource], lo: int) -> bytes:
+    """Rows lo .. lo + CSV_CHUNK_ROWS of a file, one cell from each source."""
+    return ("\n".join(map(",".join, zip(*(cells(lo) for cells in sources)))) + "\n").encode()
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Any], workers: int = 1) -> None:
     """Write equally shaped column arrays under header, one row per element
     in C order, streaming CSV_CHUNK_ROWS rows at a time.  Each chunk is copied
     flat out of its column, so a broadcast or strided view is never
-    materialized whole.
+    materialized whole, and each column's cell source (_cell_source) is
+    built before any worker is forked.
 
     Chunk j is formatted by worker j mod w, with w = min(workers, usable
     CPUs, chunks), or 1 where os.fork is missing.  Worker 0 is this process;
@@ -90,26 +125,22 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Any], workers
     starts = range(0, n, CSV_CHUNK_ROWS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     count = max(1, min(workers, cpus, len(starts))) if hasattr(os, "fork") else 1
-
-    def chunk(lo: int) -> bytes:
-        parts = [_csv_cells(c.flat[lo : lo + CSV_CHUNK_ROWS]) for c in columns]
-        return ("\n".join(map(",".join, zip(*parts))) + "\n").encode()
-
+    sources = [_cell_source(c) for c in columns]
     forked: list[tuple[int, Any]] = []  # (pid, read end of its pipe)
     try:
         for w in range(1, count):
-            forked.append(_fork_worker(starts[w::count], chunk))
+            forked.append(_fork_worker(starts[w::count], sources))
         with open(path, "wb") as f:
             f.write((",".join(header) + "\n").encode())
             for j, lo in enumerate(starts):
-                f.write(chunk(lo) if j % count == 0 else _receive(*forked[j % count - 1]))
+                f.write(_csv_chunk(sources, lo) if j % count == 0 else _receive(*forked[j % count - 1]))
     finally:
         failed = _reap(forked)
     if failed:
         raise EngineError(f"CSV worker {failed[0]} failed while writing {path.name}")
 
 
-def _fork_worker(starts: range, chunk) -> tuple[int, Any]:
+def _fork_worker(starts: range, sources: Sequence[CellSource]) -> tuple[int, Any]:
     """Fork a worker that formats the chunks at starts and writes each to a
     pipe as an 8-byte length and the chunk; return its pid and the pipe's
     read end.  The child ends only through os._exit, so it never runs the
@@ -127,7 +158,7 @@ def _fork_worker(starts: range, chunk) -> tuple[int, Any]:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as out:
                 for lo in starts:
-                    data = chunk(lo)
+                    data = _csv_chunk(sources, lo)
                     out.write(len(data).to_bytes(8, "little"))
                     out.write(data)
                     out.flush()

@@ -4,8 +4,9 @@ without generating code.
 A frozen dataclass compiles about six methods per class at import, in every
 process.  ``record`` registers the fields through ``dataclasses.dataclass``
 with generation off, so ``dataclasses.fields``, ``asdict`` and ``replace``
-accept a record, and installs the six shared methods below, which read
-tuples computed once per class.  A record class defines none of them itself.
+accept a record, and installs the six shared methods below (four with
+eq=False), which read tuples computed once per class.  A record class defines
+none of them itself.
 """
 
 import dataclasses
@@ -73,8 +74,13 @@ def __delattr__(self, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls: type) -> type:
-    """Declare cls a frozen record: its annotated fields, as a dataclass's."""
+def record(cls: type = None, *, eq: bool = True):
+    """Declare cls a frozen record: its annotated fields, as a dataclass's.
+    With eq=False an instance equals only itself and hashes by id, as a
+    dataclass(eq=False) does: for records of arrays, which have no value
+    equality."""
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
     dataclasses.dataclass(cls, init=False, repr=False, eq=False)
     fields = dataclasses.fields(cls)
     cls._record_fields = tuple((f.name, f.init, f.default) for f in fields)
@@ -82,5 +88,6 @@ def record(cls: type) -> type:
     cls._record_repr = tuple(f.name for f in fields if f.repr)
     cls._record_compare = tuple(f.name for f in fields if f.compare)
     for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
-        setattr(cls, method.__name__, method)
+        if eq or method not in (__eq__, __hash__):
+            setattr(cls, method.__name__, method)
     return cls

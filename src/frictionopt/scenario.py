@@ -44,7 +44,7 @@ class TimeGrid:
         return self.horizon / self.steps
 
 
-@record
+@record(eq=False)
 class NoisePanel:
     """Brownian increments shared by every model in a scenario family.
 
@@ -52,12 +52,13 @@ class NoisePanel:
     increment of driver j over (t_i, t_{i+1}] on path m, with variance dt
     under the path weights in probs, 1 / paths on every path.  kind is "mc"
     for Gaussian sampling and "lattice" for the exhaustive two-point tree.
+    A panel equals only itself and hashes by id.
     """
 
     kind: str
     grid: TimeGrid
     increments: np.ndarray
-    probs: np.ndarray = field(init=False, repr=False, compare=False)
+    probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("mc", "lattice"):

@@ -1279,14 +1279,14 @@ class TestCsvWorkers:
     def test_a_failing_worker_exits_3_with_one_error_line(self, tmp_path, monkeypatch, capsys):
         from frictionopt import harness
 
-        parent, cells = os.getpid(), harness._csv_cells
+        parent, chunk = os.getpid(), harness._csv_chunk
 
-        def fail_in_a_worker(column):
+        def fail_in_a_worker(sources, lo):
             if os.getpid() != parent:
                 raise RuntimeError("worker failure")
-            return cells(column)
+            return chunk(sources, lo)
 
-        monkeypatch.setattr(harness, "_csv_cells", fail_in_a_worker)
+        monkeypatch.setattr(harness, "_csv_chunk", fail_in_a_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         doc = make_doc(thetas=TWO_BS, noise={"kind": "mc", "paths": 2100}, policy={})
         cfg_path = write_config(tmp_path, doc)
@@ -1347,3 +1347,122 @@ class TestCsvWorkers:
         write_csv(tmp_path / "serial.csv", ["i", "x"], columns, workers=2)
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
         assert (tmp_path / "serial.csv").read_text() == reference_csv(["i", "x"], zip(*columns))
+
+
+# a solve whose optimum trades on a 50-step grid: ledger_worst.csv has full
+# cash and liq columns, 51-row periods and 5,100 rows
+TRADING_SOLVE_50 = dict(TRADING_SOLVE, grid={"horizon": 1.0, "steps": 50}, noise={"kind": "mc", "paths": 100})
+
+
+def recorded_csv_columns(tmp_path, monkeypatch, command, doc) -> dict:
+    """Run command and return each CSV it writes as (header, columns), the
+    arrays exactly as the command passes them to write_csv."""
+    from frictionopt import harness
+
+    seen = {}
+
+    def recording(path, header, columns, workers=1):
+        seen[path.name] = (header, columns)
+        write_csv(path, header, columns, workers)
+
+    monkeypatch.setattr(harness, "write_csv", recording)
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+    return seen
+
+
+@forking
+class TestCellSources:
+    """write_csv fixes each column's cell source once per file: a broadcast
+    column whose compact base fits a chunk is formatted once from that base,
+    any other column chunk by chunk, once per run of equal values where its
+    first chunk repeats values in runs.  The bytes are the row-by-row rendering's whichever
+    source a column takes, at any worker count."""
+
+    def test_a_broadcast_base_is_formatted_once_per_file(self, tmp_path, monkeypatch):
+        from frictionopt import harness
+
+        formatted, cells = [], harness._csv_cells
+
+        def counted(column, *args):
+            formatted.append(len(column))
+            return cells(column, *args)
+
+        monkeypatch.setattr(harness, "_csv_cells", counted)
+        shape = (4, 1000, 51)  # simulate's prices.csv on the benchmark's family
+        prices = np.random.default_rng(8).lognormal(size=shape)
+        columns = np.broadcast_arrays(
+            np.arange(4)[:, None, None], np.arange(1000)[:, None], np.arange(51), np.linspace(0.0, 1.0, 51), prices
+        )
+        path = tmp_path / "prices.csv"
+        write_csv(path, ["theta_index", "path", "time_index", "time", "price"], columns)
+        assert path.read_bytes().count(b"\n") == 1 + prices.size
+        assert prices.size < sum(formatted) <= prices.size + 4 + 1000 + 51 + 51
+
+    def test_a_base_larger_than_a_chunk_is_formatted_chunk_by_chunk(self, tmp_path):
+        """A path column at 20,000 paths is broadcast from a base ten chunks
+        long: formatting that base whole would hold its 20,000 cells."""
+        shape = (20_000, 3)
+        columns = np.broadcast_arrays(np.arange(shape[0])[:, None], np.arange(shape[1]))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "paths.csv", ["path", "time_index"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "paths.csv").read_bytes().count(b"\n") == 1 + 60_000
+        assert peak < 256 * CSV_CHUNK_ROWS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "doc, name, full, chunk_rows",
+        [
+            # 16 paths x 5 times; chunks of 17 rows split the 5-row periods
+            (dict(LATTICE_DUALITY_DOC, grid={"horizon": 1.0, "steps": 4}, optimizer={"iters": 40, "step0": 1.0}),
+             "strategy.csv", ["d_up", "d_dn"], 17),
+            # 100 paths x 51 times; 2,048 = 40 x 51 + 8
+            (TRADING_SOLVE_50, "ledger_worst.csv", ["cash", "liq"], CSV_CHUNK_ROWS),
+            (TRADING_SOLVE_50, "strategy.csv", [], CSV_CHUNK_ROWS),
+        ],
+        ids=["lattice-strategy", "trading-ledger", "schedule-strategy"],
+    )
+    def test_the_callers_column_mixes_are_rendered_row_by_row(
+        self, tmp_path, monkeypatch, doc, name, full, chunk_rows, workers
+    ):
+        from frictionopt import harness
+
+        header, columns = recorded_csv_columns(tmp_path, monkeypatch, "solve", doc)[name]
+        columns = [np.asarray(c) for c in columns]
+        assert [h for h, c in zip(header, columns) if 0 not in c.strides] == full
+        monkeypatch.setattr(harness, "CSV_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path = tmp_path / name
+        write_csv(path, header, columns, workers)
+        assert columns[0].size > 2 * chunk_rows
+        assert path.read_text() == reference_csv(header, zip(*[np.ravel(c) for c in columns]))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("constant_first", [True, False], ids=["constant-then-distinct", "distinct-then-runs"])
+    def test_a_full_column_whose_chunks_differ_in_repeats(self, tmp_path, monkeypatch, constant_first, workers):
+        """The rule is read off a column's first chunk; later chunks that
+        would have chosen the other way give the same bytes: distinct values
+        formatted by runs, or runs of -0.0, 0.0 and NaN payloads formatted
+        value by value."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(12)
+        n = 3 * CSV_CHUNK_ROWS + 5
+        payload_nan = np.asarray([0x7FF8000000000001, -0x0008000000000000], np.int64).view(np.float64)
+        pool = np.concatenate([[-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1], payload_nan])
+        distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        runs = np.repeat(rng.choice(pool, n), 8)[:n]
+        if constant_first:
+            column = np.concatenate([np.full(CSV_CHUNK_ROWS, 0.25), distinct[CSV_CHUNK_ROWS:]])
+        else:
+            column = np.concatenate([distinct[:CSV_CHUNK_ROWS], runs[CSV_CHUNK_ROWS:]])
+        ints = np.concatenate([np.zeros(CSV_CHUNK_ROWS, np.int64), rng.integers(-(2**62), 2**62, n - CSV_CHUNK_ROWS)])
+        header = ["x", "ints", "flags", "runs"]
+        columns = [column, ints if constant_first else ints[::-1], np.arange(n) % 3 == 0, runs]
+        path = tmp_path / "mixed.csv"
+        write_csv(path, header, columns, workers)
+        assert path.read_text() == reference_csv(header, zip(*columns))
+        assert_no_child_left()

@@ -22,6 +22,7 @@ from frictionopt import (
     UtilitySpec,
     brute_force,
     check_admissible_rplus,
+    constant_cps,
     converges_at_continuity_points,
     cps_certificate,
     default_price_systems,
@@ -29,6 +30,7 @@ from frictionopt import (
     duality_report,
     entropy_membership,
     exp_utility,
+    gaussian_panel,
     komlos_average,
     objective,
     polarity_gap,
@@ -184,6 +186,21 @@ def test_scalar_records_compare_and_hash_by_their_fields():
     assert CostSpec.__eq__(CostSpec(0.01, 1.0), BlackScholes(0.01, 1.0)) is NotImplemented
     assert BlackScholes(0.1, 0.2) != ArctanDrift()
     assert repr(CostSpec(0.01, 1.0)) == "CostSpec(lam=0.01, x0=1.0)"
+
+
+def test_panels_and_price_systems_compare_and_hash_by_identity():
+    """Their fields are arrays, which have no value equality: a panel or a
+    price system equals only itself, so it can be asked whether a system
+    sits on a given panel."""
+    grid = TimeGrid(1.0, 2)
+    panel, twin = gaussian_panel(grid, 3), gaussian_panel(grid, 3)
+    ps, ps_twin = constant_cps(panel, 0.75), constant_cps(panel, 0.75)
+    for obj, other in ((panel, twin), (ps, ps_twin)):
+        assert obj == obj and obj != other and not obj == other
+        assert hash(obj) == object.__hash__(obj)
+        assert len({obj, other, obj}) == 2
+    assert ps.noise == panel and ps.noise != twin
+    assert replace(panel) != panel and replace(ps) != ps
 
 
 def test_defaults_fill_omitted_fields():
