@@ -1,8 +1,8 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 bad configuration, 3 verification failure or any
-other engine error.  Errors print one ``error:`` line on stderr, never a
-traceback.
+Exit codes: 0 success, 2 bad configuration or an output that cannot be
+written, 3 verification failure or any other engine error.  Errors print
+one ``error:`` line on stderr, never a traceback.
 
 ``--threads``, else the config's ``threads``, is the engine's one
 parallelism control: the number of processes that format simulate's
@@ -29,7 +29,7 @@ import numpy as np  # noqa: E402
 
 from .config import load_config  # noqa: E402
 from .errors import ConfigError, EngineError  # noqa: E402
-from .harness import cmd_duality, cmd_selftest, cmd_simulate, cmd_solve, cmd_verify_cps  # noqa: E402
+from .harness import cmd_duality, cmd_selftest, cmd_simulate, cmd_solve, cmd_verify_cps, run  # noqa: E402
 
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
@@ -77,7 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # about it would only break the one-line stderr contract
         with np.errstate(all="ignore"):
             cfg = load_config(args.config, overrides={"seed": args.seed, "threads": args.threads, "out": args.out})
-            return command[args.command](cfg)
+            return run(args.command, command[args.command], cfg)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_VERIFY

@@ -252,19 +252,27 @@ def write_manifest(
     write_json(out_dir / "manifest.json", manifest)
 
 
-def _prepare(cfg: RunConfig) -> Path:
+def run(name: str, command: Callable[[RunConfig, Path], tuple], cfg: RunConfig) -> int:
+    """The frame of every config-driven command: start the run's clock,
+    create cfg.out, call command(cfg, out_dir), which writes its outputs and
+    returns (exit code, summary, output names), and write manifest.json under
+    name.  A directory or file that cannot be written raises ConfigError."""
+    started = time.monotonic()
     out_dir = Path(cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at out or above it, or no permission
         raise ConfigError(f"cannot create output directory: {exc}") from exc
-    return out_dir
+    try:
+        code, summary, outputs = command(cfg, out_dir)
+        write_manifest(out_dir, name, cfg, summary, started, outputs)
+    except OSError as exc:  # a directory in an output's place, a full disk
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    return code
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict, Sequence[str]]:
     """Simulate the whole family on the shared panel and dump prices to CSV."""
-    started = time.monotonic()
-    out_dir = _prepare(cfg)
     noise = cfg.build_noise()
     prices = simulate_panel(cfg.thetas, noise)
 
@@ -283,17 +291,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "thetas": len(cfg.thetas),
         "terminal_means": [float(np.dot(noise.probs, prices[k][:, -1])) for k in range(len(cfg.thetas))],
     }
-    write_manifest(out_dir, "simulate", cfg, summary, started, ["prices.csv"])
-    return 0
+    return 0, summary, ["prices.csv"]
 
 
-def cmd_verify_cps(cfg: RunConfig) -> int:
+def cmd_verify_cps(cfg: RunConfig, out_dir: Path) -> tuple[int, dict, Sequence[str]]:
     """Simulate model verify.theta_index and verify its registered price
     system (cps.registered_cps, the one duality checks): band, martingale
     property and entropy membership; exit 3 when verification fails, no
     system can be built or a nonexistence certificate fires."""
-    started = time.monotonic()
-    out_dir = _prepare(cfg)
     noise = cfg.build_noise()
     k = cfg.verify["theta_index"]
     model = cfg.thetas.models[k]
@@ -327,8 +332,7 @@ def cmd_verify_cps(cfg: RunConfig) -> int:
             result["verdict"] = "verified" if ok else "verification failed"
             code = 0 if ok else 3
     write_json(out_dir / "verify.json", result)
-    write_manifest(out_dir, "verify-cps", cfg, {"exit": code, "verdict": result["verdict"]}, started, ["verify.json"])
-    return code
+    return code, {"exit": code, "verdict": result["verdict"]}, ["verify.json"]
 
 
 SOLVE_OUTPUTS = ("report.json", "history.csv", "strategy.csv", "ledger_worst.csv")
@@ -373,11 +377,9 @@ def _write_solve_outputs(out_dir: Path, problem, report) -> None:
     )
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict, Sequence[str]]:
     """Solve the robust problem and write report, history, strategy and the
     worst-model ledger."""
-    started = time.monotonic()
-    out_dir = _prepare(cfg)
     problem = cfg.build_problem()
     report = solve(problem, cfg.optimizer)
     _write_solve_outputs(out_dir, problem, report)
@@ -386,17 +388,14 @@ def cmd_solve(cfg: RunConfig) -> int:
         "argmin_theta": report.argmin_theta,
         "h0": _time_zero_trade(report.strategy),
     }
-    write_manifest(out_dir, "solve", cfg, summary, started, SOLVE_OUTPUTS)
-    return 0
+    return 0, summary, SOLVE_OUTPUTS
 
 
-def cmd_duality(cfg: RunConfig) -> int:
+def cmd_duality(cfg: RunConfig, out_dir: Path) -> tuple[int, dict, Sequence[str]]:
     """Solve, then check duality bounds, polarity and the utility's growth
     against the registered price systems; exit 3 when any check fails or no
     price system is registered for the family or can be built on its panel
     (then nothing is solved)."""
-    started = time.monotonic()
-    out_dir = _prepare(cfg)
     problem = cfg.build_problem()
     verdict = "no price system construction is registered for this family"
     try:
@@ -411,8 +410,7 @@ def cmd_duality(cfg: RunConfig) -> int:
         result = {"verdict": verdict, "all_ok": False}
     write_json(out_dir / "duality.json", result)
     code = 0 if result["all_ok"] else 3
-    write_manifest(out_dir, "duality", cfg, {"exit": code, "all_ok": result["all_ok"]}, started, ["duality.json"])
-    return code
+    return code, {"exit": code, "all_ok": result["all_ok"]}, ["duality.json"]
 
 
 def cmd_selftest() -> int:

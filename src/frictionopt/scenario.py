@@ -239,15 +239,13 @@ class Factor(Model):
     s0: float = 1.0
     y0: float = 0.0
 
+    drivers = 2
+
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise InvalidModelError(f"sigma must be positive, got {self.sigma}")
         if self.s0 <= 0.0:
             raise InvalidModelError(f"s0 must be positive, got {self.s0}")
-
-    @property
-    def drivers(self) -> int:  # type: ignore[override]
-        return 2
 
     def simulate(self, noise: NoisePanel, out: np.ndarray) -> None:
         th, grid = self.theta, noise.grid

@@ -94,7 +94,8 @@ class PolicyCodec:
     not parametrized: the codec always appends the forced liquidation trade
     that closes the position, using the same floating-point recursion the
     ledger applies, so terminal positions are exactly zero.  long_only
-    problems drop the sell block and clamp h0 to be nonnegative.
+    problems drop the sell block and refuse a negative h0 (project clamps it
+    to zero).
 
     A vector decodes to schedule rows that broadcast over the paths: one row
     for a deterministic schedule, one per path for a lattice policy.  The
@@ -143,10 +144,13 @@ class PolicyCodec:
     def decode_rows(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d_up, d_dn, position) of a (batch, n_params) stack of vectors, each
         of shape (batch, rows, steps + 1), closing trade included.  Raises
-        ConfigError when a jump is negative or not finite."""
+        ConfigError when a jump is negative or not finite, or when h0 is
+        negative on a long-only problem."""
         vecs = np.asarray(vecs, float)
         if vecs.ndim != 2 or vecs.shape[1] != self.n_params:
             raise ConfigError(f"parameter vector must have shape ({self.n_params},)")
+        if self.long_only and (vecs[:, 0] < 0.0).any():
+            raise ConfigError("h0 must be nonnegative on a long-only problem")
         shape = (vecs.shape[0], self.rows, self.steps + 1)
         d_up, d_dn = np.zeros(shape), np.zeros(shape)
         np.maximum(vecs[:, :1], 0.0, out=d_up[:, :, 0])
@@ -243,6 +247,8 @@ class SolveReport:
     strategy: Strategy
 
 
+# an overflowing U'(X) makes inf and nan sums, which the return maps to finite slopes
+@np.errstate(invalid="ignore", over="ignore")
 def _supergradient(problem: RobustProblem, vec: np.ndarray, res: ObjectiveResult) -> np.ndarray:
     """Exact gradient of the active model's expected utility at vec, from the
     terminal wealth and pre-liquidation position of the settle walk that
@@ -267,11 +273,10 @@ def _supergradient(problem: RobustProblem, vec: np.ndarray, res: ObjectiveResult
     # pos_{N-1} is nudged up (raising h0 or a buy) or down; every sum below
     # reduces contiguous blocks of one row of this array
     wm = np.empty((n1 + 2, prices.shape[0]))
-    with np.errstate(invalid="ignore", over="ignore"):
-        w = problem.noise.probs * problem.utility.deriv(res.terminal_wealth)
-        np.multiply(prices.T, w, out=wm[:n1])
-        np.multiply(w, np.where(pos < 0.0, s_n, bid_n), out=wm[n1])
-        np.multiply(w, np.where(pos > 0.0, bid_n, s_n), out=wm[n1 + 1])
+    w = problem.noise.probs * problem.utility.deriv(res.terminal_wealth)
+    np.multiply(prices.T, w, out=wm[:n1])
+    np.multiply(w, np.where(pos < 0.0, s_n, bid_n), out=wm[n1])
+    np.multiply(w, np.where(pos > 0.0, bid_n, s_n), out=wm[n1 + 1])
 
     def sided(right, left, at_bound):
         return np.where(at_bound, right, 0.5 * (right + left))
@@ -296,9 +301,7 @@ def _supergradient(problem: RobustProblem, vec: np.ndarray, res: ObjectiveResult
             bid_s = (1.0 - lam) * s_i
             g[dn] = sided(bid_s - c_dn, bid_s - c_up, vec[dn].reshape(s_i.shape) <= 0.0).reshape(-1)
         ofs = up.stop
-    if not np.isfinite(g).all():
-        np.nan_to_num(g, copy=False, nan=0.0, posinf=1e6, neginf=-1e6)
-    return g
+    return np.nan_to_num(g, copy=False, nan=0.0, posinf=1e6, neginf=-1e6)
 
 
 def solve(problem: RobustProblem, settings: OptimizerSettings = OptimizerSettings()) -> SolveReport:

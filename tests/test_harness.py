@@ -1017,7 +1017,7 @@ class TestCli:
         monkeypatch.setattr(harness, "solve", counted)
         monkeypatch.setattr(solver, "solve", counted)
         cfg = load_config(write_config(tmp_path, make_doc(cost={"lambda": 0.01, "x0": 3.0}, out=str(tmp_path / "d"))))
-        assert harness.cmd_duality(cfg) == 0
+        assert harness.run("duality", harness.cmd_duality, cfg) == 0
         assert len(calls) == 1
 
     def test_duality_with_a_flat_ended_table_has_no_scaled_rows(self, tmp_path, capsys):
@@ -1347,6 +1347,42 @@ class TestCsvWorkers:
         write_csv(tmp_path / "serial.csv", ["i", "x"], columns, workers=2)
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
         assert (tmp_path / "serial.csv").read_text() == reference_csv(["i", "x"], zip(*columns))
+
+
+# a simulate whose prices.csv spans nine chunks, so --threads 2 forks a worker
+SIMULATE_9_CHUNKS = make_doc(thetas=TWO_BS, noise={"kind": "mc", "paths": 2100}, policy={})
+
+
+class TestWriteFailures:
+    """An output that cannot be written ends the run like an --out that
+    cannot be created: exit 2, one error line, no traceback and no worker
+    left behind."""
+
+    @pytest.mark.parametrize(
+        "command, doc, threads, blocked",
+        [
+            ("simulate", SIMULATE_9_CHUNKS, 1, "prices.csv"),
+            ("simulate", SIMULATE_9_CHUNKS, 2, "prices.csv"),
+            ("verify-cps", make_doc(), 1, "verify.json"),
+            ("solve", make_doc(), 1, "report.json"),
+            ("solve", make_doc(), 1, "history.csv"),
+            ("duality", make_doc(), 1, "duality.json"),
+            ("simulate", make_doc(noise={"kind": "mc", "paths": 4}, policy={}), 1, "manifest.json"),
+        ],
+        ids=["prices-1", "prices-2", "verify", "report", "history", "duality", "manifest"],
+    )
+    def test_a_directory_in_an_outputs_place_exits_2(self, tmp_path, monkeypatch, capfd, command, doc, threads, blocked):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "o"
+        (out / blocked / "inside").mkdir(parents=True)
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out), "--threads", str(threads)]
+        code = main(argv)
+        captured = capfd.readouterr()  # the file descriptors, so a worker's stderr is caught too
+        assert code == 2
+        assert captured.err.startswith("error: cannot write output: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+        assert (out / blocked / "inside").is_dir()
+        assert_no_child_left()
 
 
 # a solve whose optimum trades on a 50-step grid: ledger_worst.csv has full

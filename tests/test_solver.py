@@ -421,6 +421,23 @@ class TestSupergradient:
         self.check(prob, PolicyCodec(prob).zero(), 1e-5)
 
 
+def test_supergradient_overflow_takes_the_finite_guard():
+    # U'(X) = a e^{-a X} overflows at a = 1e6 and X = -7e-4, so the weighted
+    # sums meet inf - inf; the guard maps every slope to a finite one, and
+    # no floating-point warning escapes (the suite turns warnings into errors)
+    g = TimeGrid(1.0, 3)
+    thetas = ThetaGrid((BlackScholes(0.1, 0.2),))
+    prob = RobustProblem(CostSpec(0.01, -7e-4), thetas, exp_utility(1e6), gaussian_panel(g, 16, 1, seed=0))
+    zero = prob.codec.zero()
+    res = objective(prob, zero)
+    assert res.feasible and res.robust_value < -1e300
+    grad = _supergradient(prob, zero, res)
+    assert np.isfinite(grad).all()
+    rep = solve(prob, OptimizerSettings(iters=3))
+    assert rep.best_value == res.robust_value
+    np.testing.assert_array_equal(rep.best_params, zero)
+
+
 class TestSolve:
     def test_deterministic_replay(self):
         prob = lattice_problem(steps=2)
@@ -573,6 +590,50 @@ class TestBruteForce:
         prob = lattice_problem(steps=1, lam=0.5)
         with pytest.raises(NoFeasiblePointError):
             brute_force(prob, [10.0, 12.0], [0.0])
+
+
+class TestLongOnlyRefusesShortSales:
+    """A 2-step long-only lattice policy on a falling market, where a short
+    sale at time zero would pay: every decode refuses a negative h0, so no
+    evaluation prices a short sale, and the oracle agrees with solve that
+    not trading is best."""
+
+    @staticmethod
+    def problem():
+        return lattice_problem(steps=2, lam=0.02, x0=3.0, mus=(-0.3,), long_only=True)
+
+    @staticmethod
+    def short_sale(prob):
+        vec = prob.codec.zero()
+        vec[0] = -1.0
+        return vec
+
+    def test_objective_refuses_a_short_sale(self):
+        prob = self.problem()
+        with pytest.raises(ConfigError, match="h0 must be nonnegative"):
+            objective(prob, self.short_sale(prob))
+        assert objective(prob, prob.codec.zero()).robust_value == math.log(3.0)
+
+    def test_decode_refuses_a_short_sale(self):
+        prob = self.problem()
+        codec = prob.codec
+        with pytest.raises(ConfigError, match="h0 must be nonnegative"):
+            codec.decode(self.short_sale(prob))
+        # one short sale in a batch refuses the whole batch
+        with pytest.raises(ConfigError, match="h0 must be nonnegative"):
+            codec.decode_rows(np.stack([codec.zero(), self.short_sale(prob)]))
+        # the projection clamps h0 to zero, which decodes to no trade
+        strat = codec.decode(codec.project(self.short_sale(prob)))
+        np.testing.assert_array_equal(strat.d_dn, 0.0)
+        np.testing.assert_array_equal(strat.d_up, 0.0)
+
+    def test_brute_force_refuses_a_negative_h0_grid(self):
+        prob = self.problem()
+        with pytest.raises(ConfigError, match="h0 must be nonnegative"):
+            brute_force(prob, np.arange(-2.0, 2.01, 0.5), [0.0, 0.5])
+        rep = brute_force(prob, np.arange(0.0, 2.01, 0.5), [0.0, 0.5])
+        np.testing.assert_array_equal(rep.best_params, 0.0)
+        assert rep.value == solve(prob).best_value == math.log(3.0)
 
 
 class TestDefaultPriceSystems:
