@@ -2,7 +2,12 @@
 
 Exit codes: 0 success, 2 bad configuration or an output that cannot be
 written, 3 verification failure or any other engine error.  Errors print
-one ``error:`` line on stderr, never a traceback.
+one ``error:`` line on stderr, never a traceback.  Stdout is an output too:
+``selftest`` whose verdict cannot be written (a closed pipe, a full disk)
+exits 2 with ``error: cannot write output: ...``.
+
+The process ends right after its outputs are written and stdout and stderr
+are flushed, without the interpreter's teardown (see entry).
 
 ``--threads``, else the config's ``threads``, is the engine's one
 parallelism control: the number of processes that format simulate's
@@ -69,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest":
-        return cmd_selftest()
     command = {"simulate": cmd_simulate, "verify-cps": cmd_verify_cps, "solve": cmd_solve, "duality": cmd_duality}
     try:
+        if args.command == "selftest":
+            return cmd_selftest()
         # an overflow ends in an explicit check's error, so numpy's warnings
         # about it would only break the one-line stderr contract
         with np.errstate(all="ignore"):
@@ -83,5 +88,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_VERIFY
 
 
+def entry() -> None:
+    """The process entry point, of ``python -m frictionopt.cli`` and of the
+    ``frictionopt`` console script: run main, flush stdout and stderr, and
+    end the process with os._exit, skipping the interpreter's teardown
+    (mostly numpy's).  Stdout that cannot be flushed exits 2 with one
+    ``error: cannot write output:`` line.
+
+    The skip loses nothing, because when main returns every output file is
+    closed, write_csv has reaped its forked workers, no command has started
+    a thread, and the package registers no atexit handler.  A usage error
+    or --help (SystemExit from the parser) and an uncaught exception do not
+    return from main, so they keep the full teardown."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_CONFIG
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

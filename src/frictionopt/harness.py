@@ -256,7 +256,9 @@ def run(name: str, command: Callable[[RunConfig, Path], tuple], cfg: RunConfig) 
     """The frame of every config-driven command: start the run's clock,
     create cfg.out, call command(cfg, out_dir), which writes its outputs and
     returns (exit code, summary, output names), and write manifest.json under
-    name.  A directory or file that cannot be written raises ConfigError."""
+    name.  A directory or file that cannot be written raises ConfigError.
+    An earlier run's manifest.json is removed first, so a run that fails
+    leaves no manifest describing other outputs; its other files stay."""
     started = time.monotonic()
     out_dir = Path(cfg.out)
     try:
@@ -264,6 +266,7 @@ def run(name: str, command: Callable[[RunConfig, Path], tuple], cfg: RunConfig) 
     except OSError as exc:  # a file at out or above it, or no permission
         raise ConfigError(f"cannot create output directory: {exc}") from exc
     try:
+        (out_dir / "manifest.json").unlink(missing_ok=True)
         code, summary, outputs = command(cfg, out_dir)
         write_manifest(out_dir, name, cfg, summary, started, outputs)
     except OSError as exc:  # a directory in an output's place, a full disk
@@ -414,7 +417,8 @@ def cmd_duality(cfg: RunConfig, out_dir: Path) -> tuple[int, dict, Sequence[str]
 
 
 def cmd_selftest() -> int:
-    """Small built-in battery touching every module; exit 3 on any failure."""
+    """Small built-in battery touching every module; exit 3 on any failure.
+    A verdict that cannot be written to stdout raises ConfigError."""
     grid = TimeGrid(1.0, 10)
     noise = gaussian_panel(grid, 64, 1, seed=1)
     prices = simulate(ArctanDrift(), noise)
@@ -429,8 +433,8 @@ def cmd_selftest() -> int:
         "the zero strategy keeps its cash": float(np.max(np.abs(ledger.liq - 1.0))) == 0.0,
     }
     failed = [name for name, ok in checks.items() if not ok]
-    if failed:
-        print(f"selftest: FAIL ({'; '.join(failed)})")
-        return 3
-    print("selftest: PASS")
-    return 0
+    try:
+        print(f"selftest: FAIL ({'; '.join(failed)})" if failed else "selftest: PASS")
+    except OSError as exc:  # a closed pipe or a full disk, where stdout is unbuffered
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    return 3 if failed else 0

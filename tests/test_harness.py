@@ -13,7 +13,15 @@ import pytest
 from frictionopt.cli import main
 from frictionopt.config import OptimizerSettings, load_config, parse_config
 from frictionopt.errors import ConfigError
-from frictionopt.harness import CSV_CHUNK_ROWS, DIGEST_BLOCK_BYTES, _digest, write_csv, write_json, write_manifest
+from frictionopt.harness import (
+    CSV_CHUNK_ROWS,
+    DIGEST_BLOCK_BYTES,
+    SOLVE_OUTPUTS,
+    _digest,
+    write_csv,
+    write_json,
+    write_manifest,
+)
 from frictionopt.scenario import Factor, simulate_panel
 
 BASE_DOC = {
@@ -1383,6 +1391,98 @@ class TestWriteFailures:
         assert "Traceback" not in captured.err + captured.out
         assert (out / blocked / "inside").is_dir()
         assert_no_child_left()
+
+
+MC_SCHEDULE_SOLVE = make_doc(
+    noise={"kind": "mc", "paths": 50}, policy={"class": "deterministic-schedule"}, optimizer={"iters": 3}
+)
+
+
+def cli_process(*argv: str, unbuffered: bool = False, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run the CLI in its own process, as ``python -m frictionopt.cli`` runs
+    it.  PYTHONUNBUFFERED is removed unless unbuffered is set, so stdout is
+    block-buffered and a write that cannot land fails at the final flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "frictionopt.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
+class TestProcessExit:
+    """A CLI process ends at its last output, without the interpreter's
+    teardown: its exit codes and files are main's, and stdout that cannot be
+    written exits 2 with one error line."""
+
+    def test_selftest_through_a_pipe_passes(self):
+        run = cli_process("selftest")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "selftest: PASS\n", "")
+
+    def test_solve_writes_the_bytes_main_writes(self, tmp_path):
+        cfg_path = write_config(tmp_path, MC_SCHEDULE_SOLVE)
+        run = cli_process("solve", "--config", cfg_path, "--out", str(tmp_path / "process"))
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "in-process")]) == 0
+        manifests = []
+        for out in (tmp_path / "process", tmp_path / "in-process"):
+            assert sorted(os.listdir(out)) == sorted([*SOLVE_OUTPUTS, "manifest.json"])
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["wall_time_s"], manifest["config"]["out"]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        for name in SOLVE_OUTPUTS:
+            assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes(), name
+
+    def test_a_bad_config_exits_2_with_one_error_line(self, tmp_path):
+        doc = make_doc()
+        del doc["utility"]
+        run = cli_process("solve", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o"))
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+
+    def test_verify_cps_nonexistence_exits_3_with_its_verdict(self, tmp_path):
+        doc = make_doc(thetas=[{"type": "arctan_drift"}], cost={"lambda": 0.42, "x0": 1.0},
+                       noise={"kind": "mc", "paths": 50}, grid={"horizon": 1.0, "steps": 10}, policy={})
+        out = tmp_path / "v"
+        run = cli_process("verify-cps", "--config", write_config(tmp_path, doc), "--out", str(out))
+        assert (run.returncode, run.stdout, run.stderr) == (3, "", "")
+        verdict = json.loads((out / "verify.json").read_text())["verdict"]
+        assert verdict == "no consistent price system exists at this cost level"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+    def test_selftest_output_that_cannot_be_written_exits_2(self, sink, unbuffered):
+        if sink == "full-device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            with open("/dev/full", "wb") as stdout:
+                run = cli_process("selftest", unbuffered=unbuffered, stdout=stdout)
+        else:
+            read_fd, write_fd = os.pipe()
+            os.close(read_fd)
+            try:
+                run = cli_process("selftest", unbuffered=unbuffered, stdout=write_fd)
+            finally:
+                os.close(write_fd)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: cannot write output: ") and run.stderr.count("\n") == 1
+
+    def test_a_failed_run_leaves_no_stale_manifest(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, MC_SCHEDULE_SOLVE), tmp_path / "o"
+        assert cli_process("solve", "--config", cfg_path, "--out", str(out), "--seed", "1").returncode == 0
+        strategy = (out / "strategy.csv").read_bytes()
+        (out / "history.csv").unlink()
+        (out / "history.csv").mkdir()
+        run = cli_process("solve", "--config", cfg_path, "--out", str(out), "--seed", "2")
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: cannot write output: ") and run.stderr.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+        # the files written before the failure stay, and those after it are the first run's
+        assert (out / "report.json").is_file() and (out / "strategy.csv").read_bytes() == strategy
 
 
 # a solve whose optimum trades on a 50-step grid: ledger_worst.csv has full

@@ -84,6 +84,23 @@ def test_no_command_starts_a_thread_pool(tmp_path, command, threads):
     assert not {"concurrent.futures", "logging"} & set(loaded)
 
 
+def test_no_command_leaves_a_thread_or_an_exit_handler(tmp_path):
+    """cli.entry ends the process with os._exit, which neither joins threads
+    nor runs atexit handlers: after every command, at two threads, only the
+    main thread runs and no handler has been registered since start-up."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(dict(MC_CONFIG, optimizer={"iters": 3})))
+    code = (
+        "import atexit, json, sys, threading; handlers = atexit._ncallbacks(); from frictionopt.cli import main; "
+        "argv = ['--config', sys.argv[1], '--threads', '2', '--out']; "
+        "codes = [main([c, *argv, sys.argv[2] + c]) for c in sys.argv[3:]]; "
+        "print(json.dumps([codes, threading.active_count(), atexit._ncallbacks() - handlers]))"
+    )
+    assert fresh(code, str(config), str(tmp_path / "o-"), "simulate", "verify-cps", "solve", "duality") == [
+        [0, 0, 0, 0], 1, 0
+    ]
+
+
 def test_simulate_on_two_threads_forks_csv_workers_without_multiprocessing(tmp_path):
     """At two threads and two usable CPUs, a forked worker formats some of
     prices.csv's chunks (9 of CSV_CHUNK_ROWS = 2048 rows) through os.fork
